@@ -9,6 +9,8 @@ Hom-modulo-injectives neutralizes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import UnsupportedRing
 from .fpmod import (
     FPModule, Morphism, cokernel_realization, free_module, hom_module,
@@ -96,8 +98,7 @@ def bidual_check(a: FPModule) -> SequenceReport:
     rep = auslander_four_term(a, free_module(a.ring, 1), "tensor")
     relabel = {"Ext^1(TrA, X)": "Ext^1(TrA, R)", "A(x)X": "A",
                "(A*, X)": "A**", "Ext^2(TrA, X)": "Ext^2(TrA, R)"}
-    for node in rep.nodes:
-        if node.label in relabel:
-            object.__setattr__(node, "label", relabel[node.label])
+    rep.nodes = [replace(node, label=relabel.get(node.label, node.label))
+                 for node in rep.nodes]
     rep.metadata["display"] = "bidual"
     return rep

@@ -2,9 +2,10 @@
 
 A module is the cokernel of its presentation matrix: ``M = R^gens / col-span(rel)``.
 Columns of ``rel`` are relations; elements are generator-coordinate columns.
-A morphism M -> N is a generator matrix G (g_N x g_M) together with a witness
-X solving G @ P_M = P_N @ X; two generator matrices describe the same morphism
-iff their difference has columns in the image of P_N.
+A morphism M -> N is a generator matrix G (g_N x g_M) for which
+G @ P_M = P_N @ X is solvable (checked on construction); two generator
+matrices describe the same morphism iff their difference has columns in the
+image of P_N.
 
 Public constructors normalize presentations by SNF trimming (diagonal form,
 unit pivots dropped), which keeps objects small across deep derived
@@ -212,8 +213,7 @@ def elements_equal(m: FPModule, v: IntMat, w: IntMat) -> bool:
 class Morphism:
     source: FPModule
     target: FPModule
-    mat: IntMat      # g_target x g_source
-    witness: IntMat  # r_target x r_source, mat @ P_src = P_tgt @ witness
+    mat: IntMat  # g_target x g_source
 
     def __call__(self, v: IntMat) -> IntMat:
         return (self.mat @ v).mod(self.target.ring)
@@ -222,32 +222,27 @@ class Morphism:
         """self after other."""
         if other.target != self.source:
             raise DimensionMismatch("compose: middle objects differ")
-        ring = self.target.ring
         return Morphism(other.source, self.target,
-                        (self.mat @ other.mat).mod(ring),
-                        (self.witness @ other.witness).mod(ring))
+                        (self.mat @ other.mat).mod(self.target.ring))
 
     def __add__(self, other: "Morphism") -> "Morphism":
-        ring = self.target.ring
         return Morphism(self.source, self.target,
-                        (self.mat + other.mat).mod(ring),
-                        (self.witness + other.witness).mod(ring))
+                        (self.mat + other.mat).mod(self.target.ring))
 
     def __sub__(self, other: "Morphism") -> "Morphism":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "Morphism":
-        ring = self.target.ring
         return Morphism(self.source, self.target,
-                        self.mat.scale(c).mod(ring), self.witness.scale(c).mod(ring))
+                        self.mat.scale(c).mod(self.target.ring))
 
     def is_zero(self) -> bool:
         return in_span(self.target.rel, self.mat, self.target.ring)
 
 
 def make_morphism(source: FPModule, target: FPModule, mat) -> Morphism:
-    """Morphism from a generator matrix; solves for the well-definedness
-    witness and raises NotWellDefined when none exists."""
+    """Morphism from a generator matrix; raises NotWellDefined unless
+    G @ P_source = P_target @ X is solvable."""
     if source.ring != target.ring:
         raise DimensionMismatch("morphism across different rings")
     g = mat if isinstance(mat, IntMat) else IntMat.from_rows(mat)
@@ -256,20 +251,17 @@ def make_morphism(source: FPModule, target: FPModule, mat) -> Morphism:
             f"generator matrix must be {target.gens}x{source.gens}, got {g.rows}x{g.cols}")
     ring = source.ring
     g = g.mod(ring)
-    x = solve_matrix(target.rel, (g @ source.rel).mod(ring), ring)
-    if x is None:
+    if solve_matrix(target.rel, (g @ source.rel).mod(ring), ring) is None:
         raise NotWellDefined("generator matrix does not respect the relations")
-    return Morphism(source, target, g, x.mod(ring))
+    return Morphism(source, target, g)
 
 
 def identity_morphism(m: FPModule) -> Morphism:
-    return Morphism(m, m, IntMat.identity(m.gens).mod(m.ring),
-                    IntMat.identity(m.rel.cols).mod(m.ring))
+    return Morphism(m, m, IntMat.identity(m.gens).mod(m.ring))
 
 
 def zero_morphism(source: FPModule, target: FPModule) -> Morphism:
-    return Morphism(source, target, IntMat.zeros(target.gens, source.gens),
-                    IntMat.zeros(target.rel.cols, source.rel.cols))
+    return Morphism(source, target, IntMat.zeros(target.gens, source.gens))
 
 
 def morphisms_equal(f: Morphism, g: Morphism) -> bool:
@@ -331,9 +323,6 @@ class SubquotientRealization:
         u = IntMat(amb.sub.cols, v.cols, sol.data[:amb.sub.cols]) if amb.sub.cols \
             else IntMat(0, v.cols, ())
         return (self.fwd @ u).mod(ring)
-
-    def encode_matrix(self, cols: IntMat) -> IntMat:
-        return self.encode(cols)
 
 
 def realize_subquotient(sq: Subquotient) -> SubquotientRealization:
@@ -482,10 +471,6 @@ class HomRealization:
     def ambient_decode_matrix(self) -> IntMat:
         return self._sq.decode_matrix()
 
-    def generator_morphisms(self):
-        return [self.decode(_basis_col(self.module.gens, k))
-                for k in range(self.module.gens)]
-
 
 def _vec(g: IntMat) -> IntMat:
     cols = []
@@ -498,10 +483,6 @@ def _unvec(v: IntMat, rows: int, cols: int) -> IntMat:
     data = [r[0] for r in v.data]
     return IntMat.from_rows([[data[j * rows + i] for j in range(cols)]
                              for i in range(rows)]) if rows else IntMat(0, cols, ())
-
-
-def _basis_col(n: int, k: int) -> IntMat:
-    return IntMat.column([int(i == k) for i in range(n)])
 
 
 @lru_cache(maxsize=4096)
@@ -525,34 +506,36 @@ def hom_module(m: FPModule, n: FPModule) -> HomRealization:
     return HomRealization(m, n, sq.module, sq)
 
 
+def hom_transport(h_from: HomRealization, h_to: HomRealization, left: IntMat,
+                  right: IntMat, coords: IntMat) -> IntMat:
+    """Coordinates in h_to of G -> left @ G @ right, applied to the elements
+    of h_from whose coordinates are the columns of ``coords``.
+
+    One encode of the transformed ambient decode: with column-major
+    vectorization, vec(L G R) = (R^T (x) L) vec(G).
+    """
+    ambient = right.transpose().kron(left) @ h_from._sq.decode(coords)
+    return h_to.encode_ambient(ambient)
+
+
 def hom_push(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Morphism:
     """Hom(A, X) -> Hom(A, Y) induced by phi: X -> Y (postcomposition)."""
-    cols = []
-    for k in range(h_from.module.gens):
-        f = h_from.decode(_basis_col(h_from.module.gens, k))
-        cols.append(h_to.encode(phi.compose(f)))
-    return _from_cols(h_from.module, h_to.module, cols)
+    if phi.source != h_from.target:
+        raise DimensionMismatch("compose: middle objects differ")
+    ident = IntMat.identity(h_from.module.gens)
+    mat = hom_transport(h_from, h_to, phi.mat,
+                        IntMat.identity(h_from.source.gens), ident)
+    return make_morphism(h_from.module, h_to.module, mat)
 
 
 def hom_pull(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Morphism:
     """Hom(Y, B) -> Hom(X, B) induced by phi: X -> Y (precomposition)."""
-    cols = []
-    for k in range(h_from.module.gens):
-        f = h_from.decode(_basis_col(h_from.module.gens, k))
-        cols.append(h_to.encode(f.compose(phi)))
-    return _from_cols(h_from.module, h_to.module, cols)
-
-
-def _from_cols(source: FPModule, target: FPModule, cols) -> Morphism:
-    mat = IntMat.from_rows([[c.data[i][0] for c in cols] for i in range(target.gens)]) \
-        if target.gens else IntMat(0, len(cols), ())
-    return make_morphism(source, target, mat)
-
-
-def matrix_from_cols(target_gens: int, cols) -> IntMat:
-    cols = list(cols)
-    return IntMat.from_rows([[c.data[i][0] for c in cols] for i in range(target_gens)]) \
-        if target_gens else IntMat(0, len(cols), ())
+    if phi.target != h_from.source:
+        raise DimensionMismatch("compose: middle objects differ")
+    ident = IntMat.identity(h_from.module.gens)
+    mat = hom_transport(h_from, h_to, IntMat.identity(h_from.target.gens),
+                        phi.mat, ident)
+    return make_morphism(h_from.module, h_to.module, mat)
 
 
 def solve_for_morphism(source: FPModule, target: FPModule, conditions) -> Morphism | None:
@@ -648,19 +631,13 @@ def dual(m: FPModule) -> FPModule:
 
 def evaluation_map(m: FPModule) -> Morphism:
     """The canonical map M -> M** sending a generator to evaluation at it."""
-    ring = m.ring
-    r1 = free_module(ring, 1)
+    r1 = free_module(m.ring, 1)
     star = hom_module(m, r1)
     dstar = hom_module(star.module, r1)
-    functionals = star.generator_morphisms()
-    cols = []
-    for i in range(m.gens):
-        row = [phi.mat.data[0][i] for phi in functionals]
-        ev = make_morphism(star.module, r1,
-                           IntMat.from_rows([row]) if row else IntMat.zeros(1, 0))
-        cols.append(dstar.encode(ev))
-    return _from_cols(m, dstar.module, cols) if m.gens else \
-        zero_morphism(m, dstar.module)
+    # row k of the transposed decode is the k-th generator functional, so
+    # column i, read as a 1 x g matrix, is evaluation at generator i
+    functionals = star.ambient_decode_matrix().transpose()
+    return make_morphism(m, dstar.module, dstar.encode_ambient(functionals))
 
 
 def transpose(m: FPModule) -> FPModule:

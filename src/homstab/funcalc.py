@@ -3,11 +3,15 @@ stabilizations, satellites, derived functors, defects, the canonical
 transformations rho/lambda/beta/alpha, and the four-term sequences relating
 tensor and Hom through the transpose.
 
-Expressions evaluate on objects and on morphisms.  Ring capabilities are
-checked at evaluation time: injective-side constructions (Sigma shifts,
-sub-stabilization of covariant functors, covariant right-derived functors and
-right satellites) need a quasi-Frobenius base ring.  Finitely presented
-shapes provide projective-side shortcuts valid over any ring:
+Expressions evaluate on objects and on morphisms.  Every construction that
+resolves its argument (stabilizations, satellites, derived functors,
+rho/lambda/beta/alpha, and the fundamental sequences built on them) asks the
+threaded-resolution table ``_THREADED`` which resolution a (variance, side)
+pair threads and which of its two arrow families plays which role; it is the
+one place that knows.  Covariant-right and contravariant-left thread an
+injective resolution, which needs a quasi-Frobenius base ring; the other two
+thread a projective resolution over either ring.  Finitely presented shapes
+provide projective-side shortcuts valid over any ring:
 
 * for F = coker((B,-) --(f,-)--> (A,-)) the right-derived functors are
   Ext^i(w(F), -) with defect w(F) = ker f;
@@ -23,19 +27,20 @@ Ext^i(A,-), Tor_i(A,-) are half-exact; FP/TC only if the caller says so).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
     FPModule, HomRealization, Morphism, cokernel_realization,
     epi_mono_factor, evaluation_map, free_module, hom_module, hom_pull,
-    hom_push, identity_morphism, is_identity, kernel_realization,
-    make_morphism, matrix_from_cols, solve_for_morphism, tensor_module,
+    hom_push, hom_transport, identity_morphism, is_identity,
+    kernel_realization, make_morphism, solve_for_morphism, tensor_module,
     tensor_mor, zero_morphism,
 )
 from .resolve import (
-    ext as resolve_ext, homology_at, inj_resolution, injective_container,
-    proj_resolution,
+    cosyzygy, ext as resolve_ext, homology_at, inj_resolution,
+    proj_resolution, syzygy,
 )
 from .seqreport import SequenceReport, build_report
 
@@ -137,9 +142,7 @@ class TensorLeft(FunctorExpr):
 @dataclass(frozen=True, eq=False)
 class _FPEval:
     hom_a: HomRealization
-    hom_b: HomRealization
-    presented_by: Morphism  # (f, X): Hom(B,X) -> Hom(A,X)
-    value: object           # CokernelRealization
+    value: object  # CokernelRealization of (f, X): Hom(B,X) -> Hom(A,X)
 
 
 class FP(FunctorExpr):
@@ -154,9 +157,8 @@ class FP(FunctorExpr):
         got = self._cache.get(x)
         if got is None:
             hom_a = hom_module(self.f.source, x)
-            hom_b = hom_module(self.f.target, x)
-            pres = hom_pull(hom_b, hom_a, self.f)
-            got = _FPEval(hom_a, hom_b, pres, cokernel_realization(pres))
+            pres = hom_pull(hom_module(self.f.target, x), hom_a, self.f)
+            got = _FPEval(hom_a, cokernel_realization(pres))
             self._cache[x] = got
         return got
 
@@ -164,13 +166,13 @@ class FP(FunctorExpr):
         return self._at(x).value.module
 
     def eval_mor(self, phi):
+        # project . hom_push . lift, pushing the lifted elements themselves
         ex, ey = self._at(phi.source), self._at(phi.target)
-        cols = [ey.value.project.mat @ ey.hom_a.encode(
-                    phi.compose(ex.hom_a.decode(ex.value.lift.col(k))))
-                for k in range(ex.value.module.gens)]
-        mat = matrix_from_cols(ey.value.module.gens, cols) if cols \
-            else IntMat.zeros(ey.value.module.gens, 0)
-        return make_morphism(ex.value.module, ey.value.module, mat)
+        pushed = hom_transport(ex.hom_a, ey.hom_a, phi.mat,
+                               IntMat.identity(self.f.source.gens),
+                               ex.value.lift)
+        return make_morphism(ex.value.module, ey.value.module,
+                             ey.value.project.mat @ pushed)
 
     def fp_presentation(self):
         return self.f
@@ -242,17 +244,6 @@ def TorFixedFirst(a: FPModule, i: int) -> FunctorExpr:
 # syzygy / cosyzygy shifts
 
 
-def omega_shift_obj(x: FPModule, k: int) -> FPModule:
-    return proj_resolution(x, k).syzygies[k] if k else x
-
-
-def sigma_shift_obj(x: FPModule, k: int) -> FPModule:
-    if k:
-        _require_qf(x.ring, "a cosyzygy")
-        return inj_resolution(x, k).cosyzygies[k]
-    return x
-
-
 def _factor_through(g: Morphism, m: Morphism) -> Morphism:
     """h with m . h = g, for maps landing in the image of the mono m."""
     h = solve_for_morphism(
@@ -277,7 +268,7 @@ def omega_shift_mor(phi: Morphism, k: int) -> Morphism:
     """Omega^k on morphisms; well-defined modulo maps through projectives."""
     for _ in range(k):
         if is_identity(phi):
-            phi = identity_morphism(omega_shift_obj(phi.source, 1))
+            phi = identity_morphism(syzygy(phi.source, 1))
             continue
         px, py = proj_resolution(phi.source, 1), proj_resolution(phi.target, 1)
         h0 = make_morphism(px.terms[0], py.terms[0], phi.mat)
@@ -291,7 +282,7 @@ def sigma_shift_mor(phi: Morphism, k: int) -> Morphism:
         _require_qf(phi.source.ring, "a cosyzygy shift")
     for _ in range(k):
         if is_identity(phi):
-            phi = identity_morphism(sigma_shift_obj(phi.source, 1))
+            phi = identity_morphism(cosyzygy(phi.source, 1))
             continue
         cx = inj_resolution(phi.source, 1)
         cy = inj_resolution(phi.target, 1)
@@ -302,34 +293,64 @@ def sigma_shift_mor(phi: Morphism, k: int) -> Morphism:
     return phi
 
 
-class ShiftOmega(FunctorExpr):
+class _Shift(FunctorExpr):
+    """``inner`` precomposed with the k-th (co)syzygy shift."""
+
     def __init__(self, inner: FunctorExpr, k: int):
         self.inner, self.k = inner, k
         self.variance = inner.variance
 
     def eval_obj(self, x):
-        return self.inner.eval_obj(omega_shift_obj(x, self.k))
+        return self.inner.eval_obj(self._shift_obj(x, self.k))
 
     def eval_mor(self, phi):
-        return self.inner.eval_mor(omega_shift_mor(phi, self.k))
+        return self.inner.eval_mor(self._shift_mor(phi, self.k))
 
     def __str__(self):
-        return f"({self.inner}) o Omega^{self.k}"
+        return f"({self.inner}) o {self._name}^{self.k}"
 
 
-class ShiftSigma(FunctorExpr):
-    def __init__(self, inner: FunctorExpr, k: int):
-        self.inner, self.k = inner, k
-        self.variance = inner.variance
+class ShiftOmega(_Shift):
+    _name = "Omega"
+    _shift_obj = staticmethod(syzygy)
+    _shift_mor = staticmethod(omega_shift_mor)
 
-    def eval_obj(self, x):
-        return self.inner.eval_obj(sigma_shift_obj(x, self.k))
 
-    def eval_mor(self, phi):
-        return self.inner.eval_mor(sigma_shift_mor(phi, self.k))
+class ShiftSigma(_Shift):
+    _name = "Sigma"
+    _shift_obj = staticmethod(cosyzygy)
+    _shift_mor = staticmethod(sigma_shift_mor)
 
-    def __str__(self):
-        return f"({self.inner}) o Sigma^{self.k}"
+
+# ---------------------------------------------------------------------------
+# the threaded-resolution table
+
+# (variance, side) -> (resolution threaded, A arrows, C arrows).  A_k joins
+# the k-th (co)syzygy of the argument with the k-th term, C_k joins the k-th
+# term with the (k+1)-th (co)syzygy.  Stabilizations are F at A_k, satellites
+# F at C_k-1, derived functors the (co)homology of F applied to the diffs.
+_THREADED = {
+    (COVARIANT, "right"): (inj_resolution, "embeds", "projs"),
+    (CONTRAVARIANT, "right"): (proj_resolution, "covers", "includes"),
+    (COVARIANT, "left"): (proj_resolution, "covers", "includes"),
+    (CONTRAVARIANT, "left"): (inj_resolution, "embeds", "projs"),
+}
+
+
+def _injective_side(f: FunctorExpr, side: str) -> bool:
+    if (f.variance, side) not in _THREADED:
+        raise WrongShape("side must be 'right' or 'left'")
+    return _THREADED[f.variance, side][0] is inj_resolution
+
+
+def _threaded(f: FunctorExpr, side: str, x: FPModule, depth: int, what: str):
+    """(resolution, A arrows, C arrows) of x to the given depth for the row
+    of F's variance on this side; the injective side needs a QF ring."""
+    if _injective_side(f, side):
+        _require_qf(x.ring, what)
+    resolve, a, c = _THREADED[f.variance, side]
+    res = resolve(x, depth)
+    return res, getattr(res, a), getattr(res, c)
 
 
 # ---------------------------------------------------------------------------
@@ -341,36 +362,28 @@ def free_cover(x: FPModule) -> Morphism:
 
 
 def sub_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
-    """F-bar(X) with its inclusion k into F(X).
-
-    Covariant: kernel of F at an injective container (quasi-Frobenius ring;
-    finitely presented shapes fall back to the any-ring resolution formula).
-    Contravariant: kernel of F at a projective ancestor (any ring).
+    """F-bar(X) with its inclusion k into F(X): the kernel of F at A_0 of the
+    right thread (an injective container of X when covariant, which needs a
+    quasi-Frobenius ring unless F is finitely presented; a free cover when
+    contravariant).
     """
-    if f.variance == COVARIANT:
-        if not x.ring.quasi_frobenius:
-            if f.fp_presentation() is not None:
-                return sub_stabilize_fp(f, x)
-            _require_qf(x.ring, "sub-stabilization of a covariant functor")
-        arrow = injective_container(x)
-    else:
-        arrow = free_cover(x)
-    kr = kernel_realization(f.eval_mor(arrow))
+    if f.variance == COVARIANT and not x.ring.quasi_frobenius \
+            and f.fp_presentation() is not None:
+        return sub_stabilize_fp(f, x)
+    _, a, _ = _threaded(f, "right", x, 0,
+                        "sub-stabilization of a covariant functor")
+    kr = kernel_realization(f.eval_mor(a[0]))
     return kr.module, kr.include
 
 
 def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
-    """F-under(X) with the projection q from F(X).
-
-    Covariant: cokernel of F at a free cover (any ring).
-    Contravariant: cokernel of F at an injective container (quasi-Frobenius).
+    """F-under(X) with the projection q from F(X): the cokernel of F at A_0
+    of the left thread (a free cover of X when covariant; an injective
+    container, quasi-Frobenius only, when contravariant).
     """
-    if f.variance == COVARIANT:
-        arrow = free_cover(x)
-    else:
-        _require_qf(x.ring, "quot-stabilization of a contravariant functor")
-        arrow = injective_container(x)
-    c = cokernel_realization(f.eval_mor(arrow))
+    _, a, _ = _threaded(f, "left", x, 0,
+                        "quot-stabilization of a contravariant functor")
+    c = cokernel_realization(f.eval_mor(a[0]))
     return c.module, c.project
 
 
@@ -394,12 +407,10 @@ def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     hom_im = hom_module(e.target, x)
     bar = cokernel_realization(hom_pull(hom_b, hom_im, m))
     fx = _fp_value(f, x)
-    cols = [fx.value.project.mat @ fx.hom_a.encode(
-                hom_im.decode(bar.lift.col(t)).compose(e))
-            for t in range(bar.module.gens)]
-    mat = matrix_from_cols(fx.value.module.gens, cols) if cols \
-        else IntMat.zeros(fx.value.module.gens, 0)
-    return bar.module, make_morphism(bar.module, fx.value.module, mat)
+    pulled = hom_transport(hom_im, fx.hom_a, IntMat.identity(x.gens), e.mat,
+                           bar.lift)
+    return bar.module, make_morphism(bar.module, fx.value.module,
+                                     fx.value.project.mat @ pulled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,7 +437,10 @@ def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> TCQuotStab:
     return TCQuotStab(kr.module, kr.include, m_tensor, proj)
 
 
-class SubStab(FunctorExpr):
+class _Stabilization(FunctorExpr):
+    """A stabilization of ``inner``, cached per object; ``_stabilize``
+    returns the (module, map) pair at an object."""
+
     def __init__(self, inner: FunctorExpr):
         self.inner = inner
         self.variance = inner.variance
@@ -435,21 +449,26 @@ class SubStab(FunctorExpr):
     def _at(self, x):
         got = self._cache.get(x)
         if got is None:
-            got = sub_stabilize(self.inner, x)
+            got = self._stabilize(self.inner, x)
             self._cache[x] = got
         return got
 
     def eval_obj(self, x):
         return self._at(x)[0]
 
+    def _ends(self, phi):
+        """The stabilizations at the source and the target of F(phi)."""
+        if self.variance == COVARIANT:
+            return self._at(phi.source), self._at(phi.target)
+        return self._at(phi.target), self._at(phi.source)
+
+
+class SubStab(_Stabilization):
+    _stabilize = staticmethod(sub_stabilize)
+
     def eval_mor(self, phi):
         inner_phi = self.inner.eval_mor(phi)
-        if self.variance == COVARIANT:
-            src_mod, src_incl = self._at(phi.source)
-            tgt_mod, tgt_incl = self._at(phi.target)
-        else:
-            src_mod, src_incl = self._at(phi.target)
-            tgt_mod, tgt_incl = self._at(phi.source)
+        (src_mod, src_incl), (tgt_mod, tgt_incl) = self._ends(phi)
         carried = inner_phi.compose(src_incl)
         h = solve_for_morphism(
             src_mod, tgt_mod,
@@ -463,30 +482,12 @@ class SubStab(FunctorExpr):
         return f"bar({self.inner})"
 
 
-class QuotStab(FunctorExpr):
-    def __init__(self, inner: FunctorExpr):
-        self.inner = inner
-        self.variance = inner.variance
-        self._cache: dict[FPModule, tuple[FPModule, Morphism]] = {}
-
-    def _at(self, x):
-        got = self._cache.get(x)
-        if got is None:
-            got = quot_stabilize(self.inner, x)
-            self._cache[x] = got
-        return got
-
-    def eval_obj(self, x):
-        return self._at(x)[0]
+class QuotStab(_Stabilization):
+    _stabilize = staticmethod(quot_stabilize)
 
     def eval_mor(self, phi):
         inner_phi = self.inner.eval_mor(phi)
-        if self.variance == COVARIANT:
-            src_mod, src_proj = self._at(phi.source)
-            tgt_mod, tgt_proj = self._at(phi.target)
-        else:
-            src_mod, src_proj = self._at(phi.target)
-            tgt_mod, tgt_proj = self._at(phi.source)
+        (src_mod, src_proj), (tgt_mod, tgt_proj) = self._ends(phi)
         carried = tgt_proj.compose(inner_phi)
         h = solve_for_morphism(
             src_mod, tgt_mod,
@@ -504,52 +505,47 @@ class QuotStab(FunctorExpr):
 # derived functors
 
 
-def _applied_complex(f: FunctorExpr, res) -> list[Morphism]:
-    return [f.eval_mor(d) for d in res.diffs]
+class _DerivedNode(NamedTuple):
+    """A node of an applied complex with its coordinate transport to and
+    from the applied term it sits in."""
+
+    module: FPModule
+    decode: IntMat   # node coordinates -> term coordinates
+    encode: Callable[[IntMat], IntMat]
 
 
-def _node_kernel_flavour(values, i):
+def _node_kernel_flavour(values, i) -> _DerivedNode:
     """Degree-i node of a cochain-ordered applied complex (kernel at 0)."""
     if i == 0:
         kr = kernel_realization(values[0])
-        return kr.module, kr.include.mat, kr.encode
+        return _DerivedNode(kr.module, kr.include.mat, kr.encode)
     hq = homology_at(values[i - 1], values[i])
-    return hq.module, hq.decode_matrix(), hq.encode
+    return _DerivedNode(hq.module, hq.decode_matrix(), hq.encode)
 
 
-def _node_cokernel_flavour(values, i):
+def _node_cokernel_flavour(values, i) -> _DerivedNode:
     """Degree-i node of a chain-ordered applied complex (cokernel at 0)."""
     if i == 0:
         c = cokernel_realization(values[0])
-        return c.module, c.lift, lambda cols: (c.project.mat @ cols)
+        return _DerivedNode(c.module, c.lift, lambda cols: (c.project.mat @ cols))
     hq = homology_at(values[i], values[i - 1])
-    return hq.module, hq.decode_matrix(), hq.encode
+    return _DerivedNode(hq.module, hq.decode_matrix(), hq.encode)
 
 
-def _derived_setup(f: FunctorExpr, i: int, x: FPModule, side: str):
-    cov = f.variance == COVARIANT
-    inj_side = (cov and side == "right") or (not cov and side == "left")
-    if inj_side:
-        _require_qf(x.ring, "derived functors on the injective side")
-        res = inj_resolution(x, i + 1)
-    else:
-        res = proj_resolution(x, i + 1)
-    values = _applied_complex(f, res)
+def _derived_node(f: FunctorExpr, i: int, side: str, x: FPModule) -> _DerivedNode:
+    """Degree-i node of F applied to the resolution of x the row threads."""
+    res, _, _ = _threaded(f, side, x, i + 1,
+                          "derived functors on the injective side")
     node = _node_kernel_flavour if side == "right" else _node_cokernel_flavour
-    return res, values, node
+    return node([f.eval_mor(d) for d in res.diffs], i)
 
 
 def derived_eval(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
-    if side not in ("right", "left"):
-        raise WrongShape("side must be 'right' or 'left'")
     if f.variance == COVARIANT and side == "right" and not x.ring.quasi_frobenius:
         pres = f.fp_presentation()
         if pres is not None:
-            w = kernel_realization(pres).module
-            return resolve_ext(w, x, i)
-        _require_qf(x.ring, "covariant right-derived functors")
-    _, values, node = _derived_setup(f, i, x, side)
-    return node(values, i)[0]
+            return resolve_ext(kernel_realization(pres).module, x, i)
+    return _derived_node(f, i, side, x).module
 
 
 def derived_mor(f: FunctorExpr, i: int, side: str, phi: Morphism) -> Morphism:
@@ -558,18 +554,13 @@ def derived_mor(f: FunctorExpr, i: int, side: str, phi: Morphism) -> Morphism:
         pres = f.fp_presentation()
         if pres is not None:
             w = kernel_realization(pres).module
-            shortcut = ExtFixedFirst(w, i)
-            return shortcut.eval_mor(phi)
-        _require_qf(phi.source.ring, "covariant right-derived functors")
-    inj_side = (cov and side == "right") or (not cov and side == "left")
-    hs = _inj_chain_map(phi, i + 1) if inj_side else _proj_chain_map(phi, i + 1)
-    _, vx, node = _derived_setup(f, i, phi.source, side)
-    _, vy, _ = _derived_setup(f, i, phi.target, side)
-    nx, ny = node(vx, i), node(vy, i)
-    carrier = f.eval_mor(hs[i])
+            return ExtFixedFirst(w, i).eval_mor(phi)
+    nx = _derived_node(f, i, side, phi.source)
+    ny = _derived_node(f, i, side, phi.target)
+    chain_map = _inj_chain_map if _injective_side(f, side) else _proj_chain_map
+    carrier = f.eval_mor(chain_map(phi, i + 1)[i])
     src, tgt = (nx, ny) if cov else (ny, nx)
-    coords = tgt[2](carrier.mat @ src[1])
-    return make_morphism(src[0], tgt[0], coords)
+    return make_morphism(src.module, tgt.module, tgt.encode(carrier.mat @ src.decode))
 
 
 class Derived(FunctorExpr):
@@ -636,22 +627,16 @@ def satellite(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
     """
     if i < 1:
         raise WrongShape("satellites are indexed from 1")
-    cov = f.variance == COVARIANT
+    return _satellite_edge(f, i, side, x).module
+
+
+def _satellite_edge(f: FunctorExpr, i: int, side: str, x: FPModule):
+    """S^i as the cokernel, S_i as the kernel, of F at C_{i-1}."""
+    _, _, c = _threaded(f, side, x, i, f"{side} satellites on the injective side")
+    edge = f.eval_mor(c[i - 1])
     if side == "right":
-        if cov:
-            _require_qf(x.ring, "right satellites of a covariant functor")
-            res = inj_resolution(x, i)
-            return cokernel_realization(f.eval_mor(res.projs[i - 1])).module
-        res = proj_resolution(x, i)
-        return cokernel_realization(f.eval_mor(res.includes[i - 1])).module
-    if side == "left":
-        if cov:
-            res = proj_resolution(x, i)
-            return kernel_realization(f.eval_mor(res.includes[i - 1])).module
-        _require_qf(x.ring, "left satellites of a contravariant functor")
-        res = inj_resolution(x, i)
-        return kernel_realization(f.eval_mor(res.projs[i - 1])).module
-    raise WrongShape("side must be 'right' or 'left'")
+        return cokernel_realization(edge)
+    return kernel_realization(edge)
 
 
 class Satellite(FunctorExpr):
@@ -663,22 +648,13 @@ class Satellite(FunctorExpr):
         return satellite(self.inner, self.i, self.side, x)
 
     def eval_mor(self, phi):
-        cov = self.variance == COVARIANT
         i, f = self.i, self.inner
-        use_sigma = (cov and self.side == "right") or (not cov and self.side == "left")
-        shifted = sigma_shift_mor(phi, i) if use_sigma else omega_shift_mor(phi, i)
-        carrier = f.eval_mor(shifted)
+        shift = sigma_shift_mor if _injective_side(f, self.side) else omega_shift_mor
+        carrier = f.eval_mor(shift(phi, i))
         # rebuild the boundary realizations to transport coordinates
-        def edge(x):
-            if self.side == "right":
-                res = inj_resolution(x, i) if cov else proj_resolution(x, i)
-                arrow = res.projs[i - 1] if cov else res.includes[i - 1]
-                return cokernel_realization(f.eval_mor(arrow))
-            res = proj_resolution(x, i) if cov else inj_resolution(x, i)
-            arrow = res.includes[i - 1] if cov else res.projs[i - 1]
-            return kernel_realization(f.eval_mor(arrow))
-        ex, ey = edge(phi.source), edge(phi.target)
-        src, tgt = (ex, ey) if cov else (ey, ex)
+        ex = _satellite_edge(f, i, self.side, phi.source)
+        ey = _satellite_edge(f, i, self.side, phi.target)
+        src, tgt = (ex, ey) if self.variance == COVARIANT else (ey, ex)
         if self.side == "right":
             mat = tgt.project.mat @ carrier.mat @ src.lift
         else:
@@ -722,59 +698,34 @@ def _ring_of(f: FunctorExpr):
 def rho(f: FunctorExpr, x: FPModule) -> Morphism:
     """F(X) -> R0 F(X), the zeroth right-derived comparison."""
     fx = f.eval_obj(x)
-    if f.variance == COVARIANT:
-        if not x.ring.quasi_frobenius:
-            pres = f.fp_presentation()
-            if pres is None:
-                _require_qf(x.ring, "rho of a covariant functor")
-            kr = kernel_realization(pres)
-            w = kr.module
-            hom_w = hom_module(w, x)
-            fpx = _fp_value(f, x)
-            restrict = hom_pull(fpx.hom_a, hom_w, kr.include)
-            return make_morphism(fx, hom_w.module, restrict.mat @ fpx.value.lift)
-        res = inj_resolution(x, 1)
-        values = _applied_complex(f, res)
-        kr = kernel_realization(values[0])
-        aug = f.eval_mor(res.augmentation)
-        return make_morphism(fx, kr.module, kr.encode(aug.mat))
-    res = proj_resolution(x, 1)
-    values = _applied_complex(f, res)
-    kr = kernel_realization(values[0])
-    aug = f.eval_mor(res.augmentation)
-    return make_morphism(fx, kr.module, kr.encode(aug.mat))
+    pres = f.fp_presentation()
+    if f.variance == COVARIANT and not x.ring.quasi_frobenius and pres is not None:
+        kr = kernel_realization(pres)
+        hom_w = hom_module(kr.module, x)
+        fpx = _fp_value(f, x)
+        restrict = hom_pull(fpx.hom_a, hom_w, kr.include)
+        return make_morphism(fx, hom_w.module, restrict.mat @ fpx.value.lift)
+    res, a, _ = _threaded(f, "right", x, 1, "rho of a covariant functor")
+    r0 = kernel_realization(f.eval_mor(res.diffs[0]))
+    aug = f.eval_mor(a[0])
+    return make_morphism(fx, r0.module, r0.encode(aug.mat))
 
 
 def lam(f: FunctorExpr, x: FPModule) -> Morphism:
     """L0 F(X) -> F(X), the zeroth left-derived comparison."""
     fx = f.eval_obj(x)
-    if f.variance == COVARIANT:
-        res = proj_resolution(x, 1)
-    else:
-        _require_qf(x.ring, "lambda of a contravariant functor")
-        res = inj_resolution(x, 1)
-    values = _applied_complex(f, res)
-    cok = cokernel_realization(values[0])
-    aug = f.eval_mor(res.augmentation)
-    return make_morphism(cok.module, fx, aug.mat @ cok.lift)
+    res, a, _ = _threaded(f, "left", x, 1, "lambda of a contravariant functor")
+    l0 = cokernel_realization(f.eval_mor(res.diffs[0]))
+    aug = f.eval_mor(a[0])
+    return make_morphism(l0.module, fx, aug.mat @ l0.lift)
 
 
 def beta(f: FunctorExpr, x: FPModule) -> Morphism:
     """R0 F(X) -> F-bar(Sigma X) (covariant) / F-bar(Omega X) (contravariant)."""
-    if f.variance == COVARIANT:
-        _require_qf(x.ring, "beta of a covariant functor")
-        res = inj_resolution(x, 1)
-        values = _applied_complex(f, res)
-        r0 = kernel_realization(values[0])
-        stab = kernel_realization(f.eval_mor(res.embeds[1]))
-        step = f.eval_mor(res.projs[0])
-        return make_morphism(r0.module, stab.module,
-                             stab.encode(step.mat @ r0.include.mat))
-    res = proj_resolution(x, 1)
-    values = _applied_complex(f, res)
-    r0 = kernel_realization(values[0])
-    stab = kernel_realization(f.eval_mor(res.covers[1]))
-    step = f.eval_mor(res.includes[0])
+    res, a, c = _threaded(f, "right", x, 1, "beta of a covariant functor")
+    r0 = kernel_realization(f.eval_mor(res.diffs[0]))
+    stab = kernel_realization(f.eval_mor(a[1]))
+    step = f.eval_mor(c[0])
     return make_morphism(r0.module, stab.module,
                          stab.encode(step.mat @ r0.include.mat))
 
@@ -782,19 +733,10 @@ def beta(f: FunctorExpr, x: FPModule) -> Morphism:
 def alpha(f: FunctorExpr, x: FPModule) -> Morphism:
     """F-under(Omega X) -> L0 F(X) (covariant) /
     F-under(Sigma X) -> L0 F(X) (contravariant)."""
-    if f.variance == COVARIANT:
-        res = proj_resolution(x, 1)
-        values = _applied_complex(f, res)
-        l0 = cokernel_realization(values[0])
-        stab = cokernel_realization(f.eval_mor(res.covers[1]))
-        step = f.eval_mor(res.includes[0])
-    else:
-        _require_qf(x.ring, "alpha of a contravariant functor")
-        res = inj_resolution(x, 1)
-        values = _applied_complex(f, res)
-        l0 = cokernel_realization(values[0])
-        stab = cokernel_realization(f.eval_mor(res.embeds[1]))
-        step = f.eval_mor(res.projs[0])
+    res, a, c = _threaded(f, "left", x, 1, "alpha of a contravariant functor")
+    l0 = cokernel_realization(f.eval_mor(res.diffs[0]))
+    stab = cokernel_realization(f.eval_mor(a[1]))
+    step = f.eval_mor(c[0])
     return make_morphism(stab.module, l0.module,
                          l0.project.mat @ step.mat @ stab.lift)
 
@@ -812,21 +754,19 @@ class NatTransSample:
         return all(ok for _, ok in self.naturality)
 
 
-def _shifted_substab(f: FunctorExpr) -> FunctorExpr:
-    shift = ShiftSigma if f.variance == COVARIANT else ShiftOmega
-    return shift(SubStab(f), 1)
-
-
-def _shifted_quotstab(f: FunctorExpr) -> FunctorExpr:
-    shift = ShiftOmega if f.variance == COVARIANT else ShiftSigma
-    return shift(QuotStab(f), 1)
+def _shifted(stab, f: FunctorExpr, side: str) -> FunctorExpr:
+    """stab(F) composed with the first shift along the side's thread."""
+    shift = ShiftSigma if _injective_side(f, side) else ShiftOmega
+    return shift(stab(f), 1)
 
 
 _CANONICAL = {
     "rho": (rho, lambda f: f, lambda f: Derived(f, 0, "right")),
     "lambda": (lam, lambda f: Derived(f, 0, "left"), lambda f: f),
-    "beta": (beta, lambda f: Derived(f, 0, "right"), _shifted_substab),
-    "alpha": (alpha, _shifted_quotstab, lambda f: Derived(f, 0, "left")),
+    "beta": (beta, lambda f: Derived(f, 0, "right"),
+             lambda f: _shifted(SubStab, f, "right")),
+    "alpha": (alpha, lambda f: _shifted(QuotStab, f, "left"),
+              lambda f: Derived(f, 0, "left")),
 }
 
 

@@ -8,6 +8,11 @@ honest matrices and every exactness verdict is decided by exact submodule
 comparison.  Verdict layout, per the structure theorems: the sequences are
 complexes everywhere, exact away from the derived-functor nodes, and exact
 everywhere when the functor is half-exact.
+
+There is one right-row and one left-row builder.  Which resolution they
+thread, and which of its arrows cut out the stabilizations (A) and the
+satellites (C), comes from funcalc's threaded-resolution table, the one
+place that knows it for each (variance, side) pair.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from .fpmod import (
     solve_for_morphism, zero_morphism,
 )
 from .funcalc import (
-    COVARIANT, FunctorExpr, defect, rho as rho_component, sub_stabilize_fp,
+    COVARIANT, FunctorExpr, _node_cokernel_flavour, _node_kernel_flavour,
+    _threaded, defect, rho as rho_component, sub_stabilize_fp,
 )
-from .resolve import homology_at, inj_resolution, proj_resolution
 from .seqreport import (
     SequenceNode, SequenceReport, build_report, exactness_check, is_exact_at,
 )
@@ -71,6 +76,87 @@ def _applied(f: FunctorExpr, arrows) -> list[Morphism]:
     return [f.eval_mor(a) for a in arrows]
 
 
+def _display(row: str, f: FunctorExpr) -> str:
+    return f"{row}-{'co' if f.variance == COVARIANT else 'contra'}-fun"
+
+
+def _right_row(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
+    """0 -> F-bar(b) -> F(b) -> R0 -> F-bar(shift b) -> S^1 -> R1 -> ... along
+    the right thread: stabilizations are kernels of F(A_k), satellites
+    cokernels of F(C_k-1), derived nodes the cohomology of F(d)."""
+    res, a, c = _threaded(f, "right", b, depth + 1,
+                          "the right fundamental sequence")
+    shift, script = ("S", "^") if res.direction == "injective" else ("O", "_")
+    fd = _applied(f, res.diffs)        # cochain-ordered after applying F
+    fa = _applied(f, a)                # F(shift^k b) -> F(term k)
+    fc = _applied(f, c)                # F(term k) -> F(shift^k+1 b)
+    stab = [kernel_realization(m) for m in fa]
+    sat = [None] + [cokernel_realization(fc[i - 1]) for i in range(1, depth + 1)]
+    der = [_node_kernel_flavour(fd, i) for i in range(depth + 1)]
+    zero = free_module(b.ring, 0)
+    fb = f.eval_obj(b)
+    nodes = [("0", zero, "zero"),
+             ("Fbar(b)", stab[0].module, "stab"),
+             ("F(b)", fb, "plain"),
+             (f"R{script}0F(b)", der[0].module, "derived")]
+    maps = [zero_morphism(zero, stab[0].module),
+            stab[0].include,
+            make_morphism(fb, der[0].module, der[0].encode(fa[0].mat))]
+    for i in range(1, depth + 2):
+        above = der[i - 1]
+        nodes.append((f"Fbar({shift}^{i}b)", stab[i].module, "stab"))
+        maps.append(make_morphism(above.module, stab[i].module,
+                                  stab[i].encode(fc[i - 1].mat @ above.decode)))
+        if i <= depth:
+            nodes += [(f"S^{i}F(b)", sat[i].module, "satellite"),
+                      (f"R{script}{i}F(b)", der[i].module, "derived")]
+            maps += [make_morphism(stab[i].module, sat[i].module,
+                                   sat[i].project.mat @ stab[i].include.mat),
+                     make_morphism(sat[i].module, der[i].module,
+                                   der[i].encode(fa[i].mat @ sat[i].lift))]
+    return build_report(nodes, maps, {
+        "display": _display("rfs", f), "depth": depth,
+        "half_exact": f.half_exact})
+
+
+def _left_row(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
+    """... -> L1 -> S_1 -> F-under(shift b) -> L0 -> F(b) -> F-under(b) -> 0
+    along the left thread: stabilizations are cokernels of F(A_k), satellites
+    kernels of F(C_k-1), derived nodes the homology of F(d)."""
+    res, a, c = _threaded(f, "left", b, depth + 1,
+                          "the left fundamental sequence")
+    shift, script = ("S", "^") if res.direction == "injective" else ("O", "_")
+    fd = _applied(f, res.diffs)        # chain-ordered after applying F
+    fa = _applied(f, a)                # F(term k) -> F(shift^k b)
+    fc = _applied(f, c)                # F(shift^k+1 b) -> F(term k)
+    qstab = [cokernel_realization(m) for m in fa]
+    sat = [None] + [kernel_realization(fc[i - 1]) for i in range(1, depth + 2)]
+    der = [_node_cokernel_flavour(fd, i) for i in range(depth + 1)]
+    zero = free_module(b.ring, 0)
+    fb = f.eval_obj(b)
+
+    nodes, maps = [], []
+    for i in range(depth + 1, 0, -1):
+        below = der[i - 1]
+        nodes += [(f"S_{i}F(b)", sat[i].module, "satellite"),
+                  (f"Funder({shift}^{i}b)", qstab[i].module, "stab"),
+                  (f"L{script}{i - 1}F(b)", below.module, "derived")]
+        maps += [make_morphism(sat[i].module, qstab[i].module,
+                               qstab[i].project.mat @ sat[i].include.mat),
+                 make_morphism(qstab[i].module, below.module,
+                               below.encode(fc[i - 1].mat @ qstab[i].lift))]
+        if i > 1:
+            maps.append(make_morphism(below.module, sat[i - 1].module,
+                                      sat[i - 1].encode(fa[i - 1].mat @ below.decode)))
+    lam = make_morphism(der[0].module, fb, fa[0].mat @ der[0].decode)
+    nodes += [("F(b)", fb, "plain"), ("Funder(b)", qstab[0].module, "stab"),
+              ("0", zero, "zero")]
+    maps += [lam, qstab[0].project, zero_morphism(qstab[0].module, zero)]
+    return build_report(nodes, maps, {
+        "display": _display("lfs", f), "depth": depth,
+        "half_exact": f.half_exact})
+
+
 def right_fund_cov(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
     """Right fundamental sequence of a covariant functor at b.
 
@@ -87,44 +173,7 @@ def right_fund_cov(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
                 "the right fundamental sequence needs injective resolutions "
                 f"over {b.ring} (or a finitely presented functor)")
         return _right_fund_fp_fragment(f, b)
-    res = inj_resolution(b, depth + 1)
-    fd = _applied(f, res.diffs)                  # F(d_k): F(I^k) -> F(I^k+1)
-    femb = _applied(f, res.embeds)               # F(Sigma^k b) -> F(I^k)
-    fproj = _applied(f, res.projs)               # F(I^k) -> F(Sigma^k+1 b)
-    stab = [kernel_realization(m) for m in femb]
-    sat = [None] + [cokernel_realization(fproj[i - 1]) for i in range(1, depth + 1)]
-    der = [kernel_realization(fd[0])]
-    der += [homology_at(fd[i - 1], fd[i]) for i in range(1, depth + 1)]
-    zero = free_module(b.ring, 0)
-    fb = f.eval_obj(b)
-    nodes = [("0", zero, "zero"),
-             ("Fbar(b)", stab[0].module, "stab"),
-             ("F(b)", fb, "plain"),
-             ("R^0F(b)", der[0].module, "derived")]
-    maps = [zero_morphism(zero, stab[0].module),
-            stab[0].include,
-            make_morphism(fb, der[0].module, der[0].encode(femb[0].mat))]
-    prev = der[0]
-    prev_decode = der[0].include.mat
-    for i in range(1, depth + 1):
-        nodes += [(f"Fbar(S^{i}b)", stab[i].module, "stab"),
-                  (f"S^{i}F(b)", sat[i].module, "satellite"),
-                  (f"R^{i}F(b)", der[i].module, "derived")]
-        maps += [
-            make_morphism(prev.module, stab[i].module,
-                          stab[i].encode(fproj[i - 1].mat @ prev_decode)),
-            make_morphism(stab[i].module, sat[i].module,
-                          sat[i].project.mat @ stab[i].include.mat),
-            make_morphism(sat[i].module, der[i].module,
-                          der[i].encode(femb[i].mat @ sat[i].lift)),
-        ]
-        prev = der[i]
-        prev_decode = der[i].decode_matrix()
-    nodes.append((f"Fbar(S^{depth + 1}b)", stab[depth + 1].module, "stab"))
-    maps.append(make_morphism(prev.module, stab[depth + 1].module,
-                              stab[depth + 1].encode(fproj[depth].mat @ prev_decode)))
-    return build_report(nodes, maps, {
-        "display": "rfs-co-fun", "depth": depth, "half_exact": f.half_exact})
+    return _right_row(f, b, depth)
 
 
 def _right_fund_fp_fragment(f: FunctorExpr, b: FPModule) -> SequenceReport:
@@ -146,47 +195,7 @@ def left_fund_cov(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
     -> F-under(b) -> 0, built over either ring."""
     if f.variance != COVARIANT:
         raise UnsupportedRing("use contra_fund for contravariant functors")
-    res = proj_resolution(b, depth + 1)
-    fd = _applied(f, res.diffs)                  # F(d_k+1): F(P_k+1) -> F(P_k)
-    fcov = _applied(f, res.covers)               # F(P_k) -> F(Omega^k b)
-    fincl = _applied(f, res.includes)            # F(Omega^k+1 b) -> F(P_k)
-    qstab = [cokernel_realization(m) for m in fcov]
-    sat = [None] + [kernel_realization(fincl[i - 1]) for i in range(1, depth + 2)]
-    der = [cokernel_realization(fd[0])]
-    der += [homology_at(fd[i], fd[i - 1]) for i in range(1, depth + 1)]
-    zero = free_module(b.ring, 0)
-    fb = f.eval_obj(b)
-
-    nodes = [(f"S_{depth + 1}F(b)", sat[depth + 1].module, "satellite")]
-    maps = []
-    prev_mod = sat[depth + 1].module
-    prev_out = qstab[depth + 1].project.mat @ sat[depth + 1].include.mat
-    for i in range(depth + 1, 0, -1):
-        nodes.append((f"Funder(O^{i}b)", qstab[i].module, "stab"))
-        maps.append(make_morphism(prev_mod, qstab[i].module, prev_out))
-        below = der[i - 1]
-        if i - 1 == 0:
-            alpha_mat = below.project.mat @ fincl[0].mat @ qstab[1].lift
-            alpha = make_morphism(qstab[1].module, below.module, alpha_mat)
-        else:
-            alpha = make_morphism(
-                qstab[i].module, below.module,
-                below.encode(fincl[i - 1].mat @ qstab[i].lift))
-        nodes.append((f"L_{i - 1}F(b)", below.module, "derived"))
-        maps.append(alpha)
-        if i - 1 >= 1:
-            nodes.append((f"S_{i - 1}F(b)", sat[i - 1].module, "satellite"))
-            decode = below.decode_matrix()
-            maps.append(make_morphism(below.module, sat[i - 1].module,
-                                      sat[i - 1].encode(fcov[i - 1].mat @ decode)))
-            prev_mod = sat[i - 1].module
-            prev_out = qstab[i - 1].project.mat @ sat[i - 1].include.mat
-    lam = make_morphism(der[0].module, fb, fcov[0].mat @ der[0].lift)
-    nodes += [("F(b)", fb, "plain"), ("Funder(b)", qstab[0].module, "stab"),
-              ("0", zero, "zero")]
-    maps += [lam, qstab[0].project, zero_morphism(qstab[0].module, zero)]
-    return build_report(nodes, maps, {
-        "display": "lfs-co-fun", "depth": depth, "half_exact": f.half_exact})
+    return _left_row(f, b, depth)
 
 
 def contra_fund(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
@@ -195,86 +204,14 @@ def contra_fund(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceR
     resolution (quasi-Frobenius only)."""
     if f.variance == COVARIANT:
         raise UnsupportedRing("contra_fund expects a contravariant functor")
-    zero = free_module(b.ring, 0)
     if side == "right":
-        res = proj_resolution(b, depth + 1)
-        fd = _applied(f, res.diffs)              # F(d_k+1): F(P_k) -> F(P_k+1)
-        fcov = _applied(f, res.covers)           # F(Omega^k b) -> F(P_k)
-        fincl = _applied(f, res.includes)        # F(P_k) -> F(Omega^k+1 b)
-        stab = [kernel_realization(m) for m in fcov]
-        sat = [None] + [cokernel_realization(fincl[i - 1])
-                        for i in range(1, depth + 1)]
-        der = [kernel_realization(fd[0])]
-        der += [homology_at(fd[i - 1], fd[i]) for i in range(1, depth + 1)]
-        fb = f.eval_obj(b)
-        nodes = [("0", zero, "zero"), ("Fbar(b)", stab[0].module, "stab"),
-                 ("F(b)", fb, "plain"), ("R_0F(b)", der[0].module, "derived")]
-        maps = [zero_morphism(zero, stab[0].module), stab[0].include,
-                make_morphism(fb, der[0].module, der[0].encode(fcov[0].mat))]
-        prev, prev_decode = der[0], der[0].include.mat
-        for i in range(1, depth + 1):
-            nodes += [(f"Fbar(O^{i}b)", stab[i].module, "stab"),
-                      (f"S^{i}F(b)", sat[i].module, "satellite"),
-                      (f"R_{i}F(b)", der[i].module, "derived")]
-            maps += [
-                make_morphism(prev.module, stab[i].module,
-                              stab[i].encode(fincl[i - 1].mat @ prev_decode)),
-                make_morphism(stab[i].module, sat[i].module,
-                              sat[i].project.mat @ stab[i].include.mat),
-                make_morphism(sat[i].module, der[i].module,
-                              der[i].encode(fcov[i].mat @ sat[i].lift)),
-            ]
-            prev, prev_decode = der[i], der[i].decode_matrix()
-        nodes.append((f"Fbar(O^{depth + 1}b)", stab[depth + 1].module, "stab"))
-        maps.append(make_morphism(
-            prev.module, stab[depth + 1].module,
-            stab[depth + 1].encode(fincl[depth].mat @ prev_decode)))
-        return build_report(nodes, maps, {
-            "display": "rfs-contra-fun", "depth": depth,
-            "half_exact": f.half_exact})
+        return _right_row(f, b, depth)
     if side != "left":
         raise UnsupportedRing("side must be 'right' or 'left'")
     if not b.ring.quasi_frobenius:
         raise UnsupportedRing(
             f"the left contravariant sequence needs injectives over {b.ring}")
-    res = inj_resolution(b, depth + 1)
-    fd = _applied(f, res.diffs)                  # F(d_k): F(I^k+1) -> F(I^k)
-    femb = _applied(f, res.embeds)               # F(I^k) -> F(Sigma^k b)
-    fproj = _applied(f, res.projs)               # F(Sigma^k+1 b) -> F(I^k)
-    qstab = [cokernel_realization(m) for m in femb]
-    sat = [None] + [kernel_realization(fproj[i - 1]) for i in range(1, depth + 2)]
-    der = [cokernel_realization(fd[0])]
-    der += [homology_at(fd[i], fd[i - 1]) for i in range(1, depth + 1)]
-    fb = f.eval_obj(b)
-    nodes = [(f"S_{depth + 1}F(b)", sat[depth + 1].module, "satellite")]
-    maps = []
-    prev_mod = sat[depth + 1].module
-    prev_out = qstab[depth + 1].project.mat @ sat[depth + 1].include.mat
-    for i in range(depth + 1, 0, -1):
-        nodes.append((f"Funder(S^{i}b)", qstab[i].module, "stab"))
-        maps.append(make_morphism(prev_mod, qstab[i].module, prev_out))
-        below = der[i - 1]
-        if i - 1 == 0:
-            alpha = make_morphism(qstab[1].module, below.module,
-                                  below.project.mat @ fproj[0].mat @ qstab[1].lift)
-        else:
-            alpha = make_morphism(qstab[i].module, below.module,
-                                  below.encode(fproj[i - 1].mat @ qstab[i].lift))
-        nodes.append((f"L^{i - 1}F(b)", below.module, "derived"))
-        maps.append(alpha)
-        if i - 1 >= 1:
-            nodes.append((f"S_{i - 1}F(b)", sat[i - 1].module, "satellite"))
-            maps.append(make_morphism(
-                below.module, sat[i - 1].module,
-                sat[i - 1].encode(femb[i - 1].mat @ below.decode_matrix())))
-            prev_mod = sat[i - 1].module
-            prev_out = qstab[i - 1].project.mat @ sat[i - 1].include.mat
-    lam = make_morphism(der[0].module, fb, femb[0].mat @ der[0].lift)
-    nodes += [("F(b)", fb, "plain"), ("Funder(b)", qstab[0].module, "stab"),
-              ("0", zero, "zero")]
-    maps += [lam, qstab[0].project, zero_morphism(qstab[0].module, zero)]
-    return build_report(nodes, maps, {
-        "display": "lfs-contra-fun", "depth": depth, "half_exact": f.half_exact})
+    return _left_row(f, b, depth)
 
 
 # ---------------------------------------------------------------------------

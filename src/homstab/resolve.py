@@ -108,12 +108,8 @@ def injective_container(m: FPModule) -> Morphism:
             "injective containers of f.g. Z-modules are not finitely presented")
     star = hom_module(m, free_module(m.ring, 1))
     container = free_module(m.ring, star.module.gens)
-    rows = []
-    for k in range(star.module.gens):
-        phi = star.decode(IntMat.column([int(i == k) for i in range(star.module.gens)]))
-        rows.append(list(phi.mat.data[0]))
-    mat = IntMat.from_rows(rows) if rows else IntMat.zeros(0, m.gens)
-    emb = make_morphism(m, container, mat)
+    # row k is the k-th generator functional of M*
+    emb = make_morphism(m, container, star.ambient_decode_matrix().transpose())
     # the double-dual embedding is injective precisely because Z/n is
     # self-injective; verify rather than trust
     if not kernel(emb)[0].is_zero():

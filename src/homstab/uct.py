@@ -32,9 +32,9 @@ from .errors import HypothesisViolated, NotAComplex
 from .exactlin import IntMat, RingDesc
 from .fpmod import (
     FPModule, Morphism, cokernel_realization, epi_mono_factor, free_module,
-    hom_module, hom_pull, identity_morphism, is_projective_module, iso_test,
-    kernel_realization, make_morphism, tensor_module, tensor_mor,
-    zero_morphism,
+    hom_module, hom_pull, hom_transport, identity_morphism,
+    is_projective_module, iso_test, kernel_realization, make_morphism,
+    tensor_module, tensor_mor, zero_morphism,
 )
 from .funcalc import (
     FP, TC, FunctorExpr, defect, satellite, sub_stabilize, sub_stabilize_fp,
@@ -196,22 +196,14 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
         ext1 = cokernel_realization(hom_pull(hom_cyc, hom_bnd, j))
         hreal = cohomology(c, b, n)
         hom_h = hom_module(hn.module, b)
-        cols = []
-        for t in range(ext1.module.gens):
-            psi = hom_bnd.decode(ext1.lift.col(t))
-            cols.append(hreal.encode(homs[n].encode(psi.compose(e_cor))))
-        left = make_morphism(
-            ext1.module, hreal.module,
-            _cols_to_mat(hreal.module.gens, cols, ext1.module.gens))
-        cols = []
-        for t in range(hreal.module.gens):
-            phi = homs[n].decode(hreal.decode(_basis(hreal.module.gens, t)))
-            restricted = make_morphism(hn.module, b,
-                                       (phi.mat @ hn.decode_matrix()).mod(c.ring))
-            cols.append(hom_h.encode(restricted))
-        right = make_morphism(
-            hreal.module, hom_h.module,
-            _cols_to_mat(hom_h.module.gens, cols, hreal.module.gens))
+        idb = IntMat.identity(b.gens)
+        # lifted Ext^1 classes precomposed with C_n ->> B_{n-1}
+        pulled = hom_transport(hom_bnd, homs[n], idb, e_cor.mat, ext1.lift)
+        left = make_morphism(ext1.module, hreal.module, hreal.encode(pulled))
+        # cohomology classes restricted along H_n into C_n
+        restricted = hom_transport(homs[n], hom_h, idb, hn.decode_matrix(),
+                                   hreal.decode_matrix())
+        right = make_morphism(hreal.module, hom_h.module, restricted)
         rep = short_exact(left, right, label="ucf-cohomology")
         rep.metadata["ext_end_iso"] = iso_test(ext1.module,
                                                ext(hn_prev.module, b, 1))
@@ -242,17 +234,6 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
         ok, _ = splitting_test(rep)
         rep.metadata["split"] = ok
     return rep
-
-
-def _basis(n: int, k: int) -> IntMat:
-    return IntMat.column([int(i == k) for i in range(n)])
-
-
-def _cols_to_mat(rows: int, cols, width: int) -> IntMat:
-    if not cols:
-        return IntMat.zeros(rows, width)
-    return IntMat.from_rows([[c.data[i][0] for c in cols] for i in range(rows)]) \
-        if rows else IntMat.zeros(0, width)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +291,17 @@ def uct_general(c: Complex, b: FPModule, n: int, depth: int,
         expr = cohomology_functor(c, n)
         rep = right_fund_cov(expr, b, depth)
         rep.metadata["defect_iso"] = iso_test(defect(expr), hn)
-        for node in rep.nodes:
-            if node.kind == "derived":
-                i = _derived_index(node.label)
-                rep.metadata[f"derived_{i}_iso"] = iso_test(
-                    node.module, ext(hn, b, i))
-        return rep
-    if which != "homology":
+        derived = ext
+    elif which == "homology":
+        rep = left_fund_cov(homology_tensor_functor(c, n), b, depth)
+        derived = tor
+    else:
         raise HypothesisViolated("which must be 'cohomology' or 'homology'")
-    expr = homology_tensor_functor(c, n)
-    rep = left_fund_cov(expr, b, depth)
     for node in rep.nodes:
         if node.kind == "derived":
             i = _derived_index(node.label)
-            rep.metadata[f"derived_{i}_iso"] = iso_test(node.module, tor(hn, b, i))
+            rep.metadata[f"derived_{i}_iso"] = iso_test(node.module,
+                                                        derived(hn, b, i))
     return rep
 
 
@@ -349,31 +327,21 @@ def uct_special(c: Complex, b: FPModule, n: int, depth: int,
     cnb = chains_mod_boundaries(c, n).module
     cnb_prev = chains_mod_boundaries(c, n - 1).module
     rep = uct_general(c, b, n, depth, which)
-    if which == "cohomology":
-        if not b.ring.quasi_frobenius:
-            rep.metadata["pinched_iso"] = iso_test(ext(cnb, b, 1), ext(hn, b, 1))
-            rep.metadata["substab_iso"] = iso_test(
-                coh_substab(c, n, b), ext(cnb_prev, b, 1))
-            return rep
-        for node in rep.nodes:
-            if node.kind == "stab":
-                i = _shift_index(node.label)
-                rep.metadata[f"stab_{i}_iso"] = iso_test(
-                    node.module, ext(cnb_prev, b, i + 1))
-            elif node.kind == "satellite":
-                i = _shift_index(node.label)
-                rep.metadata[f"satellite_{i}_iso"] = iso_test(
-                    node.module, ext(cnb, b, i))
+    if which == "cohomology" and not b.ring.quasi_frobenius:
+        rep.metadata["pinched_iso"] = iso_test(ext(cnb, b, 1), ext(hn, b, 1))
+        rep.metadata["substab_iso"] = iso_test(
+            coh_substab(c, n, b), ext(cnb_prev, b, 1))
         return rep
+    derived = ext if which == "cohomology" else tor
     for node in rep.nodes:
         if node.kind == "stab":
             i = _shift_index(node.label)
             rep.metadata[f"stab_{i}_iso"] = iso_test(
-                node.module, tor(cnb_prev, b, i + 1))
+                node.module, derived(cnb_prev, b, i + 1))
         elif node.kind == "satellite":
             i = _shift_index(node.label)
             rep.metadata[f"satellite_{i}_iso"] = iso_test(
-                node.module, tor(cnb, b, i))
+                node.module, derived(cnb, b, i))
     return rep
 
 

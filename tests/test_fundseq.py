@@ -1,5 +1,7 @@
 """Circular sequences, fundamental sequences, splitting, decomposition."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -8,16 +10,19 @@ from homstab.errors import NotAComplex, UnsupportedRing
 from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
     canonical_invariants, cyclic, direct_sum, free_module, identity_morphism,
-    iso_test, make_morphism, zero_morphism,
+    is_projective_module, iso_test, make_morphism, zero_morphism,
 )
 from homstab.funcalc import (
-    FP, ExtFixedFirst, HomContra, HomCov, TensorLeft, sub_stabilize,
+    FP, Derived, ExtFixedFirst, HomContra, HomCov, Satellite, TensorLeft,
+    alpha, beta, lam, rho, satellite, sub_stabilize,
 )
 from homstab.fundseq import (
     circular_sequence, contra_fund, hereditary_decomposition, is_exact_at,
     left_fund_cov, right_fund_cov, short_exact, splitting_test,
 )
-from homstab.instances import random_composable_pair, random_module
+from homstab.instances import (
+    random_composable_pair, random_module, random_morphism,
+)
 from homstab.resolve import cosyzygy, ext, tor
 
 R4 = Zmod(4)
@@ -227,3 +232,85 @@ def test_hereditary_decomposition():
         assert dec.all_ok()
         for x, rep, split, _, _ in dec.samples:
             assert iso_test(rep.node_module("A"), ext(d, x, 1))
+
+
+# ---------------------------------------------------------------------------
+# pin: every builder variant and canonical transformation, byte for byte
+
+
+def _pin_mat(m):
+    return [m.rows, m.cols, [list(r) for r in m.data]]
+
+
+def _pin_mor(phi):
+    return {"source": invs(phi.source), "target": invs(phi.target),
+            "mat": _pin_mat(phi.mat)}
+
+
+def _pin_report(rep):
+    return {"nodes": [[n.label, n.kind, invs(n.module)] for n in rep.nodes],
+            "maps": [_pin_mat(m.mat) for m in rep.maps],
+            "composite_zero": rep.composite_zero, "exact_at": rep.exact_at,
+            "metadata": rep.metadata}
+
+
+def _pin_call(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedRing as exc:
+        return type(exc).__name__
+
+
+def _pin_payload():
+    def mod(rng, ring):
+        # projective arguments collapse every row; draw past them
+        while True:
+            m = random_module(rng, ring, 3, 3, 6, allow_zero=False)
+            if not is_projective_module(m):
+                return m
+
+    out = []
+    rng = random.Random(20261018)
+    builders = [
+        (right_fund_cov, lambda a: (HomCov(a), TensorLeft(a)),
+         (R4, Zmod(8), Zmod(12))),
+        (left_fund_cov, lambda a: (HomCov(a), TensorLeft(a)),
+         (ZZ, R4, Zmod(12))),
+        (lambda f, b, d: contra_fund(f, b, d, "right"),
+         lambda a: (HomContra(a),), (ZZ, R4)),
+        (lambda f, b, d: contra_fund(f, b, d, "left"),
+         lambda a: (HomContra(a),), (R4, Zmod(8))),
+    ]
+    for build, functors, rings in builders:
+        for ring in rings:
+            a, b = mod(rng, ring), mod(rng, ring)
+            for f in functors(a):
+                out.append(_pin_report(build(f, b, 2)))
+    a, b = mod(rng, ZZ), mod(rng, ZZ)
+    fp = FP(make_morphism(Z, Z, [[2]]), half_exact=True)
+    for f in (HomCov(a), fp):
+        out.append(_pin_report(right_fund_cov(f, b, 2)))
+    for ring in (ZZ, R4, Zmod(12)):
+        a, x, y = mod(rng, ring), mod(rng, ring), mod(rng, ring)
+        phi = random_morphism(rng, x, y)
+        for f in (HomCov(a), HomContra(a), TensorLeft(a)):
+            for comp in (rho, lam, beta, alpha):
+                got = _pin_call(comp, f, x)
+                out.append(got if isinstance(got, str) else _pin_mor(got))
+            for side in ("right", "left"):
+                for i in (1, 2):
+                    got = _pin_call(satellite, f, i, side, x)
+                    out.append(got if isinstance(got, str) else invs(got))
+                    got = _pin_call(Satellite(f, i, side).eval_mor, phi)
+                    out.append(got if isinstance(got, str) else _pin_mor(got))
+                got = _pin_call(Derived(f, 1, side).eval_mor, phi)
+                out.append(got if isinstance(got, str) else _pin_mor(got))
+    return json.dumps(out, sort_keys=True)
+
+
+PIN_SHA256 = "86fa0323d3943c6075b532293f366172af7c2bdbf2cfeb388eea2fa608f20218"
+
+
+def test_builders_and_canonical_maps_pinned():
+    digest = hashlib.sha256(_pin_payload().encode()).hexdigest()
+    assert digest == PIN_SHA256
