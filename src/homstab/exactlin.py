@@ -17,12 +17,22 @@ gcd(d, n), and the chain d_1 | d_2 | ... survives the gcd).
 
 Matrices are immutable; rows and columns may be zero (a 0 x k or k x 0
 matrix is a legal zero map).
+
+The matrices built downstream (Kronecker products for Hom and tensor) are
+mostly zeros, so the kernels pay for nonzero entries only: a product adds
+a[i][k] * row_k(B) over the nonzero a[i][k] and the nonzero entries of
+row_k(B), the SNF row and column operations touch the nonzero entries of
+their source row, and the SNF pivot and divisibility scans run as C-level
+``min``/``gcd`` over whole rows.  ``invariant_divisors`` runs the
+elimination without transforms and reads the diagonal only; it neither
+builds nor caches U, V and their inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 from .errors import DimensionMismatch
@@ -86,12 +96,12 @@ class IntMat:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+        if len(self.data) != self.rows or any(map(self.cols.__ne__, map(len, self.data))):
             raise DimensionMismatch("matrix data does not match declared shape")
 
     @staticmethod
     def from_rows(rows) -> "IntMat":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         m = len(data)
         n = len(data[0]) if m else 0
         if any(len(r) != n for r in data):
@@ -104,16 +114,17 @@ class IntMat:
 
     @staticmethod
     def identity(n: int) -> "IntMat":
-        return IntMat(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return IntMat(n, n, tuple(map(tuple, _identity_rows(n))))
 
     @staticmethod
     def diag(entries, rows: int | None = None, cols: int | None = None) -> "IntMat":
         entries = list(entries)
         m = rows if rows is not None else len(entries)
         n = cols if cols is not None else len(entries)
-        return IntMat(m, n, tuple(
-            tuple(entries[i] if i == j and i < len(entries) else 0 for j in range(n))
-            for i in range(m)))
+        out = [[0] * n for _ in range(m)]
+        for i in range(min(m, n, len(entries))):
+            out[i][i] = entries[i]
+        return IntMat(m, n, tuple(map(tuple, out)))
 
     @staticmethod
     def column(entries) -> "IntMat":
@@ -148,14 +159,28 @@ class IntMat:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"mul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().data
-        return IntMat(self.rows, other.cols, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.data))
+        # row_i(A @ B) = sum_k a[i][k] * row_k(B), over nonzero a[i][k] and
+        # the nonzero entries of row_k(B) only
+        n = other.cols
+        cols = range(n)
+        sparse = []
+        for r in other.data:
+            ks = list(compress(cols, r))
+            sparse.append((ks, [r[k] for k in ks]))
+        out = []
+        for row in self.data:
+            acc = [0] * n
+            for k in compress(range(len(row)), row):
+                a = row[k]
+                ks, vs = sparse[k]
+                for j, v in zip(ks, vs):
+                    acc[j] += a * v
+            out.append(tuple(acc))
+        return IntMat(self.rows, n, tuple(out))
 
     def transpose(self) -> "IntMat":
-        return IntMat(self.cols, self.rows, tuple(
-            tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return IntMat(self.cols, self.rows, data)
 
     def hstack(self, other: "IntMat") -> "IntMat":
         if self.rows != other.rows:
@@ -202,13 +227,13 @@ class IntMat:
     def take_cols(self, idx) -> "IntMat":
         idx = tuple(idx)
         return IntMat(self.rows, len(idx), tuple(
-            tuple(r[j] for j in idx) for r in self.data))
+            tuple(map(r.__getitem__, idx)) for r in self.data))
 
     def mod(self, ring: RingDesc) -> "IntMat":
         if ring.modulus is None:
             return self
         n = ring.modulus
-        return IntMat(self.rows, self.cols, tuple(tuple(x % n for x in r) for r in self.data))
+        return IntMat(self.rows, self.cols, tuple(tuple(map(n.__rmod__, r)) for r in self.data))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -239,93 +264,105 @@ class SNFResult:
         return [self.S.data[i][i] for i in range(k)]
 
 
-def _snf_integer(a: IntMat):
-    """Integer SNF core; returns mutable U, Uinv, S, V, Vinv lists."""
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _axpy(x: list[int], c: int, y: list[int]) -> None:
+    """x += c * y in place, touching only the nonzero entries of y."""
+    for k in compress(range(len(y)), y):
+        x[k] += c * y[k]
+
+
+def _snf_integer(a: IntMat, track: bool = True):
+    """Integer SNF core; returns mutable U, Uinv^T, S, V^T, Vinv row lists.
+
+    Uinv and V only ever see column operations, so they are kept transposed
+    and every operation on a transform is a whole-row one.  With ``track``
+    False the transforms are empty rows, every operation on them is O(1),
+    and only S is meaningful.
+    """
     m, n = a.rows, a.cols
     S = [list(r) for r in a.data]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Ui = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    Vi = [[int(i == j) for j in range(n)] for i in range(n)]
+    if track:
+        U, UiT = _identity_rows(m), _identity_rows(m)
+        VT, Vi = _identity_rows(n), _identity_rows(n)
+    else:
+        U, UiT, VT, Vi = [[]] * m, [[]] * m, [[]] * n, [[]] * n
 
     def row_add(i, j, c):  # row_i += c * row_j
-        S[i] = [x + c * y for x, y in zip(S[i], S[j])]
-        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
-        for r in range(m):
-            Ui[r][j] -= c * Ui[r][i]
+        _axpy(S[i], c, S[j])
+        _axpy(U[i], c, U[j])
+        _axpy(UiT[j], -c, UiT[i])
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
+        UiT[i], UiT[j] = UiT[j], UiT[i]
 
     def row_neg(i):
         S[i] = [-x for x in S[i]]
         U[i] = [-x for x in U[i]]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
+        UiT[i] = [-x for x in UiT[i]]
 
-    def col_add(j, i, c):  # col_j += c * col_i
-        for r in range(m):
+    def col_add(j, i, c, rows):  # col_j += c * col_i; rows: where col_i != 0
+        for r in rows:
             S[r][j] += c * S[r][i]
-        for r in range(n):
-            V[r][j] += c * V[r][i]
-        Vi[i] = [x - c * y for x, y in zip(Vi[i], Vi[j])]
+        _axpy(VT[j], c, VT[i])
+        _axpy(Vi[i], -c, Vi[j])
 
     def col_swap(i, j):
-        for r in range(m):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for r in S:
+            r[i], r[j] = r[j], r[i]
+        VT[i], VT[j] = VT[j], VT[i]
         Vi[i], Vi[j] = Vi[j], Vi[i]
 
     t = 0
     while t < min(m, n):
-        # minimal-absolute-value pivot bounds entry growth in practice
-        piv = None
+        # minimal-absolute-value pivot bounds entry growth in practice; the
+        # first minimum in row-major order
+        best, pi = 0, None
         for i in range(t, m):
-            for j in range(t, n):
-                v = S[i][j]
-                if v and (piv is None or abs(v) < abs(S[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+            v = min(map(abs, filter(None, S[i][t:])), default=0)
+            if v and (not best or v < best):
+                best, pi = v, i
+                if v == 1:
+                    break
+        if pi is None:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
+        pj = t + list(map(abs, S[pi][t:])).index(best)
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        d = S[t][t]
         dirty = False
-        for i in range(t + 1, m):
+        # row_add(i, t) changes row i only and col_add(j, t) column j only,
+        # so the nonzero positions can be listed up front
+        for i in [i for i in range(t + 1, m) if S[i][t]]:
+            row_add(i, t, -(S[i][t] // d))
             if S[i][t]:
-                q = S[i][t] // S[t][t]
-                row_add(i, t, -q)
-                if S[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
+                dirty = True
+        rows = [r for r in range(m) if S[r][t]]
+        for j in list(compress(range(t + 1, n), S[t][t + 1:])):
+            col_add(j, t, -(S[t][j] // d), rows)
             if S[t][j]:
-                q = S[t][j] // S[t][t]
-                col_add(j, t, -q)
-                if S[t][j]:
-                    dirty = True
+                dirty = True
         if dirty:
             continue
-        if S[t][t] < 0:
+        if d < 0:
             row_neg(t)
-        d = S[t][t]
-        stuck = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % d:
-                    stuck = i
-                    break
+            d = -d
+        if d != 1:
+            stuck = next((i for i in range(t + 1, m) if gcd(*S[i][t + 1:]) % d), None)
             if stuck is not None:
-                break
-        if stuck is not None:
-            row_add(t, stuck, 1)
-            continue
+                row_add(t, stuck, 1)
+                continue
         t += 1
-    return U, Ui, S, V, Vi
+    return U, UiT, S, VT, Vi
 
 
 def _associate_unit(d: int, n: int) -> tuple[int, int]:
@@ -347,24 +384,23 @@ def snf(a: IntMat, ring: RingDesc) -> SNFResult:
     (entries gcd-equal to n) mark free Z/n summands.
     """
     m, k = a.rows, a.cols
-
-    def mk(rows, nr, nc):
-        return IntMat.from_rows(rows) if nr else IntMat(0, nc, ())
-
     if ring.modulus is None:
-        U, Ui, S, V, Vi = _snf_integer(a)
-        return SNFResult(mk(U, m, m), mk(Ui, m, m), mk(S, m, k), mk(V, k, k), mk(Vi, k, k))
-    n = ring.modulus
-    U, Ui, S, V, Vi = _snf_integer(a.mod(ring))
-    for t in range(min(m, k)):
-        g, u = _associate_unit(S[t][t], n)
-        uinv = pow(u, -1, n)
-        U[t] = [x * uinv % n for x in U[t]]
-        for r in range(m):
-            Ui[r][t] = Ui[r][t] * u % n
-        S[t][t] = g % n
-    red = lambda rows, nr, nc: mk([[x % n for x in r] for r in rows], nr, nc)
-    return SNFResult(red(U, m, m), red(Ui, m, m), red(S, m, k), red(V, k, k), red(Vi, k, k))
+        U, UiT, S, VT, Vi = _snf_integer(a)
+        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(map(tuple, rows)))
+    else:
+        n = ring.modulus
+        U, UiT, S, VT, Vi = _snf_integer(a.mod(ring))
+        for t in range(min(m, k)):
+            g, u = _associate_unit(S[t][t], n)
+            uinv = pow(u, -1, n)
+            U[t] = [x * uinv % n for x in U[t]]
+            UiT[t] = [x * u % n for x in UiT[t]]
+            S[t][t] = g % n
+        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(
+            tuple(map(n.__rmod__, r)) for r in rows))
+    Ui, V = list(zip(*UiT)), list(zip(*VT))
+    return SNFResult(wrap(U, m, m), wrap(Ui, m, m), wrap(S, m, k), wrap(V, k, k),
+                     wrap(Vi, k, k))
 
 
 @lru_cache(maxsize=4096)
@@ -397,7 +433,7 @@ def kernel_basis(a: IntMat, ring: RingDesc) -> IntMat:
     aug = a.mod(ring).hstack(IntMat.diag([n] * a.rows, rows=a.rows, cols=a.rows))
     k = _integer_kernel(aug)
     proj = IntMat(a.cols, k.cols, k.data[:a.cols]).mod(ring)
-    keep = [j for j in range(proj.cols) if any(proj.data[i][j] for i in range(proj.rows))]
+    keep = [j for j, col in enumerate(zip(*proj.data)) if any(col)]
     return proj.take_cols(keep)
 
 
@@ -405,19 +441,18 @@ def _solve_integer(a: IntMat, b: IntMat) -> IntMat | None:
     res = _snf_cached(a, ZZ)
     c = res.U @ b
     diag = res.diagonal()
-    y = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
+    y = [(0,) * b.cols] * a.cols
+    for i, row in enumerate(c.data):
         d = diag[i] if i < len(diag) else 0
-        for j in range(b.cols):
-            if d:
-                q, r = divmod(c.data[i][j], d)
-                if r:
-                    return None
-                y[i][j] = q
-            elif c.data[i][j]:
+        if not d:
+            if any(row):
                 return None
-    ymat = IntMat.from_rows(y) if a.cols else IntMat(0, b.cols, ())
-    return res.V @ ymat
+            continue
+        qr = [divmod(x, d) for x in row]
+        if any(r for _, r in qr):
+            return None
+        y[i] = tuple(q for q, _ in qr)
+    return res.V @ IntMat(a.cols, b.cols, tuple(y))
 
 
 def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
@@ -453,8 +488,10 @@ def invariant_divisors(a: IntMat, ring: RingDesc) -> tuple[tuple[int, ...], int]
 
     Over Z/n "free" counts Z/n-summands (diagonal entries gcd-equal to n).
     """
-    res = _snf_cached(a, ring)
-    diag = res.diagonal()
+    S = _snf_integer(a.mod(ring), track=False)[2]
+    diag = [S[t][t] for t in range(min(a.rows, a.cols))]
+    if ring.modulus is not None:  # the entrywise normalization of snf
+        diag = [gcd(d, ring.modulus) % ring.modulus for d in diag]
     divisors = tuple(d for d in diag if d not in (0, 1))
     free = a.rows - sum(1 for d in diag if d != 0)
     return divisors, free

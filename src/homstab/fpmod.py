@@ -27,8 +27,8 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
 from .exactlin import (
-    IntMat, RingDesc, invariant_divisors, in_span, kernel_basis,
-    reduce_mod_columns, snf, solve_matrix,
+    IntMat, RingDesc, invariant_divisors, in_span, kernel_basis, snf,
+    solve_matrix,
 )
 
 
@@ -194,15 +194,6 @@ def element(m: FPModule, coords) -> IntMat:
     if col.rows != m.gens:
         raise DimensionMismatch("element has wrong number of coordinates")
     return col.mod(m.ring)
-
-
-def reduce_element(m: FPModule, v: IntMat) -> IntMat:
-    """Canonical coset representative modulo the relation lattice."""
-    return reduce_mod_columns(v, m.rel, m.ring)
-
-
-def elements_equal(m: FPModule, v: IntMat, w: IntMat) -> bool:
-    return in_span(m.rel, (v - w).mod(m.ring), m.ring)
 
 
 # ---------------------------------------------------------------------------

@@ -421,20 +421,16 @@ class TCQuotStab:
     module: FPModule
     include: Morphism      # K -> D(x)X
     mono_tensor: Morphism  # D(x)X -> B(x)X
-    proj_tensor: Morphism  # B(x)X -> C(x)X
 
 
 def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> TCQuotStab:
     pres = f.tc_copresentation()
     if pres is None:
         raise WrongShape("functor has no tensor-copresented shape")
-    e, m = epi_mono_factor(pres)
-    cok = cokernel_realization(pres)
-    idx = identity_morphism(x)
-    m_tensor = tensor_mor(m, idx)
-    proj = tensor_mor(cok.project, idx)
+    _, m = epi_mono_factor(pres)
+    m_tensor = tensor_mor(m, identity_morphism(x))
     kr = kernel_realization(m_tensor)
-    return TCQuotStab(kr.module, kr.include, m_tensor, proj)
+    return TCQuotStab(kr.module, kr.include, m_tensor)
 
 
 class _Stabilization(FunctorExpr):

@@ -51,10 +51,6 @@ def random_morphism(rng: random.Random, source: FPModule, target: FPModule,
     return h.decode(coords.mod(source.ring))
 
 
-def random_endo(rng: random.Random, m: FPModule, max_entry=8) -> Morphism:
-    return random_morphism(rng, m, m, max_entry)
-
-
 def random_composable_pair(rng: random.Random, ring: RingDesc, max_gens=3,
                            max_rels=3, max_entry=6):
     x = random_module(rng, ring, max_gens, max_rels, max_entry)

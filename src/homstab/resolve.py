@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotAComplex, UnsupportedRing
+from .errors import NotAComplex, UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
     FPModule, Morphism, SubquotientRealization, canonical_invariants,
@@ -207,8 +207,14 @@ def _hom_complex(m: FPModule, n: FPModule, depth: int):
     return homs, maps
 
 
+def _require_degree(i: int) -> None:
+    if i < 0:
+        raise WrongShape(f"Ext and Tor degrees start at 0, got {i}")
+
+
 def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Ext^i(M, N), homology of Hom(proj. resolution of M, N)."""
+    _require_degree(i)
     homs, maps = _hom_complex(m, n, i + 1)
     if i == 0:
         return kernel(maps[0])[0]
@@ -217,6 +223,7 @@ def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
 
 def tor(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Tor_i(M, N), homology of (proj. resolution of M) tensor N."""
+    _require_degree(i)
     pr = proj_resolution(m, i + 1)
     tens = [tensor_module(t, n) for t in pr.terms]
     idn = identity_morphism(n)

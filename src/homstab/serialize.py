@@ -21,6 +21,14 @@ def serialize_ring(ring: RingDesc) -> dict:
     return {"kind": "ZmodN", "n": ring.modulus}
 
 
+def _integer(x) -> int:
+    """int(x), refusing the values int() would silently coerce: bools and
+    fractional floats (integral floats and decimal strings are accepted)."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise TypeError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def parse_ring(doc, where="ring") -> RingDesc:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError(f"{where}: expected an object with a 'kind' field")
@@ -28,7 +36,7 @@ def parse_ring(doc, where="ring") -> RingDesc:
         return ZZ
     if doc["kind"] == "ZmodN":
         try:
-            return Zmod(int(doc["n"]))
+            return Zmod(_integer(doc["n"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: ZmodN needs an integer n >= 2") from exc
     raise SchemaError(f"{where}: unknown ring kind {doc['kind']!r}")
@@ -45,7 +53,7 @@ def parse_matrix(doc, rows=None, cols=None, where="matrix") -> IntMat:
         # a 0-row matrix loses its width in row-major form; restore it
         return IntMat.zeros(0, cols or 0)
     try:
-        mat = IntMat.from_rows([[int(x) for x in row] for row in doc])
+        mat = IntMat.from_rows([[_integer(x) for x in row] for row in doc])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: entries must be integers or decimal "
                           f"strings") from exc
@@ -68,7 +76,7 @@ def parse_module(doc, where="module") -> FPModule:
         raise SchemaError(f"{where}: expected an object")
     ring = parse_ring(doc.get("ring"), f"{where}.ring")
     gens = doc.get("gens")
-    if not isinstance(gens, int) or gens < 0:
+    if not isinstance(gens, int) or isinstance(gens, bool) or gens < 0:
         raise SchemaError(f"{where}.gens: expected a nonnegative integer")
     rel_doc = doc.get("relations", [])
     if gens == 0:
@@ -111,7 +119,7 @@ def parse_complex(doc, where="complex") -> Complex:
     ring = parse_ring(doc.get("ring"), f"{where}.ring")
     support = doc.get("support", [0, None])
     if (not isinstance(support, list) or len(support) != 2
-            or not isinstance(support[0], int)):
+            or not isinstance(support[0], int) or isinstance(support[0], bool)):
         raise SchemaError(f"{where}.support: expected [lo, hi]")
     terms_doc = doc.get("terms")
     if not isinstance(terms_doc, list) or not terms_doc:
@@ -146,13 +154,3 @@ def parse_input(doc):
     if "matrix" in doc:
         return parse_morphism(doc)
     return parse_module(doc)
-
-
-def serialize_value(value) -> dict:
-    if isinstance(value, Complex):
-        return serialize_complex(value)
-    if isinstance(value, Morphism):
-        return serialize_morphism(value)
-    if isinstance(value, FPModule):
-        return serialize_module(value)
-    raise SchemaError(f"cannot serialize {type(value).__name__}")

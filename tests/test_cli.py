@@ -120,6 +120,39 @@ def test_cli_exit_codes(tmp_path):
                  "--n", "1"]) == 2
 
 
+
+@pytest.mark.parametrize("action", ["ext", "tor"])
+def test_cli_negative_degree_is_usage_error(tmp_path, capsys, action):
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps({"ring": {"kind": "Z"}, "gens": 1,
+                              "relations": [["2"]]}))
+    assert main([action, "--A", str(z2), "--B", str(z2), "--i", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"ring": {"kind": "Z"}, "gens": 1, "relations": [[2.5]]},
+    {"ring": {"kind": "Z"}, "gens": 1, "relations": [[True]]},
+    {"ring": {"kind": "ZmodN", "n": 8.9}, "gens": 1, "relations": [[2]]},
+    {"ring": {"kind": "ZmodN", "n": True}, "gens": 1, "relations": [[2]]},
+    {"ring": {"kind": "Z"}, "gens": True, "relations": [[2]]},
+])
+def test_cli_rejects_coercible_non_integers(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["module", "invariants", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(SchemaError):
+        parse_module(doc)
+
+
+def test_integral_floats_and_decimal_strings_still_parse():
+    doc = {"ring": {"kind": "ZmodN", "n": 8.0}, "gens": 1, "relations": [[2.0]]}
+    assert parse_module(doc) == cyclic(Zmod(8), 2)
+    doc = {"ring": {"kind": "ZmodN", "n": "8"}, "gens": 1, "relations": [["2"]]}
+    assert parse_module(doc) == cyclic(Zmod(8), 2)
+
 def test_cli_suite_and_reports(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--json-out", str(out), "suite", "run", "circular-exactness",

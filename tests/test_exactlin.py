@@ -7,12 +7,16 @@ Oracles used here:
     dividing n).
 """
 
+import hashlib
 import itertools
+import json
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homstab.errors import DimensionMismatch
 from homstab.exactlin import (
     IntMat, ZZ, Zmod, snf, kernel_basis, solve, solve_matrix,
     invariant_divisors, in_span, hermite_column_form, reduce_mod_columns,
@@ -195,6 +199,54 @@ def test_invariant_divisors_spec_examples():
     assert invariant_divisors(IntMat.from_rows([[2]]), Zmod(4)) == ((2,), 0)
 
 
+
+def naive_matmul(a, b):
+    return [[sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def sparse_mats(rows, cols):
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**12, 10**12))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda d: IntMat(rows, cols, tuple(map(tuple, d))))
+
+
+@st.composite
+def matmul_pairs(draw):
+    m, k, n = (draw(st.integers(0, 7)) for _ in range(3))
+    return draw(sparse_mats(m, k)), draw(sparse_mats(k, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matmul_pairs())
+def test_matmul_matches_naive_row_column_sums(pair):
+    a, b = pair
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert [list(r) for r in got.data] == naive_matmul(a, b)
+
+
+def test_matmul_empty_and_zero_operands():
+    for m, k, n in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]:
+        got = IntMat.zeros(m, k) @ IntMat.zeros(k, n)
+        assert got == IntMat.zeros(m, n)
+    a = IntMat.from_rows([[1, -2, 3], [0, 4, 5]])
+    assert IntMat.zeros(4, 2) @ a == IntMat.zeros(4, 3)
+    assert a @ IntMat.zeros(3, 4) == IntMat.zeros(2, 4)
+    with pytest.raises(DimensionMismatch):
+        IntMat.zeros(2, 3) @ IntMat.zeros(2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mats(max_dim=6, max_entry=12), st.sampled_from(RINGS))
+def test_invariant_divisors_match_snf_diagonal(a, ring):
+    a = a.mod(ring)
+    diag = snf(a, ring).diagonal()
+    expected = (tuple(d for d in diag if d not in (0, 1)),
+                a.rows - sum(1 for d in diag if d != 0))
+    assert invariant_divisors(a, ring) == expected
+
 def test_hermite_reduction_canonicalizes():
     lat = IntMat.from_rows([[2, 0], [0, 3]])
     v = IntMat.column([5, 7])
@@ -215,3 +267,49 @@ def test_reduction_stays_in_coset(a, ring, vs):
     r = reduce_mod_columns(v, a, ring)
     assert in_span(a, (v - r).mod(ring), ring)
     assert reduce_mod_columns(r, a, ring) == r
+
+
+# ---------------------------------------------------------------------------
+# pin: SNF transforms, kernels and solutions, byte for byte
+
+
+def _pin_rand(rng, m, n, density, bound):
+    data = tuple(tuple(rng.randint(-bound, bound) if rng.random() < density else 0
+                       for _ in range(n)) for _ in range(m))
+    return IntMat(m, n, data)
+
+
+def _pin_cases():
+    """Seeded sparse (~3-10% nonzero, like the Kronecker-built matrices of
+    Hom and tensor) and dense matrices, with a random and a planted
+    right-hand side each."""
+    rng = random.Random(20261018)
+    shapes = [(40, 150, 0.03), (30, 64, 0.05), (24, 24, 0.1), (12, 30, 1.0),
+              (9, 9, 1.0), (5, 1, 1.0), (1, 7, 0.5), (0, 4, 1.0), (4, 0, 1.0)]
+    for ring in (ZZ, Zmod(8), Zmod(12)):
+        for m, n, density in shapes:
+            a = _pin_rand(rng, m, n, density, 9).mod(ring)
+            b = _pin_rand(rng, m, 3, 1.0, 3).mod(ring)
+            planted = (a @ _pin_rand(rng, n, 3, 0.5, 3)).mod(ring)
+            yield ring, a, b, planted
+
+
+def _pin_payload():
+    def mat(x):
+        return None if x is None else [x.rows, x.cols, [list(r) for r in x.data]]
+
+    out = []
+    for ring, a, b, planted in _pin_cases():
+        res = snf(a, ring)
+        out.append([str(ring), [mat(x) for x in (res.U, res.Uinv, res.S, res.V, res.Vinv)],
+                    mat(kernel_basis(a, ring)), mat(solve_matrix(a, b, ring)),
+                    mat(solve_matrix(a, planted, ring))])
+    return json.dumps(out)
+
+
+SNF_PIN_SHA256 = "4d2ec57810e50b3229c73c2ac8e9e0a5a8dcb6237abc2a7917fe84f81d960f00"
+
+
+def test_snf_transforms_pinned():
+    digest = hashlib.sha256(_pin_payload().encode()).hexdigest()
+    assert digest == SNF_PIN_SHA256
