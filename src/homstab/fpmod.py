@@ -346,12 +346,18 @@ class KernelRealization:
         return self._sq.encode(v)
 
 
-def kernel_realization(f: Morphism) -> KernelRealization:
+def kernel_generators(f: Morphism) -> IntMat:
+    """Generators of ker f in source coordinates: the v with f.mat @ v in the
+    column span of the target's relations."""
     ring = f.source.ring
+    gens = f.source.gens
     raw = kernel_basis(f.mat.hstack(f.target.rel.scale(-1)), ring)
-    sub = IntMat(f.source.gens, raw.cols, raw.data[:f.source.gens]) if f.source.gens \
-        else IntMat(0, raw.cols, ())
-    sq = subquotient(f.source, sub.mod(ring))
+    sub = IntMat(gens, raw.cols, raw.data[:gens]) if gens else IntMat(0, raw.cols, ())
+    return sub.mod(ring)
+
+
+def kernel_realization(f: Morphism) -> KernelRealization:
+    sq = subquotient(f.source, kernel_generators(f))
     include = make_morphism(sq.module, f.source, sq.decode_matrix())
     return KernelRealization(sq.module, include, sq)
 

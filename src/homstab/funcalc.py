@@ -5,13 +5,17 @@ tensor and Hom through the transpose.
 
 Expressions evaluate on objects and on morphisms.  Every construction that
 resolves its argument (stabilizations, satellites, derived functors,
-rho/lambda/beta/alpha, and the fundamental sequences built on them) asks the
-threaded-resolution table ``_THREADED`` which resolution a (variance, side)
-pair threads and which of its two arrow families plays which role; it is the
-one place that knows.  Covariant-right and contravariant-left thread an
-injective resolution, which needs a quasi-Frobenius base ring; the other two
-thread a projective resolution over either ring.  Finitely presented shapes
-provide projective-side shortcuts valid over any ring:
+rho/lambda/beta/alpha, and the fundamental sequences built on them) reads a
+thread: F applied once along the resolution that the threaded-resolution
+table ``_THREADED`` names for a (variance, side) pair.  Covariant-right and
+contravariant-left thread an injective resolution, which needs a
+quasi-Frobenius base ring; the other two thread a projective resolution over
+either ring.  A thread cuts stabilization, satellite and derived nodes out of
+the applied arrows, and every connecting map between two nodes is one
+``_link``: F of a thread arrow, carried from the source node's coordinates
+into the target node's.  rho, lambda, beta and alpha are single links.
+Finitely presented shapes provide projective-side shortcuts valid over any
+ring:
 
 * for F = coker((B,-) --(f,-)--> (A,-)) the right-derived functors are
   Ext^i(w(F), -) with defect w(F) = ker f;
@@ -39,8 +43,8 @@ from .fpmod import (
     tensor_mor, zero_morphism,
 )
 from .resolve import (
-    cosyzygy, ext as resolve_ext, homology_at, inj_resolution,
-    proj_resolution, syzygy,
+    _require_nonnegative, cosyzygy, ext as resolve_ext, homology_at,
+    inj_resolution, proj_resolution, syzygy,
 )
 from .seqreport import SequenceReport, build_report
 
@@ -225,15 +229,16 @@ class TC(FunctorExpr):
 
 def ExtFixedFirst(a: FPModule, i: int) -> FunctorExpr:
     """Ext^i(A, -), realized projectively (dimension shift), half-exact."""
+    _require_nonnegative(i, "Ext degrees")
     if i == 0:
         return HomCov(a)
     pr = proj_resolution(a, i)
-    expr = FP(pr.includes[i - 1], half_exact=True)
-    return expr
+    return FP(pr.includes[i - 1], half_exact=True)
 
 
 def TorFixedFirst(a: FPModule, i: int) -> FunctorExpr:
     """Tor_i(A, -), realized projectively (dimension shift), half-exact."""
+    _require_nonnegative(i, "Tor degrees")
     if i == 0:
         return TensorLeft(a)
     pr = proj_resolution(a, i)
@@ -323,34 +328,116 @@ class ShiftSigma(_Shift):
 
 
 # ---------------------------------------------------------------------------
-# the threaded-resolution table
+# the threaded-resolution table, the thread, and the one link between nodes
 
-# (variance, side) -> (resolution threaded, A arrows, C arrows).  A_k joins
-# the k-th (co)syzygy of the argument with the k-th term, C_k joins the k-th
-# term with the (k+1)-th (co)syzygy.  Stabilizations are F at A_k, satellites
-# F at C_k-1, derived functors the (co)homology of F applied to the diffs.
+# (variance, side) -> (injective resolution threaded?, A arrows, C arrows).
+# A_k joins the k-th (co)syzygy of the argument with the k-th term, C_k joins
+# the k-th term with the (k+1)-th (co)syzygy.  Stabilizations are F at A_k,
+# satellites F at C_k-1, derived functors the (co)homology of F applied to
+# the diffs.  The resolution functions are looked up at call time, so a
+# wrapper installed over them (the benchmark's tracer) is seen here too.
 _THREADED = {
-    (COVARIANT, "right"): (inj_resolution, "embeds", "projs"),
-    (CONTRAVARIANT, "right"): (proj_resolution, "covers", "includes"),
-    (COVARIANT, "left"): (proj_resolution, "covers", "includes"),
-    (CONTRAVARIANT, "left"): (inj_resolution, "embeds", "projs"),
+    (COVARIANT, "right"): (True, "embeds", "projs"),
+    (CONTRAVARIANT, "right"): (False, "covers", "includes"),
+    (COVARIANT, "left"): (False, "covers", "includes"),
+    (CONTRAVARIANT, "left"): (True, "embeds", "projs"),
 }
 
 
 def _injective_side(f: FunctorExpr, side: str) -> bool:
     if (f.variance, side) not in _THREADED:
         raise WrongShape("side must be 'right' or 'left'")
-    return _THREADED[f.variance, side][0] is inj_resolution
+    return _THREADED[f.variance, side][0]
 
 
-def _threaded(f: FunctorExpr, side: str, x: FPModule, depth: int, what: str):
-    """(resolution, A arrows, C arrows) of x to the given depth for the row
-    of F's variance on this side; the injective side needs a QF ring."""
-    if _injective_side(f, side):
-        _require_qf(x.ring, what)
-    resolve, a, c = _THREADED[f.variance, side]
-    res = resolve(x, depth)
-    return res, getattr(res, a), getattr(res, c)
+def _fp_right(f: FunctorExpr, x: FPModule) -> Morphism | None:
+    """F's presentation when its right side at x takes the finitely presented
+    shortcut (covariant F over a ring without injective containers)."""
+    if f.variance == COVARIANT and not x.ring.quasi_frobenius:
+        return f.fp_presentation()
+    return None
+
+
+def _ends(f: FunctorExpr, phi: Morphism, at) -> tuple:
+    """``at`` evaluated where F(phi) starts and where it ends."""
+    if f.variance == COVARIANT:
+        return at(phi.source), at(phi.target)
+    return at(phi.target), at(phi.source)
+
+
+class _Node(NamedTuple):
+    """A node cut from an applied thread: its module, the coordinate
+    transport into the applied term it sits in (None when it is that term)
+    and back, and the kernel inclusion or cokernel projection cutting it."""
+
+    module: FPModule
+    decode: IntMat | None
+    encode: Callable[[IntMat], IntMat]
+    edge: Morphism | None = None
+
+
+def _kernel_node(m: Morphism) -> _Node:
+    kr = kernel_realization(m)
+    return _Node(kr.module, kr.include.mat, kr.encode, kr.include)
+
+
+def _cokernel_node(m: Morphism) -> _Node:
+    c = cokernel_realization(m)
+    return _Node(c.module, c.lift, c.project.mat.__matmul__, c.project)
+
+
+def _plain_node(fx: FPModule) -> _Node:
+    return _Node(fx, None, lambda cols: cols)
+
+
+def _link(src: _Node, tgt: _Node, fmap: Morphism | None = None) -> Morphism:
+    """src -> tgt induced by the applied arrow fmap between the terms they
+    sit in (by the identity when both sit in one term)."""
+    cols = src.decode
+    if fmap is not None:
+        cols = fmap.mat if cols is None else fmap.mat @ cols
+    return make_morphism(src.module, tgt.module, tgt.encode(cols))
+
+
+class _Thread:
+    """F applied along the resolution of x that the (variance, side) row of
+    ``_THREADED`` names, to the given depth; each F(d_k), F(A_k), F(C_k) is
+    computed once.  On the right side stabilizations and degree-0 derived
+    nodes are kernels and satellites cokernels; the left side swaps them."""
+
+    def __init__(self, f: FunctorExpr, side: str, x: FPModule, depth: int,
+                 what: str):
+        self.injective = _injective_side(f, side)
+        if self.injective:
+            _require_qf(x.ring, what)
+        _, a, c = _THREADED[f.variance, side]
+        res = (inj_resolution if self.injective else proj_resolution)(x, depth)
+        self.f, self.right = f, side == "right"
+        self._arrows = {"a": getattr(res, a), "c": getattr(res, c),
+                        "d": res.diffs}
+        self._applied: dict[tuple[str, int], Morphism] = {}
+        self._sub, self._quot = (_kernel_node, _cokernel_node) if self.right \
+            else (_cokernel_node, _kernel_node)
+
+    def applied(self, family: str, k: int) -> Morphism:
+        """F at the k-th arrow of family "a", "c" or "d" (the diffs)."""
+        got = self._applied.get((family, k))
+        if got is None:
+            got = self._applied[family, k] = self.f.eval_mor(self._arrows[family][k])
+        return got
+
+    def stab(self, k: int) -> _Node:
+        return self._sub(self.applied("a", k))
+
+    def sat(self, i: int) -> _Node:
+        return self._quot(self.applied("c", i - 1))
+
+    def der(self, i: int) -> _Node:
+        if i == 0:
+            return self._sub(self.applied("d", 0))
+        pair = (self.applied("d", i - 1), self.applied("d", i))
+        hq = homology_at(*(pair if self.right else pair[::-1]))
+        return _Node(hq.module, hq.decode_matrix(), hq.encode)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +454,11 @@ def sub_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     quasi-Frobenius ring unless F is finitely presented; a free cover when
     contravariant).
     """
-    if f.variance == COVARIANT and not x.ring.quasi_frobenius \
-            and f.fp_presentation() is not None:
+    if _fp_right(f, x) is not None:
         return sub_stabilize_fp(f, x)
-    _, a, _ = _threaded(f, "right", x, 0,
-                        "sub-stabilization of a covariant functor")
-    kr = kernel_realization(f.eval_mor(a[0]))
-    return kr.module, kr.include
+    node = _Thread(f, "right", x, 0,
+                   "sub-stabilization of a covariant functor").stab(0)
+    return node.module, node.edge
 
 
 def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
@@ -381,19 +466,14 @@ def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     of the left thread (a free cover of X when covariant; an injective
     container, quasi-Frobenius only, when contravariant).
     """
-    _, a, _ = _threaded(f, "left", x, 0,
-                        "quot-stabilization of a contravariant functor")
-    c = cokernel_realization(f.eval_mor(a[0]))
-    return c.module, c.project
+    node = _Thread(f, "left", x, 0,
+                   "quot-stabilization of a contravariant functor").stab(0)
+    return node.module, node.edge
 
 
-def _fp_value(f: FunctorExpr, x: FPModule) -> _FPEval:
-    if isinstance(f, FP):
-        return f._at(x)
-    pres = f.fp_presentation()
-    if pres is None:
-        raise WrongShape("functor has no finitely presented shape")
-    return FP(pres)._at(x)
+def _fp_value(f: FunctorExpr, pres: Morphism, x: FPModule) -> _FPEval:
+    """F(X) of a functor presented by ``pres``, as a cokernel of Hom maps."""
+    return f._at(x) if isinstance(f, FP) else FP(pres)._at(x)
 
 
 def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
@@ -406,7 +486,7 @@ def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     hom_b = hom_module(pres.target, x)
     hom_im = hom_module(e.target, x)
     bar = cokernel_realization(hom_pull(hom_b, hom_im, m))
-    fx = _fp_value(f, x)
+    fx = _fp_value(f, pres, x)
     pulled = hom_transport(hom_im, fx.hom_a, IntMat.identity(x.gens), e.mat,
                            bar.lift)
     return bar.module, make_morphism(bar.module, fx.value.module,
@@ -419,8 +499,7 @@ class TCQuotStab:
     of the quot-stabilization of a tensor-copresented functor (D = Im f)."""
 
     module: FPModule
-    include: Morphism      # K -> D(x)X
-    mono_tensor: Morphism  # D(x)X -> B(x)X
+    include: Morphism  # K -> D(x)X
 
 
 def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> TCQuotStab:
@@ -428,9 +507,8 @@ def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> TCQuotStab:
     if pres is None:
         raise WrongShape("functor has no tensor-copresented shape")
     _, m = epi_mono_factor(pres)
-    m_tensor = tensor_mor(m, identity_morphism(x))
-    kr = kernel_realization(m_tensor)
-    return TCQuotStab(kr.module, kr.include, m_tensor)
+    kr = kernel_realization(tensor_mor(m, identity_morphism(x)))
+    return TCQuotStab(kr.module, kr.include)
 
 
 class _Stabilization(FunctorExpr):
@@ -452,19 +530,13 @@ class _Stabilization(FunctorExpr):
     def eval_obj(self, x):
         return self._at(x)[0]
 
-    def _ends(self, phi):
-        """The stabilizations at the source and the target of F(phi)."""
-        if self.variance == COVARIANT:
-            return self._at(phi.source), self._at(phi.target)
-        return self._at(phi.target), self._at(phi.source)
-
 
 class SubStab(_Stabilization):
     _stabilize = staticmethod(sub_stabilize)
 
     def eval_mor(self, phi):
         inner_phi = self.inner.eval_mor(phi)
-        (src_mod, src_incl), (tgt_mod, tgt_incl) = self._ends(phi)
+        (src_mod, src_incl), (tgt_mod, tgt_incl) = _ends(self, phi, self._at)
         carried = inner_phi.compose(src_incl)
         h = solve_for_morphism(
             src_mod, tgt_mod,
@@ -483,7 +555,7 @@ class QuotStab(_Stabilization):
 
     def eval_mor(self, phi):
         inner_phi = self.inner.eval_mor(phi)
-        (src_mod, src_proj), (tgt_mod, tgt_proj) = self._ends(phi)
+        (src_mod, src_proj), (tgt_mod, tgt_proj) = _ends(self, phi, self._at)
         carried = tgt_proj.compose(inner_phi)
         h = solve_for_morphism(
             src_mod, tgt_mod,
@@ -501,68 +573,43 @@ class QuotStab(_Stabilization):
 # derived functors
 
 
-class _DerivedNode(NamedTuple):
-    """A node of an applied complex with its coordinate transport to and
-    from the applied term it sits in."""
-
-    module: FPModule
-    decode: IntMat   # node coordinates -> term coordinates
-    encode: Callable[[IntMat], IntMat]
-
-
-def _node_kernel_flavour(values, i) -> _DerivedNode:
-    """Degree-i node of a cochain-ordered applied complex (kernel at 0)."""
-    if i == 0:
-        kr = kernel_realization(values[0])
-        return _DerivedNode(kr.module, kr.include.mat, kr.encode)
-    hq = homology_at(values[i - 1], values[i])
-    return _DerivedNode(hq.module, hq.decode_matrix(), hq.encode)
-
-
-def _node_cokernel_flavour(values, i) -> _DerivedNode:
-    """Degree-i node of a chain-ordered applied complex (cokernel at 0)."""
-    if i == 0:
-        c = cokernel_realization(values[0])
-        return _DerivedNode(c.module, c.lift, lambda cols: (c.project.mat @ cols))
-    hq = homology_at(values[i], values[i - 1])
-    return _DerivedNode(hq.module, hq.decode_matrix(), hq.encode)
-
-
-def _derived_node(f: FunctorExpr, i: int, side: str, x: FPModule) -> _DerivedNode:
-    """Degree-i node of F applied to the resolution of x the row threads."""
-    res, _, _ = _threaded(f, side, x, i + 1,
-                          "derived functors on the injective side")
-    node = _node_kernel_flavour if side == "right" else _node_cokernel_flavour
-    return node([f.eval_mor(d) for d in res.diffs], i)
+def _derived_node(f: FunctorExpr, i: int, side: str, x: FPModule) -> _Node:
+    return _Thread(f, side, x, i + 1,
+                   "derived functors on the injective side").der(i)
 
 
 def derived_eval(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
-    if f.variance == COVARIANT and side == "right" and not x.ring.quasi_frobenius:
-        pres = f.fp_presentation()
-        if pres is not None:
-            return resolve_ext(kernel_realization(pres).module, x, i)
+    _require_nonnegative(i, "derived functor degrees")
+    pres = _fp_right(f, x) if side == "right" else None
+    if pres is not None:
+        return resolve_ext(kernel_realization(pres).module, x, i)
     return _derived_node(f, i, side, x).module
 
 
 def derived_mor(f: FunctorExpr, i: int, side: str, phi: Morphism) -> Morphism:
-    cov = f.variance == COVARIANT
-    if cov and side == "right" and not phi.source.ring.quasi_frobenius:
-        pres = f.fp_presentation()
-        if pres is not None:
-            w = kernel_realization(pres).module
-            return ExtFixedFirst(w, i).eval_mor(phi)
-    nx = _derived_node(f, i, side, phi.source)
-    ny = _derived_node(f, i, side, phi.target)
-    chain_map = _inj_chain_map if _injective_side(f, side) else _proj_chain_map
-    carrier = f.eval_mor(chain_map(phi, i + 1)[i])
-    src, tgt = (nx, ny) if cov else (ny, nx)
-    return make_morphism(src.module, tgt.module, tgt.encode(carrier.mat @ src.decode))
+    _require_nonnegative(i, "derived functor degrees")
+    pres = _fp_right(f, phi.source) if side == "right" else None
+    if pres is not None:
+        return ExtFixedFirst(kernel_realization(pres).module, i).eval_mor(phi)
+    src, tgt = _ends(f, phi, lambda y: _derived_node(f, i, side, y))
+    lift = _chain_map(phi, i + 1, _injective_side(f, side))[i]
+    return _link(src, tgt, f.eval_mor(lift))
 
 
-class Derived(FunctorExpr):
+class _Indexed(FunctorExpr):
+    """The i-th derived functor or satellite of ``inner`` on one side."""
+
     def __init__(self, inner: FunctorExpr, i: int, side: str):
         self.inner, self.i, self.side = inner, i, side
         self.variance = inner.variance
+
+    def __str__(self):
+        tag = self._tags[self.side != "right"]
+        return f"{tag}{self.i}({self.inner})"
+
+
+class Derived(_Indexed):
+    _tags = ("R", "L")
 
     def eval_obj(self, x):
         return derived_eval(self.inner, self.i, self.side, x)
@@ -570,41 +617,29 @@ class Derived(FunctorExpr):
     def eval_mor(self, phi):
         return derived_mor(self.inner, self.i, self.side, phi)
 
-    def __str__(self):
-        tag = "R" if self.side == "right" else "L"
-        return f"{tag}{self.i}({self.inner})"
-
 
 def derived(f: FunctorExpr, i: int, side: str) -> FunctorExpr:
     return Derived(f, i, side)
 
 
-def _proj_chain_map(phi: Morphism, depth: int) -> list[Morphism]:
-    """Lift phi to the projective resolutions (comparison theorem)."""
-    px = proj_resolution(phi.source, depth)
-    py = proj_resolution(phi.target, depth)
-    hs = [make_morphism(px.terms[0], py.terms[0], phi.mat)]
+def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
+    """Lift phi to the projective or injective resolutions of its ends
+    (comparison theorem)."""
+    resolve = inj_resolution if injective else proj_resolution
+    rx, ry = resolve(phi.source, depth), resolve(phi.target, depth)
+    if injective:
+        hs = [_extend_along(ry.augmentation.compose(phi), rx.augmentation)]
+    else:
+        hs = [make_morphism(rx.terms[0], ry.terms[0], phi.mat)]
     for k in range(1, depth + 1):
-        rhs = hs[-1].compose(px.diffs[k - 1])
-        h = solve_for_morphism(
-            px.terms[k], py.terms[k],
-            [(py.diffs[k - 1].mat, IntMat.identity(px.terms[k].gens), rhs.mat,
-              py.terms[k - 1].rel)])
-        hs.append(h)
-    return hs
-
-
-def _inj_chain_map(phi: Morphism, depth: int) -> list[Morphism]:
-    ix = inj_resolution(phi.source, depth)
-    iy = inj_resolution(phi.target, depth)
-    hs = [_extend_along(iy.augmentation.compose(phi), ix.augmentation)]
-    for k in range(1, depth + 1):
-        rhs = iy.diffs[k - 1].compose(hs[-1])
-        h = solve_for_morphism(
-            ix.terms[k], iy.terms[k],
-            [(IntMat.identity(iy.terms[k].gens), ix.diffs[k - 1].mat, rhs.mat,
-              iy.terms[k].rel)])
-        hs.append(h)
+        dx, dy = rx.diffs[k - 1], ry.diffs[k - 1]
+        if injective:  # h_k . dx = dy . h_k-1
+            square = (IntMat.identity(ry.terms[k].gens), dx.mat,
+                      dy.compose(hs[-1]).mat, ry.terms[k].rel)
+        else:          # dy . h_k = h_k-1 . dx
+            square = (dy.mat, IntMat.identity(rx.terms[k].gens),
+                      hs[-1].compose(dx).mat, ry.terms[k - 1].rel)
+        hs.append(solve_for_morphism(rx.terms[k], ry.terms[k], [square]))
     return hs
 
 
@@ -621,45 +656,27 @@ def satellite(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
     Contravariant: S^i via the syzygy inclusion (any ring),
                    S_i via the cosyzygy projection (QF ring).
     """
+    return _satellite_node(f, i, side, x).module
+
+
+def _satellite_node(f: FunctorExpr, i: int, side: str, x: FPModule) -> _Node:
     if i < 1:
         raise WrongShape("satellites are indexed from 1")
-    return _satellite_edge(f, i, side, x).module
+    return _Thread(f, side, x, i,
+                   f"{side} satellites on the injective side").sat(i)
 
 
-def _satellite_edge(f: FunctorExpr, i: int, side: str, x: FPModule):
-    """S^i as the cokernel, S_i as the kernel, of F at C_{i-1}."""
-    _, _, c = _threaded(f, side, x, i, f"{side} satellites on the injective side")
-    edge = f.eval_mor(c[i - 1])
-    if side == "right":
-        return cokernel_realization(edge)
-    return kernel_realization(edge)
-
-
-class Satellite(FunctorExpr):
-    def __init__(self, inner: FunctorExpr, i: int, side: str):
-        self.inner, self.i, self.side = inner, i, side
-        self.variance = inner.variance
+class Satellite(_Indexed):
+    _tags = ("S^", "S_")
 
     def eval_obj(self, x):
         return satellite(self.inner, self.i, self.side, x)
 
     def eval_mor(self, phi):
         i, f = self.i, self.inner
+        src, tgt = _ends(f, phi, lambda y: _satellite_node(f, i, self.side, y))
         shift = sigma_shift_mor if _injective_side(f, self.side) else omega_shift_mor
-        carrier = f.eval_mor(shift(phi, i))
-        # rebuild the boundary realizations to transport coordinates
-        ex = _satellite_edge(f, i, self.side, phi.source)
-        ey = _satellite_edge(f, i, self.side, phi.target)
-        src, tgt = (ex, ey) if self.variance == COVARIANT else (ey, ex)
-        if self.side == "right":
-            mat = tgt.project.mat @ carrier.mat @ src.lift
-        else:
-            mat = tgt.encode(carrier.mat @ src.include.mat)
-        return make_morphism(src.module, tgt.module, mat)
-
-    def __str__(self):
-        tag = "S^" if self.side == "right" else "S_"
-        return f"{tag}{self.i}({self.inner})"
+        return _link(src, tgt, f.eval_mor(shift(phi, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -694,47 +711,35 @@ def _ring_of(f: FunctorExpr):
 def rho(f: FunctorExpr, x: FPModule) -> Morphism:
     """F(X) -> R0 F(X), the zeroth right-derived comparison."""
     fx = f.eval_obj(x)
-    pres = f.fp_presentation()
-    if f.variance == COVARIANT and not x.ring.quasi_frobenius and pres is not None:
+    pres = _fp_right(f, x)
+    if pres is not None:
         kr = kernel_realization(pres)
         hom_w = hom_module(kr.module, x)
-        fpx = _fp_value(f, x)
+        fpx = _fp_value(f, pres, x)
         restrict = hom_pull(fpx.hom_a, hom_w, kr.include)
         return make_morphism(fx, hom_w.module, restrict.mat @ fpx.value.lift)
-    res, a, _ = _threaded(f, "right", x, 1, "rho of a covariant functor")
-    r0 = kernel_realization(f.eval_mor(res.diffs[0]))
-    aug = f.eval_mor(a[0])
-    return make_morphism(fx, r0.module, r0.encode(aug.mat))
+    t = _Thread(f, "right", x, 1, "rho of a covariant functor")
+    return _link(_plain_node(fx), t.der(0), t.applied("a", 0))
 
 
 def lam(f: FunctorExpr, x: FPModule) -> Morphism:
     """L0 F(X) -> F(X), the zeroth left-derived comparison."""
     fx = f.eval_obj(x)
-    res, a, _ = _threaded(f, "left", x, 1, "lambda of a contravariant functor")
-    l0 = cokernel_realization(f.eval_mor(res.diffs[0]))
-    aug = f.eval_mor(a[0])
-    return make_morphism(l0.module, fx, aug.mat @ l0.lift)
+    t = _Thread(f, "left", x, 1, "lambda of a contravariant functor")
+    return _link(t.der(0), _plain_node(fx), t.applied("a", 0))
 
 
 def beta(f: FunctorExpr, x: FPModule) -> Morphism:
     """R0 F(X) -> F-bar(Sigma X) (covariant) / F-bar(Omega X) (contravariant)."""
-    res, a, c = _threaded(f, "right", x, 1, "beta of a covariant functor")
-    r0 = kernel_realization(f.eval_mor(res.diffs[0]))
-    stab = kernel_realization(f.eval_mor(a[1]))
-    step = f.eval_mor(c[0])
-    return make_morphism(r0.module, stab.module,
-                         stab.encode(step.mat @ r0.include.mat))
+    t = _Thread(f, "right", x, 1, "beta of a covariant functor")
+    return _link(t.der(0), t.stab(1), t.applied("c", 0))
 
 
 def alpha(f: FunctorExpr, x: FPModule) -> Morphism:
     """F-under(Omega X) -> L0 F(X) (covariant) /
     F-under(Sigma X) -> L0 F(X) (contravariant)."""
-    res, a, c = _threaded(f, "left", x, 1, "alpha of a contravariant functor")
-    l0 = cokernel_realization(f.eval_mor(res.diffs[0]))
-    stab = cokernel_realization(f.eval_mor(a[1]))
-    step = f.eval_mor(c[0])
-    return make_morphism(stab.module, l0.module,
-                         l0.project.mat @ step.mat @ stab.lift)
+    t = _Thread(f, "left", x, 1, "alpha of a contravariant functor")
+    return _link(t.stab(1), t.der(0), t.applied("c", 0))
 
 
 @dataclass(eq=False)
@@ -775,9 +780,8 @@ def nat_trans_sample(name: str, f: FunctorExpr, objects, morphisms) -> NatTransS
     src_expr, tgt_expr = src_fn(f), tgt_fn(f)
     components = [(x, comp_fn(f, x)) for x in objects]
     verdicts = []
-    cov = f.variance == COVARIANT
     for phi in morphisms:
-        from_obj, to_obj = (phi.source, phi.target) if cov else (phi.target, phi.source)
+        from_obj, to_obj = _ends(f, phi, lambda y: y)
         src_phi = src_expr.eval_mor(phi)
         tgt_phi = tgt_expr.eval_mor(phi)
         lhs = comp_fn(f, to_obj).compose(src_phi)
@@ -818,52 +822,35 @@ def auslander_four_term(a: FPModule, x: FPModule, which: str) -> SequenceReport:
     d = a.rel
     k1 = kernel_basis(d.transpose(), ring)   # generators of A* inside R^g
     k2 = kernel_basis(k1, ring)              # relations of A* under its cover
-    zero = free_module(ring, 0)
     if which == "tensor":
-        m1 = _power_map(x, d)                        # X^r -> X^g
-        m2 = _power_map(x, k1.transpose())           # X^g -> X^q
-        m3 = _power_map(x, k2.transpose())           # X^q -> X^q2
-        e1 = homology_at(m1, m2)
-        ax = cokernel_realization(m1)
-        astar = FPModule(ring, k1.cols, k2)
-        hstar = hom_module(astar, x)
-        e2 = homology_at(m2, m3)
-        incl = make_morphism(e1.module, ax.module,
-                             ax.project.mat @ e1.decode_matrix())
-        rho_map = make_morphism(ax.module, hstar.module,
-                                hstar.encode_ambient(m2.mat @ ax.lift))
-        out = make_morphism(hstar.module, e2.module,
-                            e2.encode(hstar.ambient_decode_matrix()))
-        nodes = [("0", zero, "zero"),
-                 ("Ext^1(TrA, X)", e1.module, "derived"),
-                 ("A(x)X", ax.module, "plain"),
-                 ("(A*, X)", hstar.module, "plain"),
-                 ("Ext^2(TrA, X)", e2.module, "derived"),
-                 ("0", zero, "zero")]
-        maps = [zero_morphism(zero, e1.module), incl, rho_map, out,
-                zero_morphism(e2.module, zero)]
-        return build_report(nodes, maps, {"display": "four-term-tensor"})
-    if which == "hom":
-        n1 = _power_map(x, k2)                       # X^q2 -> X^q
-        n2 = _power_map(x, k1)                       # X^q -> X^g
-        n3 = _power_map(x, d.transpose())            # X^g -> X^r
-        t2 = homology_at(n1, n2)
-        astar_x = cokernel_realization(n1)
-        hom_ax = hom_module(a, x)
-        t1 = homology_at(n2, n3)
-        incl = make_morphism(t2.module, astar_x.module,
-                             astar_x.project.mat @ t2.decode_matrix())
-        lam_map = make_morphism(astar_x.module, hom_ax.module,
-                                hom_ax.encode_ambient(n2.mat @ astar_x.lift))
-        out = make_morphism(hom_ax.module, t1.module,
-                            t1.encode(hom_ax.ambient_decode_matrix()))
-        nodes = [("0", zero, "zero"),
-                 ("Tor_2(TrA, X)", t2.module, "derived"),
-                 ("A*(x)X", astar_x.module, "plain"),
-                 ("(A, X)", hom_ax.module, "plain"),
-                 ("Tor_1(TrA, X)", t1.module, "derived"),
-                 ("0", zero, "zero")]
-        maps = [zero_morphism(zero, t2.module), incl, lam_map, out,
-                zero_morphism(t1.module, zero)]
-        return build_report(nodes, maps, {"display": "four-term-hom"})
-    raise WrongShape("which must be 'tensor' or 'hom'")
+        # X^r -> X^g -> X^q -> X^q2, then Hom(A*, X)
+        mats = (d, k1.transpose(), k2.transpose())
+        hom_source = FPModule(ring, k1.cols, k2)
+        labels = ("Ext^1(TrA, X)", "A(x)X", "(A*, X)", "Ext^2(TrA, X)")
+    elif which == "hom":
+        # X^q2 -> X^q -> X^g -> X^r, then Hom(A, X)
+        mats, hom_source = (k2, k1, d.transpose()), a
+        labels = ("Tor_2(TrA, X)", "A*(x)X", "(A, X)", "Tor_1(TrA, X)")
+    else:
+        raise WrongShape("which must be 'tensor' or 'hom'")
+    m1, m2, m3 = (_power_map(x, m) for m in mats)
+    left = homology_at(m1, m2)
+    tensored = cokernel_realization(m1)
+    hom = hom_module(hom_source, x)
+    right = homology_at(m2, m3)
+    zero = free_module(ring, 0)
+    nodes = [("0", zero, "zero"),
+             (labels[0], left.module, "derived"),
+             (labels[1], tensored.module, "plain"),
+             (labels[2], hom.module, "plain"),
+             (labels[3], right.module, "derived"),
+             ("0", zero, "zero")]
+    maps = [zero_morphism(zero, left.module),
+            make_morphism(left.module, tensored.module,
+                          tensored.project.mat @ left.decode_matrix()),
+            make_morphism(tensored.module, hom.module,
+                          hom.encode_ambient(m2.mat @ tensored.lift)),
+            make_morphism(hom.module, right.module,
+                          right.encode(hom.ambient_decode_matrix())),
+            zero_morphism(right.module, zero)]
+    return build_report(nodes, maps, {"display": f"four-term-{which}"})

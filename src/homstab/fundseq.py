@@ -9,10 +9,10 @@ comparison.  Verdict layout, per the structure theorems: the sequences are
 complexes everywhere, exact away from the derived-functor nodes, and exact
 everywhere when the functor is half-exact.
 
-There is one right-row and one left-row builder.  Which resolution they
-thread, and which of its arrows cut out the stabilizations (A) and the
-satellites (C), comes from funcalc's threaded-resolution table, the one
-place that knows it for each (variance, side) pair.
+There is one row builder for both sides.  It reads funcalc's thread (F
+applied along the resolution the threaded-resolution table names for the
+functor's variance and the side) and joins its nodes with funcalc's single
+``_link``.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .fpmod import (
     solve_for_morphism, zero_morphism,
 )
 from .funcalc import (
-    COVARIANT, FunctorExpr, _node_cokernel_flavour, _node_kernel_flavour,
-    _threaded, defect, rho as rho_component, sub_stabilize_fp,
+    COVARIANT, FunctorExpr, _link, _plain_node, _Thread, defect,
+    rho as rho_component, sub_stabilize_fp,
 )
+from .resolve import _require_nonnegative
 from .seqreport import (
     SequenceNode, SequenceReport, build_report, exactness_check, is_exact_at,
 )
@@ -72,89 +73,50 @@ def circular_sequence(f: Morphism, g: Morphism) -> SequenceReport:
 # fundamental sequences
 
 
-def _applied(f: FunctorExpr, arrows) -> list[Morphism]:
-    return [f.eval_mor(a) for a in arrows]
+def _row(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
+    """The fundamental sequence of one side, cut from one thread.
 
+    right: 0 -> F-bar(b) -> F(b) -> R0 -> F-bar(shift b) -> S^1 -> R1 -> ...
+    left:  ... -> L1 -> S_1 -> F-under(shift b) -> L0 -> F(b) -> F-under(b) -> 0
 
-def _display(row: str, f: FunctorExpr) -> str:
-    return f"{row}-{'co' if f.variance == COVARIANT else 'contra'}-fun"
-
-
-def _right_row(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
-    """0 -> F-bar(b) -> F(b) -> R0 -> F-bar(shift b) -> S^1 -> R1 -> ... along
-    the right thread: stabilizations are kernels of F(A_k), satellites
-    cokernels of F(C_k-1), derived nodes the cohomology of F(d)."""
-    res, a, c = _threaded(f, "right", b, depth + 1,
-                          "the right fundamental sequence")
-    shift, script = ("S", "^") if res.direction == "injective" else ("O", "_")
-    fd = _applied(f, res.diffs)        # cochain-ordered after applying F
-    fa = _applied(f, a)                # F(shift^k b) -> F(term k)
-    fc = _applied(f, c)                # F(term k) -> F(shift^k+1 b)
-    stab = [kernel_realization(m) for m in fa]
-    sat = [None] + [cokernel_realization(fc[i - 1]) for i in range(1, depth + 1)]
-    der = [_node_kernel_flavour(fd, i) for i in range(depth + 1)]
+    Both run through the chain F(b) -A_0-> D0 -C_0-> stab 1 -id-> sat 1
+    -A_1-> D1 -> ... -> stab depth+1 (D the derived nodes), the left row
+    with every link reversed, read from the other end, and led by one more
+    satellite.
+    """
+    t = _Thread(f, side, b, depth + 1, f"the {side} fundamental sequence")
+    right = side == "right"
+    shift, script = ("S", "^") if t.injective else ("O", "_")
+    stab, sat, der = ("Fbar", "S^", f"R{script}") if right \
+        else ("Funder", "S_", f"L{script}")
+    # (label, kind, node, applied arrow from the node before; None: identity)
+    chain = [("F(b)", "plain", _plain_node(f.eval_obj(b)), None)]
+    for i in range(depth + 1):
+        if i:
+            chain.append((f"{sat}{i}F(b)", "satellite", t.sat(i), None))
+        chain.append((f"{der}{i}F(b)", "derived", t.der(i), t.applied("a", i)))
+        chain.append((f"{stab}({shift}^{i + 1}b)", "stab", t.stab(i + 1),
+                      t.applied("c", i)))
+    if not right:
+        chain.append((f"{sat}{depth + 1}F(b)", "satellite", t.sat(depth + 1), None))
+    steps = [(src, tgt, arrow)
+             for (_, _, src, _), (_, _, tgt, arrow) in zip(chain, chain[1:])]
+    body = [(label, node.module, kind) for label, kind, node, _ in chain]
+    base = t.stab(0)
     zero = free_module(b.ring, 0)
-    fb = f.eval_obj(b)
-    nodes = [("0", zero, "zero"),
-             ("Fbar(b)", stab[0].module, "stab"),
-             ("F(b)", fb, "plain"),
-             (f"R{script}0F(b)", der[0].module, "derived")]
-    maps = [zero_morphism(zero, stab[0].module),
-            stab[0].include,
-            make_morphism(fb, der[0].module, der[0].encode(fa[0].mat))]
-    for i in range(1, depth + 2):
-        above = der[i - 1]
-        nodes.append((f"Fbar({shift}^{i}b)", stab[i].module, "stab"))
-        maps.append(make_morphism(above.module, stab[i].module,
-                                  stab[i].encode(fc[i - 1].mat @ above.decode)))
-        if i <= depth:
-            nodes += [(f"S^{i}F(b)", sat[i].module, "satellite"),
-                      (f"R{script}{i}F(b)", der[i].module, "derived")]
-            maps += [make_morphism(stab[i].module, sat[i].module,
-                                   sat[i].project.mat @ stab[i].include.mat),
-                     make_morphism(sat[i].module, der[i].module,
-                                   der[i].encode(fa[i].mat @ sat[i].lift))]
+    ends = [("0", zero, "zero"), (f"{stab}(b)", base.module, "stab")]
+    if right:
+        nodes = ends + body
+        maps = [zero_morphism(zero, base.module), base.edge]
+        maps += [_link(src, tgt, arrow) for src, tgt, arrow in steps]
+    else:
+        nodes = body[::-1] + ends[::-1]
+        maps = [_link(tgt, src, arrow) for src, tgt, arrow in reversed(steps)]
+        maps += [base.edge, zero_morphism(base.module, zero)]
+    variance = "co" if f.variance == COVARIANT else "contra"
+    display = f"{'rfs' if right else 'lfs'}-{variance}-fun"
     return build_report(nodes, maps, {
-        "display": _display("rfs", f), "depth": depth,
-        "half_exact": f.half_exact})
-
-
-def _left_row(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
-    """... -> L1 -> S_1 -> F-under(shift b) -> L0 -> F(b) -> F-under(b) -> 0
-    along the left thread: stabilizations are cokernels of F(A_k), satellites
-    kernels of F(C_k-1), derived nodes the homology of F(d)."""
-    res, a, c = _threaded(f, "left", b, depth + 1,
-                          "the left fundamental sequence")
-    shift, script = ("S", "^") if res.direction == "injective" else ("O", "_")
-    fd = _applied(f, res.diffs)        # chain-ordered after applying F
-    fa = _applied(f, a)                # F(term k) -> F(shift^k b)
-    fc = _applied(f, c)                # F(shift^k+1 b) -> F(term k)
-    qstab = [cokernel_realization(m) for m in fa]
-    sat = [None] + [kernel_realization(fc[i - 1]) for i in range(1, depth + 2)]
-    der = [_node_cokernel_flavour(fd, i) for i in range(depth + 1)]
-    zero = free_module(b.ring, 0)
-    fb = f.eval_obj(b)
-
-    nodes, maps = [], []
-    for i in range(depth + 1, 0, -1):
-        below = der[i - 1]
-        nodes += [(f"S_{i}F(b)", sat[i].module, "satellite"),
-                  (f"Funder({shift}^{i}b)", qstab[i].module, "stab"),
-                  (f"L{script}{i - 1}F(b)", below.module, "derived")]
-        maps += [make_morphism(sat[i].module, qstab[i].module,
-                               qstab[i].project.mat @ sat[i].include.mat),
-                 make_morphism(qstab[i].module, below.module,
-                               below.encode(fc[i - 1].mat @ qstab[i].lift))]
-        if i > 1:
-            maps.append(make_morphism(below.module, sat[i - 1].module,
-                                      sat[i - 1].encode(fa[i - 1].mat @ below.decode)))
-    lam = make_morphism(der[0].module, fb, fa[0].mat @ der[0].decode)
-    nodes += [("F(b)", fb, "plain"), ("Funder(b)", qstab[0].module, "stab"),
-              ("0", zero, "zero")]
-    maps += [lam, qstab[0].project, zero_morphism(qstab[0].module, zero)]
-    return build_report(nodes, maps, {
-        "display": _display("lfs", f), "depth": depth,
-        "half_exact": f.half_exact})
+        "display": display, "depth": depth, "half_exact": f.half_exact})
 
 
 def right_fund_cov(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
@@ -165,6 +127,7 @@ def right_fund_cov(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
     -> ... ; over a hereditary ring a finitely presented F gets the row-0
     fragment 0 -> F-bar(b) -> F(b) -> (w(F), b) instead.
     """
+    _require_nonnegative(depth, "sequence depths")
     if f.variance != COVARIANT:
         raise UnsupportedRing("use contra_fund for contravariant functors")
     if not b.ring.quasi_frobenius:
@@ -173,7 +136,7 @@ def right_fund_cov(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
                 "the right fundamental sequence needs injective resolutions "
                 f"over {b.ring} (or a finitely presented functor)")
         return _right_fund_fp_fragment(f, b)
-    return _right_row(f, b, depth)
+    return _row(f, b, depth, "right")
 
 
 def _right_fund_fp_fragment(f: FunctorExpr, b: FPModule) -> SequenceReport:
@@ -193,25 +156,27 @@ def left_fund_cov(f: FunctorExpr, b: FPModule, depth: int) -> SequenceReport:
     """Left fundamental sequence of a covariant functor at b:
     ... -> L_1F(b) -> S_1F(b) -> F-under(Omega b) -> L_0F(b) -> F(b)
     -> F-under(b) -> 0, built over either ring."""
+    _require_nonnegative(depth, "sequence depths")
     if f.variance != COVARIANT:
         raise UnsupportedRing("use contra_fund for contravariant functors")
-    return _left_row(f, b, depth)
+    return _row(f, b, depth, "left")
 
 
 def contra_fund(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
     """Fundamental sequences of a contravariant functor: the right one runs
     along a projective resolution (any ring), the left one along an injective
     resolution (quasi-Frobenius only)."""
+    _require_nonnegative(depth, "sequence depths")
     if f.variance == COVARIANT:
         raise UnsupportedRing("contra_fund expects a contravariant functor")
     if side == "right":
-        return _right_row(f, b, depth)
+        return _row(f, b, depth, "right")
     if side != "left":
         raise UnsupportedRing("side must be 'right' or 'left'")
     if not b.ring.quasi_frobenius:
         raise UnsupportedRing(
             f"the left contravariant sequence needs injectives over {b.ring}")
-    return _left_row(f, b, depth)
+    return _row(f, b, depth, "left")
 
 
 # ---------------------------------------------------------------------------

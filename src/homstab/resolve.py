@@ -26,8 +26,14 @@ from .exactlin import IntMat, kernel_basis
 from .fpmod import (
     FPModule, Morphism, SubquotientRealization, canonical_invariants,
     cokernel_realization, free_module, hom_module, hom_pull, identity_morphism,
-    kernel, make_module, make_morphism, subquotient, tensor_module, tensor_mor,
+    kernel, kernel_generators, make_module, make_morphism, subquotient,
+    tensor_module, tensor_mor,
 )
+
+
+def _require_nonnegative(n: int, what: str) -> None:
+    if n < 0:
+        raise WrongShape(f"{what} start at 0, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +72,7 @@ class ProjResolution:
 
 @lru_cache(maxsize=2048)
 def proj_resolution(m: FPModule, depth: int) -> ProjResolution:
+    _require_nonnegative(depth, "resolution depths")
     ring = m.ring
     f0 = free_module(ring, m.gens)
     terms = [f0]
@@ -90,6 +97,7 @@ def proj_resolution(m: FPModule, depth: int) -> ProjResolution:
 
 def syzygy(m: FPModule, k: int) -> FPModule:
     """Omega^k via iterated kernel-of-free-cover; Omega^0 is the module."""
+    _require_nonnegative(k, "syzygy orders")
     if k == 0:
         return m
     return proj_resolution(m, k).syzygies[k]
@@ -150,6 +158,7 @@ class InjResolution:
 
 @lru_cache(maxsize=2048)
 def inj_resolution(m: FPModule, depth: int) -> InjResolution:
+    _require_nonnegative(depth, "resolution depths")
     emb = injective_container(m)
     terms = [emb.target]
     embeds = [emb]
@@ -172,6 +181,7 @@ def inj_resolution(m: FPModule, depth: int) -> InjResolution:
 
 def cosyzygy(m: FPModule, k: int) -> FPModule:
     """Sigma^k via iterated cokernel-of-container; Sigma^0 is the module."""
+    _require_nonnegative(k, "cosyzygy orders")
     if k == 0:
         return m
     return inj_resolution(m, k).cosyzygies[k]
@@ -187,12 +197,7 @@ def homology_at(f: Morphism, g: Morphism) -> SubquotientRealization:
         raise NotAComplex("maps are not composable")
     if not g.compose(f).is_zero():
         raise NotAComplex("composite is nonzero")
-    mid = f.target
-    ring = mid.ring
-    raw = kernel_basis(g.mat.hstack(g.target.rel.scale(-1)), ring)
-    sub = IntMat(mid.gens, raw.cols, raw.data[:mid.gens]) if mid.gens \
-        else IntMat.zeros(0, raw.cols)
-    return subquotient(mid, sub.mod(ring), f.mat)
+    return subquotient(f.target, kernel_generators(g), f.mat)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +212,11 @@ def _hom_complex(m: FPModule, n: FPModule, depth: int):
     return homs, maps
 
 
-def _require_degree(i: int) -> None:
-    if i < 0:
-        raise WrongShape(f"Ext and Tor degrees start at 0, got {i}")
 
 
 def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Ext^i(M, N), homology of Hom(proj. resolution of M, N)."""
-    _require_degree(i)
+    _require_nonnegative(i, "Ext and Tor degrees")
     homs, maps = _hom_complex(m, n, i + 1)
     if i == 0:
         return kernel(maps[0])[0]
@@ -223,7 +225,7 @@ def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
 
 def tor(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Tor_i(M, N), homology of (proj. resolution of M) tensor N."""
-    _require_degree(i)
+    _require_nonnegative(i, "Ext and Tor degrees")
     pr = proj_resolution(m, i + 1)
     tens = [tensor_module(t, n) for t in pr.terms]
     idn = identity_morphism(n)

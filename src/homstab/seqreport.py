@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotAComplex
-from .exactlin import IntMat, in_span, kernel_basis
-from .fpmod import FPModule, Morphism
+from .exactlin import in_span
+from .fpmod import FPModule, Morphism, kernel_generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +64,7 @@ def is_exact_at(f: Morphism, g: Morphism) -> bool:
     if not g.compose(f).is_zero():
         raise NotAComplex("composite is nonzero")
     mid = f.target
-    ring = mid.ring
-    raw = kernel_basis(g.mat.hstack(g.target.rel.scale(-1)), ring)
-    kergens = IntMat(mid.gens, raw.cols, raw.data[:mid.gens]) if mid.gens \
-        else IntMat.zeros(0, raw.cols)
-    return in_span(f.mat.hstack(mid.rel), kergens.mod(ring), ring)
+    return in_span(f.mat.hstack(mid.rel), kernel_generators(g), mid.ring)
 
 
 def build_report(nodes, maps, metadata=None) -> SequenceReport:

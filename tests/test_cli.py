@@ -235,3 +235,33 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "circular-exactness" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    "seq right-cov --functor hom:{q2} --b {q2} --depth -1",
+    "seq left-cov --functor hom:{q2} --b {q2} --depth -1",
+    "seq contra-right --functor homcontra:{q2} --b {q2} --depth -1",
+    "seq contra-left --functor homcontra:{q2} --b {q2} --depth -1",
+    "seq right-cov --functor hom:{z2} --b {z2} --depth -1",
+    "functor derived --functor hom:{q2} --i -1 --side right --at {q2}",
+    "functor derived --functor hom:{q2} --i -1 --side left --at {q2}",
+    "functor derived --functor hom:{z2} --i -1 --side left --at {z2}",
+    "functor eval --functor ext:{z2}:-1 --at {z2}",
+    "functor eval --functor tor:{z2}:-1 --at {z2}",
+    "resolve proj {z2} --depth -1",
+    "resolve inj {q2} --depth -1",
+    "resolve syzygy {z2} --k -1",
+    "resolve cosyzygy {q2} --k -1",
+])
+def test_cli_negative_depth_index_or_degree_is_usage_error(tmp_path, capsys,
+                                                           argv):
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps({"ring": {"kind": "Z"}, "gens": 1,
+                              "relations": [["2"]]}))
+    q2 = tmp_path / "q2.json"
+    q2.write_text(json.dumps({"ring": {"kind": "ZmodN", "n": 4}, "gens": 1,
+                              "relations": [["2"]]}))
+    assert main(argv.format(z2=z2, q2=q2).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""

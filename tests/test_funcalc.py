@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from homstab import funcalc
 from homstab.errors import UnsupportedRing, WrongShape
 from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
@@ -13,12 +14,13 @@ from homstab.fpmod import (
     zero_morphism, cokernel,
 )
 from homstab.funcalc import (
-    FP, TC, ExtFixedFirst, HomContra, HomCov, ShiftOmega, ShiftSigma,
-    TensorLeft, auslander_four_term, defect, derived_eval, lam,
+    FP, TC, Derived, ExtFixedFirst, HomContra, HomCov, Satellite, ShiftOmega,
+    ShiftSigma, TensorLeft, auslander_four_term, defect, derived_eval, lam,
     nat_trans_sample, omega_shift_mor, quot_stabilize, rho, satellite,
     sigma_shift_mor, sub_stabilize, sub_stabilize_fp, tc_quot_stabilize,
     torsion_radical,
 )
+from homstab.fundseq import right_fund_cov
 from homstab.instances import random_module, random_morphism
 from homstab.resolve import cosyzygy, ext, syzygy, tor
 
@@ -232,6 +234,22 @@ def test_satellite_capability_gates():
     assert satellite(HomContra(Z2), 1, "right", Z4) is not None
 
 
+def test_indices_below_range_are_wrong_shape():
+    phi = identity_morphism(Z4)
+    for side in ("right", "left"):
+        for f in (HomCov(Z2m4), HomContra(Z2m4)):
+            with pytest.raises(WrongShape):
+                satellite(f, 0, side, Z2m4)
+            with pytest.raises(WrongShape):
+                Satellite(f, 0, side).eval_mor(identity_morphism(Z2m4))
+            with pytest.raises(WrongShape):
+                Derived(f, -1, side).eval_mor(identity_morphism(Z2m4))
+    with pytest.raises(WrongShape):
+        Satellite(HomCov(Z2), 0, "left").eval_mor(phi)
+    with pytest.raises(WrongShape):
+        derived_eval(HomCov(Z2), -1, "left", Z4)
+
+
 def test_substab_tensor_is_ext_of_transpose():
     rng = random.Random(17)
     for _ in range(8):
@@ -383,3 +401,23 @@ def test_four_term_random_exactness():
                 rep = auslander_four_term(a, x, side)
                 assert rep.exact_everywhere(), (str(a), str(x), side,
                                                 rep.failures())
+
+
+def test_threads_survive_wrapped_resolution_functions(monkeypatch):
+    # a wrapper installed over the resolution functions, as a tracer does,
+    # must not change which resolution a (variance, side) pair threads
+    a = cyclic(R4, 2)
+    x = make_module(R4, [[2, 0], [0, 0]])  # Z/2 + Z/4
+    phi = make_morphism(x, x, [[1, 1], [0, 3]])
+
+    def run():
+        rep = right_fund_cov(HomCov(a), x, 1)
+        r1 = Derived(HomCov(a), 1, "right").eval_mor(phi)
+        assert not r1.is_zero()
+        return [n.label for n in rep.nodes], [m.mat for m in rep.maps], r1.mat
+
+    want = run()
+    for name in ("inj_resolution", "proj_resolution"):
+        orig = getattr(funcalc, name)
+        monkeypatch.setattr(funcalc, name, lambda m, d, orig=orig: orig(m, d))
+    assert run() == want

@@ -6,15 +6,19 @@ import random
 
 import pytest
 
-from homstab.errors import NotAComplex, UnsupportedRing
+from homstab.archeck import bidual_check
+from homstab.errors import NotAComplex, UnsupportedRing, WrongShape
 from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
     canonical_invariants, cyclic, direct_sum, free_module, identity_morphism,
-    is_projective_module, iso_test, make_morphism, zero_morphism,
+    is_projective_module, iso_test, make_morphism, morphisms_equal,
+    zero_morphism,
 )
 from homstab.funcalc import (
-    FP, Derived, ExtFixedFirst, HomContra, HomCov, Satellite, TensorLeft,
-    alpha, beta, lam, rho, satellite, sub_stabilize,
+    COVARIANT, FP, Derived, ExtFixedFirst, HomContra, HomCov, QuotStab, Satellite,
+    SubStab, TCQuotStab, TensorLeft, alpha, auslander_four_term, beta,
+    derived_eval, lam, nat_trans_sample, quot_stabilize, rho, satellite,
+    sub_stabilize, sub_stabilize_fp, tc_quot_stabilize,
 )
 from homstab.fundseq import (
     circular_sequence, contra_fund, hereditary_decomposition, is_exact_at,
@@ -314,3 +318,145 @@ PIN_SHA256 = "86fa0323d3943c6075b532293f366172af7c2bdbf2cfeb388eea2fa608f20218"
 def test_builders_and_canonical_maps_pinned():
     digest = hashlib.sha256(_pin_payload().encode()).hexdigest()
     assert digest == PIN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# second pin: stabilizations, derived functors, naturality, four-term rows
+
+
+def _pin_try(fn, *args):
+    try:
+        return fn(*args)
+    except (UnsupportedRing, WrongShape) as exc:
+        return type(exc).__name__
+
+
+def _pin_value(got):
+    if isinstance(got, str):
+        return got
+    if isinstance(got, tuple):
+        return [invs(got[0]), _pin_mor(got[1])]
+    if hasattr(got, "nodes"):
+        return _pin_report(got)
+    if hasattr(got, "mat"):
+        return _pin_mor(got)
+    return invs(got)
+
+
+def _second_pin_payload():
+    def mod(rng, ring):
+        while True:
+            m = random_module(rng, ring, 3, 3, 6, allow_zero=False)
+            if not is_projective_module(m):
+                return m
+
+    out = []
+    rng = random.Random(20261019)
+    for ring in (ZZ, R4, Zmod(12)):
+        a, x, y = mod(rng, ring), mod(rng, ring), mod(rng, ring)
+        phi = random_morphism(rng, x, y)
+        ext1 = ExtFixedFirst(mod(rng, ring), 1)
+        for f in (HomCov(a), HomContra(a), TensorLeft(a), ext1):
+            for stab in (sub_stabilize, quot_stabilize, sub_stabilize_fp,
+                         tc_quot_stabilize):
+                got = _pin_try(stab, f, x)
+                if isinstance(got, TCQuotStab):
+                    got = (got.module, got.include)
+                out.append(_pin_value(got))
+            for cls in (SubStab, QuotStab):
+                out.append(_pin_value(_pin_try(cls(f).eval_mor, phi)))
+            for side in ("right", "left"):
+                for i in (0, 1, 2):
+                    out.append(_pin_value(_pin_try(derived_eval, f, i, side, x)))
+                for i in (0, 2):
+                    out.append(_pin_value(
+                        _pin_try(Derived(f, i, side).eval_mor, phi)))
+            for name in ("rho", "lambda", "beta", "alpha"):
+                got = _pin_try(nat_trans_sample, name, f, [x, y], [phi])
+                if not isinstance(got, str):
+                    got = [[_pin_mor(c) for _, c in got.components],
+                           [ok for _, ok in got.naturality]]
+                out.append(got)
+        for which in ("tensor", "hom"):
+            out.append(_pin_value(auslander_four_term(a, x, which)))
+        out.append(_pin_value(bidual_check(a)))
+    return json.dumps(out, sort_keys=True)
+
+
+SECOND_PIN_SHA256 = "984bf731970bffca9bb52d8e10379fd18e86f4b5c0202e91777cd21c8cf40446"
+
+
+def test_stabilizations_derived_and_four_term_pinned():
+    digest = hashlib.sha256(_second_pin_payload().encode()).hexdigest()
+    assert digest == SECOND_PIN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the canonical maps are arrows of the fundamental sequences
+
+
+def _arrow(rep, src_label):
+    """The map of a report leaving the node labelled src_label."""
+    labels = [n.label for n in rep.nodes]
+    return rep.maps[labels.index(src_label)]
+
+
+def _right_row(f, b):
+    if f.variance == COVARIANT:
+        return right_fund_cov(f, b, 1)
+    return contra_fund(f, b, 1, "right")
+
+
+def _left_row(f, b):
+    if f.variance == COVARIANT:
+        return left_fund_cov(f, b, 1)
+    return contra_fund(f, b, 1, "left")
+
+
+def _same_map(got, want, nonzero, name):
+    assert got.source == want.source and got.target == want.target
+    assert morphisms_equal(got, want)
+    assert got.mat == want.mat
+    if not got.is_zero():
+        nonzero.add(name)
+
+
+@pytest.mark.parametrize("ring", [ZZ, R4, Zmod(12)], ids=str)
+def test_canonical_maps_are_row_arrows(ring):
+    def plus(*orders):
+        return direct_sum([cyclic(ring, d) for d in orders]).module
+
+    checked, nonzero = set(), set()
+    for a, b in ((cyclic(ring, 2), plus(2, 4)), (plus(2, 6), cyclic(ring, 6))):
+        for f in (HomCov(a), TensorLeft(a), HomContra(a)):
+            cov = f.variance == COVARIANT
+            kind = type(f).__name__
+            try:
+                right = _right_row(f, b)
+            except UnsupportedRing:
+                right = None
+            if right is not None:
+                _same_map(rho(f, b), _arrow(right, "F(b)"), nonzero, "rho")
+                checked.add((kind, "rho"))
+                if not right.metadata.get("truncated"):
+                    r0 = "R^0F(b)" if cov else "R_0F(b)"
+                    _same_map(beta(f, b), _arrow(right, r0), nonzero, "beta")
+                    checked.add((kind, "beta"))
+            try:
+                left = _left_row(f, b)
+            except UnsupportedRing:
+                continue
+            l0 = "L_0F(b)" if cov else "L^0F(b)"
+            _same_map(lam(f, b), _arrow(left, l0), nonzero, "lambda")
+            shifted = "Funder(O^1b)" if cov else "Funder(S^1b)"
+            _same_map(alpha(f, b), _arrow(left, shifted), nonzero, "alpha")
+            checked.update({(kind, "lambda"), (kind, "alpha")})
+    # every map the ring allows was reached (over Z: rho of HomCov from the
+    # finitely presented fragment, both right maps of HomContra, and both
+    # left maps of the covariant functors), and none was always zero there
+    if ring.quasi_frobenius:
+        assert len(checked) == 12
+        assert nonzero == {"rho", "beta", "lambda", "alpha"}
+    else:
+        assert len(checked) == 7
+        assert nonzero == {"rho", "lambda"}
