@@ -15,8 +15,17 @@ itself, the integer SNF of the lifted matrix is normalized entrywise to
 gcd(d, n) by a unit row scaling (every element of Z/n is an associate of
 gcd(d, n), and the chain d_1 | d_2 | ... survives the gcd).
 
-Matrices are immutable; rows and columns may be zero (a 0 x k or k x 0
-matrix is a legal zero map).
+Matrices are immutable by convention; rows and columns may be zero (a
+0 x k or k x 0 matrix is a legal zero map).  Shapes are validated at the
+public edge only: ``IntMat.from_rows``, JSON parsing, ``FPModule`` and
+``make_morphism`` reject bad shapes, and the ops that combine two matrices
+check that they fit; the constructor itself trusts its arguments, and a
+matrix hashes its entries once.
+
+Kernels and solutions over a matrix A are read from one cache keyed by
+(A, ring).  An entry keeps only what they read of the SNF of A's lift:
+U, the diagonal, the width of the lift and the rows of V over A's columns.
+A warm ``kernel_basis`` or ``solve_matrix`` is one lookup plus its products.
 
 The matrices built downstream (Kronecker products for Hom and tensor) are
 mostly zeros, so the kernels pay for nonzero entries only: a product adds
@@ -64,14 +73,6 @@ class RingDesc:
     def quasi_frobenius(self) -> bool:
         return self.modulus is not None
 
-    def reduce(self, x: int) -> int:
-        return x if self.modulus is None else x % self.modulus
-
-    def is_unit(self, x: int) -> bool:
-        if self.modulus is None:
-            return x in (1, -1)
-        return gcd(x % self.modulus, self.modulus) == 1
-
     def __str__(self):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
 
@@ -87,17 +88,43 @@ def Zmod(n: int) -> RingDesc:
 # immutable exact matrices
 
 
-@dataclass(frozen=True)
 class IntMat:
-    """Dense integer matrix, row-major, immutable and hashable."""
+    """Dense integer matrix, row-major, hashable.
 
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
+    ``IntMat(rows, cols, data)`` trusts its arguments: ``data`` is a tuple
+    of ``rows`` tuples of ``cols`` ints.  Shapes are checked at the public
+    edge instead (``from_rows``, ``serialize.parse_matrix``, ``FPModule``,
+    ``make_morphism``) and by the shape-changing ops.  Matrices are
+    immutable by convention: nothing writes to a built matrix, so equality
+    is by value and the hash is computed once, on first use, and stored.
+    """
 
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(map(self.cols.__ne__, map(len, self.data))):
-            raise DimensionMismatch("matrix data does not match declared shape")
+    __slots__ = ("rows", "cols", "data", "_hash")
+
+    def __init__(self, rows: int, cols: int, data: tuple[tuple[int, ...], ...]):
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self._hash = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, IntMat):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.rows, self.cols, self.data))
+        return h
+
+    def __repr__(self):
+        return f"IntMat(rows={self.rows!r}, cols={self.cols!r}, data={self.data!r})"
+
+    def __reduce__(self):
+        return IntMat, (self.rows, self.cols, self.data)
 
     @staticmethod
     def from_rows(rows) -> "IntMat":
@@ -205,7 +232,7 @@ class IntMat:
                 out[i0 + i][j0:j0 + b.cols] = list(b.data[i])
             i0 += b.rows
             j0 += b.cols
-        return IntMat.from_rows(out) if m else IntMat(0, n, ())
+        return IntMat(m, n, tuple(map(tuple, out)))
 
     def kron(self, other: "IntMat") -> "IntMat":
         m, n = self.rows * other.rows, self.cols * other.cols
@@ -239,7 +266,10 @@ class IntMat:
         return all(x == 0 for r in self.data for x in r)
 
     def is_zero_mod(self, ring: RingDesc) -> bool:
-        return self.mod(ring).is_zero() if ring.modulus else self.is_zero()
+        n = ring.modulus
+        if n is None:
+            return self.is_zero()
+        return not any(x % n for r in self.data for x in r)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.data) + "]"
@@ -404,46 +434,70 @@ def snf(a: IntMat, ring: RingDesc) -> SNFResult:
 
 
 @lru_cache(maxsize=4096)
-def _snf_cached(a: IntMat, ring: RingDesc) -> SNFResult:
-    return snf(a, ring)
+def _snf_cached(a: IntMat, ring: RingDesc):
+    """What kernel_basis and solve_matrix read of the SNF of A's lift.
+
+    The lift is A over Z and [A mod n | n*I] over Z/n, whose integer kernel
+    and solutions carry those of A over Z/n in their first ``a.cols``
+    coordinates.  Returns (U, diagonal, width of the lift, the rows of V
+    over A's columns); Uinv, S, Vinv and the rows of V over the n*I
+    columns are never read.
+    """
+    n, m, k = ring.modulus, a.rows, a.cols
+    # an empty lift, or n*I, is in normal form already
+    if not m:
+        return IntMat(0, 0, ()), (), k, IntMat.identity(k)
+    if not k:
+        diag = () if n is None else (n,) * m
+        return IntMat.identity(m), diag, len(diag), IntMat(0, len(diag), ())
+    if n is None:
+        res = snf(a, ZZ)
+        return res.U, tuple(res.diagonal()), k, res.V
+    reduced = a.mod(ring)
+    if reduced != a:  # one SNF per matrix over Z/n, whatever its lift
+        return _snf_cached(reduced, ring)
+    res = snf(a.hstack(IntMat.diag([n] * m, rows=m, cols=m)), ZZ)
+    return res.U, tuple(res.diagonal()), k + m, IntMat(k, k + m, res.V.data[:k])
 
 
 # ---------------------------------------------------------------------------
 # kernels, solving, invariants
 
 
-def _integer_kernel(a: IntMat) -> IntMat:
-    res = _snf_cached(a, ZZ)
-    diag = res.diagonal()
-    free = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
-    return res.V.take_cols(free)
-
-
 def kernel_basis(a: IntMat, ring: RingDesc) -> IntMat:
     """Columns generating { x : A.x = 0 } over the ring.
 
     Over Z the columns are a lattice basis; over Z/n they generate the kernel
-    submodule (computed from the integer kernel of [A | n*I]).
+    submodule (the integer kernel of [A | n*I] cut to A's coordinates, mod n,
+    zero columns dropped).
     """
-    if ring.modulus is None:
-        return _integer_kernel(a)
-    if a.cols == 0:
-        return IntMat(0, 0, ())
+    _, diag, width, v = _snf_cached(a, ring)
+    free = [j for j in range(width) if j >= len(diag) or diag[j] == 0]
     n = ring.modulus
-    aug = a.mod(ring).hstack(IntMat.diag([n] * a.rows, rows=a.rows, cols=a.rows))
-    k = _integer_kernel(aug)
-    proj = IntMat(a.cols, k.cols, k.data[:a.cols]).mod(ring)
-    keep = [j for j, col in enumerate(zip(*proj.data)) if any(col)]
-    return proj.take_cols(keep)
+    if n is None:
+        return v.take_cols(free)
+    rows = [[r[j] % n for j in free] for r in v.data]
+    keep = [t for t, col in enumerate(zip(*rows)) if any(col)]
+    return IntMat(v.rows, len(keep), tuple(tuple(r[t] for t in keep) for r in rows))
 
 
-def _solve_integer(a: IntMat, b: IntMat) -> IntMat | None:
-    res = _snf_cached(a, ZZ)
-    c = res.U @ b
-    diag = res.diagonal()
-    y = [(0,) * b.cols] * a.cols
+def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
+    """A particular X with A.X = B over the ring, or None if unsolvable.
+
+    Doubles as the image-membership test: B's columns lie in the column span
+    of A over the ring iff the system is solvable.  B is reduced mod n here;
+    callers need not reduce it.
+    """
+    if a.rows != b.rows:
+        raise DimensionMismatch(f"solve: {a.rows} rows vs rhs {b.rows}")
+    u, diag, width, v = _snf_cached(a, ring)
+    c = u @ b.mod(ring)
+    y = [(0,) * b.cols] * width
     for i, row in enumerate(c.data):
         d = diag[i] if i < len(diag) else 0
+        if d == 1:
+            y[i] = row
+            continue
         if not d:
             if any(row):
                 return None
@@ -452,25 +506,7 @@ def _solve_integer(a: IntMat, b: IntMat) -> IntMat | None:
         if any(r for _, r in qr):
             return None
         y[i] = tuple(q for q, _ in qr)
-    return res.V @ IntMat(a.cols, b.cols, tuple(y))
-
-
-def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
-    """A particular X with A.X = B over the ring, or None if unsolvable.
-
-    Doubles as the image-membership test: B's columns lie in the column span
-    of A over the ring iff the system is solvable.
-    """
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"solve: {a.rows} rows vs rhs {b.rows}")
-    if ring.modulus is None:
-        return _solve_integer(a, b)
-    n = ring.modulus
-    aug = a.mod(ring).hstack(IntMat.diag([n] * a.rows, rows=a.rows, cols=a.rows))
-    x = _solve_integer(aug, b.mod(ring))
-    if x is None:
-        return None
-    return IntMat(a.cols, b.cols, x.data[:a.cols]).mod(ring) if a.cols else IntMat(0, b.cols, ())
+    return (v @ IntMat(width, b.cols, tuple(y))).mod(ring)
 
 
 def solve(a: IntMat, b, ring: RingDesc) -> IntMat | None:
@@ -529,7 +565,7 @@ def hermite_column_form(a: IntMat) -> IntMat:
             for r in range(m):
                 H[r][col] = -H[r][col]
         col += 1
-    return IntMat.from_rows([row[:col] for row in H]) if m else IntMat(0, col, ())
+    return IntMat(m, col, tuple(tuple(row[:col]) for row in H))
 
 
 def reduce_mod_columns(v: IntMat, lattice: IntMat, ring: RingDesc) -> IntMat:

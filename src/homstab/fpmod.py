@@ -65,22 +65,17 @@ def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     section; fwd @ bwd is the identity and both induce mutually inverse
     module isomorphisms.
     """
-    rel = rel.mod(ring)
     res = snf(rel, ring)
     diag = res.diagonal()
     keep = [i for i in range(gens) if i >= len(diag) or diag[i] != 1]
     torsion = [(pos, diag[i]) for pos, i in enumerate(keep)
                if i < len(diag) and diag[i] not in (0, 1)]
-    newrel = IntMat.zeros(len(keep), len(torsion))
-    if torsion:
-        cols = []
-        for pos, d in torsion:
-            cols.append([d if r == pos else 0 for r in range(len(keep))])
-        newrel = IntMat.from_rows([[c[r] for c in cols] for r in range(len(keep))]) \
-            if keep else IntMat(0, len(torsion), ())
-    module = FPModule(ring, len(keep), newrel)
-    fwd = res.U.take_rows(keep).mod(ring)
-    bwd = res.Uinv.take_cols(keep).mod(ring)
+    rows = [[0] * len(torsion) for _ in keep]
+    for c, (pos, d) in enumerate(torsion):
+        rows[pos][c] = d
+    module = FPModule(ring, len(keep), IntMat(len(keep), len(torsion), tuple(map(tuple, rows))))
+    fwd = res.U.take_rows(keep)  # snf reduces its transforms mod n
+    bwd = res.Uinv.take_cols(keep)
     return module, fwd, bwd
 
 
@@ -242,7 +237,7 @@ def make_morphism(source: FPModule, target: FPModule, mat) -> Morphism:
             f"generator matrix must be {target.gens}x{source.gens}, got {g.rows}x{g.cols}")
     ring = source.ring
     g = g.mod(ring)
-    if solve_matrix(target.rel, (g @ source.rel).mod(ring), ring) is None:
+    if solve_matrix(target.rel, g @ source.rel, ring) is None:
         raise NotWellDefined("generator matrix does not respect the relations")
     return Morphism(source, target, g)
 
@@ -307,12 +302,10 @@ class SubquotientRealization:
         element is not in the subobject."""
         ring = self.module.ring
         amb = self.subq
-        sol = solve_matrix(
-            amb.sub.hstack(amb.den).hstack(amb.ambient.rel), v.mod(ring), ring)
+        sol = solve_matrix(amb.sub.hstack(amb.den).hstack(amb.ambient.rel), v, ring)
         if sol is None:
             raise MembershipError("element lies outside the subquotient")
-        u = IntMat(amb.sub.cols, v.cols, sol.data[:amb.sub.cols]) if amb.sub.cols \
-            else IntMat(0, v.cols, ())
+        u = IntMat(amb.sub.cols, v.cols, sol.data[:amb.sub.cols])
         return (self.fwd @ u).mod(ring)
 
 
@@ -320,8 +313,7 @@ def realize_subquotient(sq: Subquotient) -> SubquotientRealization:
     ring = sq.ambient.ring
     combined = sq.den.hstack(sq.ambient.rel)
     ker = kernel_basis(sq.sub.hstack(combined.scale(-1)), ring)
-    rel = IntMat(sq.sub.cols, ker.cols, ker.data[:sq.sub.cols]) if sq.sub.cols \
-        else IntMat(0, ker.cols, ())
+    rel = IntMat(sq.sub.cols, ker.cols, ker.data[:sq.sub.cols])
     module, fwd, bwd = present_with_iso(ring, sq.sub.cols, rel)
     return SubquotientRealization(sq, module, fwd, bwd)
 
@@ -352,8 +344,7 @@ def kernel_generators(f: Morphism) -> IntMat:
     ring = f.source.ring
     gens = f.source.gens
     raw = kernel_basis(f.mat.hstack(f.target.rel.scale(-1)), ring)
-    sub = IntMat(gens, raw.cols, raw.data[:gens]) if gens else IntMat(0, raw.cols, ())
-    return sub.mod(ring)
+    return IntMat(gens, raw.cols, raw.data[:gens])
 
 
 def kernel_realization(f: Morphism) -> KernelRealization:
@@ -419,11 +410,10 @@ def direct_sum(summands) -> DirectSum:
     injections, projections = [], []
     offset = 0
     for m in summands:
-        block_in = IntMat.zeros(gens, m.gens)
-        rows = [list(r) for r in block_in.data]
+        rows = [[0] * m.gens for _ in range(gens)]
         for i in range(m.gens):
             rows[offset + i][i] = 1
-        block_in = IntMat.from_rows(rows) if gens else IntMat(0, m.gens, ())
+        block_in = IntMat(gens, m.gens, tuple(map(tuple, rows)))
         block_out = block_in.transpose()
         injections.append(make_morphism(m, module, (fwd @ block_in).mod(ring)))
         projections.append(make_morphism(module, m, (block_out @ bwd).mod(ring)))
@@ -473,13 +463,13 @@ def _vec(g: IntMat) -> IntMat:
     cols = []
     for j in range(g.cols):
         cols.extend(g.col_list(j))
-    return IntMat.column(cols) if cols else IntMat(0, 1, ())
+    return IntMat.column(cols)
 
 
 def _unvec(v: IntMat, rows: int, cols: int) -> IntMat:
     data = [r[0] for r in v.data]
-    return IntMat.from_rows([[data[j * rows + i] for j in range(cols)]
-                             for i in range(rows)]) if rows else IntMat(0, cols, ())
+    return IntMat(rows, cols, tuple(tuple(data[j * rows + i] for j in range(cols))
+                                    for i in range(rows)))
 
 
 @lru_cache(maxsize=4096)
@@ -497,7 +487,7 @@ def hom_module(m: FPModule, n: FPModule) -> HomRealization:
     constraint = m.rel.transpose().kron(IntMat.identity(n.gens))
     slack = IntMat.identity(m.rel.cols).kron(n.rel)
     raw = kernel_basis(constraint.hstack(slack.scale(-1)), ring)
-    sub = IntMat(amb.gens, raw.cols, raw.data[:amb.gens]) if amb.gens else IntMat(0, raw.cols, ())
+    sub = IntMat(amb.gens, raw.cols, raw.data[:amb.gens])
     den = IntMat.identity(m.gens).kron(n.rel)
     sq = subquotient(amb, sub, den)
     return HomRealization(m, n, sq.module, sq)
@@ -573,8 +563,7 @@ def solve_for_morphism(source: FPModule, target: FPModule, conditions) -> Morphi
     sol = solve_matrix(big, vec, ring)
     if sol is None:
         return None
-    h = _unvec(IntMat(h_width, 1, sol.data[:h_width]) if h_width
-               else IntMat.zeros(0, 1), gt, gs)
+    h = _unvec(IntMat(h_width, 1, sol.data[:h_width]), gt, gs)
     return make_morphism(source, target, h)
 
 
@@ -592,8 +581,7 @@ class TensorRealization:
         for i in range(self.left.gens):
             for j in range(self.right.gens):
                 raw.append(x.data[i][0] * y.data[j][0])
-        col = IntMat.column(raw) if raw else IntMat(0, 1, ())
-        return (self.fwd @ col).mod(ring)
+        return (self.fwd @ IntMat.column(raw)).mod(ring)
 
 
 @lru_cache(maxsize=4096)

@@ -1,5 +1,6 @@
 """Serialization round-trips, CLI exit codes, and report determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -91,6 +92,29 @@ def test_suite_worker_independence():
     assert serial == parallel
 
 
+# every suite's `suite run` JSON (duration_ms removed) at seed 11, count 2,
+# over Z, Z/8 and Z/12, with the exit code; a suite that does not support a
+# ring exits 2 and writes no report
+SUITE_PIN_SHA256 = "202cf33b622d09e430f5957f1e84e59d3fa7767430891f63df6ed947fa471b6a"
+
+
+def test_suite_reports_pinned(tmp_path, capsys):
+    from homstab.suites import SUITES
+    docs = []
+    for ring in ("Z", "Z/8", "Z/12"):
+        for name in sorted(SUITES):
+            out = tmp_path / f"{name}-{ring.replace('/', '')}.json"
+            code = main(["--json-out", str(out), "suite", "run", name,
+                         "--seed", "11", "--count", "2", "--ring", ring])
+            doc = json.loads(out.read_text()) if out.exists() else None
+            if doc is not None:
+                doc.pop("duration_ms")
+            docs.append([ring, name, code, doc])
+    capsys.readouterr()
+    payload = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == SUITE_PIN_SHA256
+
+
 def test_suite_zero_instances_vacuous():
     rep = run_suite("circular-exactness", InstanceSpec(seed=0, ring=ZZ, count=0))
     assert rep.ok and rep.warnings
@@ -145,6 +169,35 @@ def test_cli_rejects_coercible_non_integers(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error:")
     with pytest.raises(SchemaError):
         parse_module(doc)
+
+
+Z1 = {"ring": {"kind": "Z"}, "gens": 1, "relations": []}
+Z2 = {"ring": {"kind": "Z"}, "gens": 2, "relations": []}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    ("module invariants {doc}",
+     {"ring": {"kind": "Z"}, "gens": 2, "relations": [["2", "0"], ["3"]]}),
+    ("module invariants {doc}",
+     {"ring": {"kind": "ZmodN", "n": 4}, "gens": 3, "relations": [["2"], ["0"]]}),
+    ("uct general --C {doc} --B {z1} --n 1",
+     {"ring": {"kind": "Z"}, "support": [0, 1], "terms": [Z1, Z2],
+      "differentials": [[["0", "0", "0"]]]}),
+    ("uct general --C {doc} --B {z1} --n 1",
+     {"ring": {"kind": "Z"}, "support": [0, 1], "terms": [Z2, Z1],
+      "differentials": [[["0", "0"], ["0", "0"]]]}),
+    ("uct general --C {doc} --B {z1} --n 1",
+     {"ring": {"kind": "Z"}, "support": [0, 1], "terms": [Z2, Z1],
+      "differentials": [[["0"], ["0", "1"]]]}),
+])
+def test_cli_rejects_bad_matrix_shapes(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    z1 = tmp_path / "z1.json"
+    z1.write_text(json.dumps(Z1))
+    assert main(argv.format(doc=path, z1=z1).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def test_integral_floats_and_decimal_strings_still_parse():

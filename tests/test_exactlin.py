@@ -10,17 +10,22 @@ Oracles used here:
 import hashlib
 import itertools
 import json
+import pickle
 import random
+from functools import lru_cache
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homstab import exactlin
 from homstab.errors import DimensionMismatch
 from homstab.exactlin import (
     IntMat, ZZ, Zmod, snf, kernel_basis, solve, solve_matrix,
     invariant_divisors, in_span, hermite_column_form, reduce_mod_columns,
 )
+from homstab.fpmod import cyclic, free_module, make_morphism
 
 RINGS = [ZZ, Zmod(2), Zmod(4), Zmod(5), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]
 
@@ -313,3 +318,153 @@ SNF_PIN_SHA256 = "4d2ec57810e50b3229c73c2ac8e9e0a5a8dcb6237abc2a7917fe84f81d960f
 def test_snf_transforms_pinned():
     digest = hashlib.sha256(_pin_payload().encode()).hexdigest()
     assert digest == SNF_PIN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the SNF cache: one entry per (A, ring), holding what kernel and solve read
+
+
+def _reference_lift(a, ring):
+    """The SNF of [A mod n | n*I] over Z/n (A itself over Z), computed in
+    full: the oracle for what the cache keeps."""
+    n = ring.modulus
+    lifted = a if n is None else a.mod(ring).hstack(
+        IntMat.diag([n] * a.rows, rows=a.rows, cols=a.rows))
+    return snf(lifted, ZZ)
+
+
+def _reference_kernel(a, ring):
+    res = _reference_lift(a, ring)
+    diag = res.diagonal()
+    k = res.V.take_cols([j for j in range(res.V.cols) if j >= len(diag) or diag[j] == 0])
+    if ring.modulus is None:
+        return k
+    proj = IntMat(a.cols, k.cols, k.data[:a.cols]).mod(ring)
+    return proj.take_cols([j for j, col in enumerate(zip(*proj.data)) if any(col)])
+
+
+def _reference_solve(a, b, ring):
+    res = _reference_lift(a, ring)
+    c = res.U @ b.mod(ring)
+    diag = res.diagonal()
+    y = [(0,) * b.cols] * res.V.cols
+    for i, row in enumerate(c.data):
+        d = diag[i] if i < len(diag) else 0
+        if any(x % d if d else x for x in row):
+            return None
+        if d:
+            y[i] = tuple(x // d for x in row)
+    x = res.V @ IntMat(res.V.cols, b.cols, tuple(y))
+    return IntMat(a.cols, b.cols, x.data[:a.cols]).mod(ring)
+
+
+def _counted_snf():
+    calls = []
+    real = exactlin.snf
+
+    def counting(a, ring):
+        calls.append(a)
+        return real(a, ring)
+    return calls, mock.patch.object(exactlin, "snf", counting)
+
+
+@st.composite
+def systems(draw):
+    """(A reduced over the ring, B, ring), A possibly 0 x k or k x 0."""
+    ring = draw(st.sampled_from(RINGS))
+    a = draw(st.one_of(mats(), st.integers(0, 3).map(lambda k: IntMat.zeros(0, k)),
+                       st.integers(0, 3).map(lambda k: IntMat.zeros(k, 0))))
+    t = draw(st.integers(0, 2))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=t, max_size=t),
+                         min_size=a.rows, max_size=a.rows))
+    return a.mod(ring), IntMat(a.rows, t, tuple(map(tuple, rows))), ring
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_one_cache_entry_per_matrix_and_ring(system):
+    a, b, ring = system
+    exactlin._snf_cached.cache_clear()
+    calls, patch = _counted_snf()
+    with patch:
+        cold = kernel_basis(a, ring), solve_matrix(a, b, ring)
+        info = exactlin._snf_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        warm = kernel_basis(a, ring), solve_matrix(a, b, ring)
+    assert len(calls) <= 1
+    assert cold == warm == (_reference_kernel(a, ring), _reference_solve(a, b, ring))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mats(min_dim=1), st.sampled_from([r for r in RINGS if r.modulus]))
+def test_unreduced_matrix_shares_the_reduced_entry(a, ring):
+    lifted = IntMat(a.rows, a.cols, tuple(tuple(x + ring.modulus for x in r)
+                                          for r in a.data))
+    exactlin._snf_cached.cache_clear()
+    kernel_basis(a.mod(ring), ring)
+    calls, patch = _counted_snf()
+    with patch:
+        assert kernel_basis(lifted, ring) == kernel_basis(a.mod(ring), ring)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# IntMat: value semantics, one construction path, shapes at the public edge
+
+
+def test_intmat_value_semantics():
+    a = IntMat.from_rows([[1, -2, 0], [3, 4, 5]])
+    twins = [IntMat(2, 3, ((1, -2, 0), (3, 4, 5))), a.transpose().transpose(),
+             a @ IntMat.identity(3), a.take_cols(range(3))]
+    assert all(t == a and hash(t) == hash(a) and t is not a for t in twins)
+    assert IntMat.zeros(0, 2) != IntMat.zeros(0, 3)
+    assert IntMat.zeros(2, 0) != IntMat.zeros(0, 2)
+    assert a != a.data and a != IntMat.from_rows([[1, -2, 0], [3, 4, 6]])
+    table = {a: "a"}
+    assert [table[t] for t in twins] == ["a"] * 4
+
+    @lru_cache(maxsize=None)
+    def cached(m):
+        return object()
+
+    first = cached(a)
+    assert all(cached(t) is first for t in twins)
+    assert cached.cache_info().misses == 1
+    assert repr(a) == "IntMat(rows=2, cols=3, data=((1, -2, 0), (3, 4, 5)))"
+    again = pickle.loads(pickle.dumps(a))
+    assert again == a and hash(again) == hash(a)
+
+
+def test_every_intmat_is_built_by_init(monkeypatch):
+    seen = set()
+    real = IntMat.__init__
+
+    def recording(self, *args):
+        real(self, *args)
+        seen.add(id(self))
+
+    monkeypatch.setattr(IntMat, "__init__", recording)
+    a = IntMat.from_rows([[1, 2], [3, 4], [5, 6]])
+    b = IntMat.from_rows([[7, 8, 9], [1, 0, 2]])
+    results = [
+        IntMat.zeros(2, 3), IntMat.identity(3), IntMat.diag([2, 3]),
+        IntMat.diag([2], rows=3, cols=2), IntMat.column([1, 2]), a @ b,
+        a.transpose(), a.hstack(a), a.vstack(b.transpose()), a.take_rows([2, 0]),
+        a.take_cols([1]), a.mod(Zmod(4)), a.kron(b), IntMat.block_diag([a, b]),
+        a + a, a - a, a.scale(3), a.col(1), pickle.loads(pickle.dumps(a)),
+    ]
+    assert all(id(r) in seen for r in results)
+
+
+def test_public_edge_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        IntMat.from_rows([[1, 2], [3]])
+    z2, z4 = cyclic(ZZ, 2), cyclic(ZZ, 4)
+    with pytest.raises(DimensionMismatch):
+        make_morphism(z2, z4, IntMat.zeros(2, 1))
+    with pytest.raises(DimensionMismatch):
+        make_morphism(z2, free_module(ZZ, 2), [[2, 0]])
+    for op, (m, n) in ((IntMat.__add__, (3, 2)), (IntMat.__matmul__, (2, 3)),
+                       (IntMat.hstack, (3, 2)), (IntMat.vstack, (3, 2))):
+        with pytest.raises(DimensionMismatch):
+            op(IntMat.zeros(2, 3), IntMat.zeros(m, n))
