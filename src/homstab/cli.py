@@ -106,19 +106,18 @@ def print_report(rep: SequenceReport, out):
             print(f"  {key}: {val}", file=out)
 
 
-def emit(payload: dict, args, out):
+def emit(payload: dict, args):
     if args.json_out:
         with open(args.json_out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
 
-def _sequence_exit(rep: SequenceReport, expect: str = "exact") -> int:
-    if expect == "exact":
-        return 0 if rep.exact_everywhere() else 1
-    if expect == "complex-away-from-derived":
-        return 0 if rep.is_complex() and rep.exact_away_from("derived") else 1
-    return 0
+def _show_sequence(rep: SequenceReport, ok: bool, args, out) -> int:
+    """Print and emit a sequence report; exit 0 iff its verdict ``ok``."""
+    print_report(rep, out)
+    emit(report_to_json(rep), args)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +128,11 @@ def cmd_module(args, out) -> int:
     m = load_module(args.module)
     if args.action == "show":
         print(f"{m} (gens {m.gens}, relations {m.rel.cols})", file=out)
-        emit(serialize_module(m), args, out)
+        emit(serialize_module(m), args)
         return 0
     if args.action == "invariants":
         print(format_invariants(m), file=out)
-        emit({"invariants": format_invariants(m)}, args, out)
+        emit({"invariants": format_invariants(m)}, args)
         return 0
     if args.action == "dual":
         result = dual(m)
@@ -146,7 +145,7 @@ def cmd_module(args, out) -> int:
     else:
         raise SchemaError(f"unknown module action {args.action}")
     print(format_invariants(result), file=out)
-    emit(serialize_module(result), args, out)
+    emit(serialize_module(result), args)
     return 0
 
 
@@ -157,20 +156,20 @@ def cmd_resolve(args, out) -> int:
         fn = resolve.ext if args.action == "ext" else resolve.tor
         result = fn(a, b, args.i)
         print(format_invariants(result), file=out)
-        emit(serialize_module(result), args, out)
+        emit(serialize_module(result), args)
         return 0
     m = load_module(args.module)
     if args.action == "proj":
         res = resolve.proj_resolution(m, args.depth)
         for k, t in enumerate(res.terms):
             print(f"P_{k}: {format_invariants(t)}", file=out)
-        emit({"terms": [serialize_module(t) for t in res.terms]}, args, out)
+        emit({"terms": [serialize_module(t) for t in res.terms]}, args)
         return 0
     if args.action == "inj":
         res = resolve.inj_resolution(m, args.depth)
         for k, t in enumerate(res.terms):
             print(f"I^{k}: {format_invariants(t)}", file=out)
-        emit({"terms": [serialize_module(t) for t in res.terms]}, args, out)
+        emit({"terms": [serialize_module(t) for t in res.terms]}, args)
         return 0
     if args.action == "syzygy":
         result = resolve.syzygy(m, args.k)
@@ -179,7 +178,7 @@ def cmd_resolve(args, out) -> int:
     else:
         raise SchemaError(f"unknown resolve action {args.action}")
     print(format_invariants(result), file=out)
-    emit(serialize_module(result), args, out)
+    emit(serialize_module(result), args)
     return 0
 
 
@@ -187,13 +186,11 @@ def cmd_functor(args, out) -> int:
     if args.action == "fourterm":
         rep = funcalc.auslander_four_term(load_module(args.A),
                                           load_module(args.X), args.which)
-        print_report(rep, out)
-        emit(report_to_json(rep), args, out)
-        return _sequence_exit(rep)
+        return _show_sequence(rep, rep.exact_everywhere(), args, out)
     if args.action == "torsionradical":
         rad, _ = funcalc.torsion_radical(load_module(args.A))
         print(format_invariants(rad), file=out)
-        emit(serialize_module(rad), args, out)
+        emit(serialize_module(rad), args)
         return 0
     expr = parse_functor_spec(args.functor, half_exact=args.half_exact)
     if args.action == "defect":
@@ -212,7 +209,7 @@ def cmd_functor(args, out) -> int:
     else:
         raise SchemaError(f"unknown functor action {args.action}")
     print(format_invariants(result), file=out)
-    emit(serialize_module(result), args, out)
+    emit(serialize_module(result), args)
     return 0
 
 
@@ -220,16 +217,14 @@ def cmd_seq(args, out) -> int:
     if args.action == "circular":
         rep = fundseq.circular_sequence(parse_morphism(load_doc(args.f)),
                                         parse_morphism(load_doc(args.g)))
-        print_report(rep, out)
-        emit(report_to_json(rep), args, out)
-        return _sequence_exit(rep)
+        return _show_sequence(rep, rep.exact_everywhere(), args, out)
     if args.action == "split":
         i = parse_morphism(load_doc(args.f))
         p = parse_morphism(load_doc(args.g))
         rep = fundseq.short_exact(i, p)
         ok, _ = fundseq.splitting_test(rep)
         print(f"split: {ok}", file=out)
-        emit({"split": ok}, args, out)
+        emit({"split": ok}, args)
         return 0 if ok else 1
     if args.action == "hereditary":
         expr = parse_functor_spec(args.functor, half_exact=True)
@@ -243,7 +238,7 @@ def cmd_seq(args, out) -> int:
         ok = dec.all_ok()
         print(f"w(F): {format_invariants(dec.w)}; decomposition ok: {ok}",
               file=out)
-        emit({"ok": ok, "w": serialize_module(dec.w)}, args, out)
+        emit({"ok": ok, "w": serialize_module(dec.w)}, args)
         return 0 if ok else 1
     expr = parse_functor_spec(args.functor, half_exact=args.half_exact)
     b = load_module(args.b)
@@ -257,10 +252,9 @@ def cmd_seq(args, out) -> int:
         rep = fundseq.contra_fund(expr, b, args.depth, "left")
     else:
         raise SchemaError(f"unknown seq action {args.action}")
-    print_report(rep, out)
-    emit(report_to_json(rep), args, out)
-    expect = "exact" if expr.half_exact else "complex-away-from-derived"
-    return _sequence_exit(rep, expect)
+    ok = (rep.exact_everywhere() if expr.half_exact
+          else rep.exact_away_from("derived"))
+    return _show_sequence(rep, ok, args, out)
 
 
 def cmd_uct(args, out) -> int:
@@ -268,28 +262,22 @@ def cmd_uct(args, out) -> int:
     b = load_module(args.B)
     if args.action == "classical":
         rep = uct.uct_classical(c, b, args.n, args.which)
-        print_report(rep, out)
-        emit(report_to_json(rep), args, out)
-        split_ok = rep.metadata.get("split", False)
-        return 0 if rep.exact_everywhere() and split_ok else 1
+        ok = rep.exact_everywhere() and rep.metadata.get("split", False)
+        return _show_sequence(rep, ok, args, out)
     if args.action == "general":
         rep = uct.uct_general(c, b, args.n, args.depth, args.which)
-        print_report(rep, out)
-        emit(report_to_json(rep), args, out)
-        return _sequence_exit(rep, "complex-away-from-derived")
+        return _show_sequence(rep, rep.exact_away_from("derived"), args, out)
     if args.action in ("projective", "flat"):
         which = "cohomology" if args.action == "projective" else "homology"
         rep = uct.uct_special(c, b, args.n, args.depth, which)
-        print_report(rep, out)
-        emit(report_to_json(rep), args, out)
-        metadata_ok = all(v for k, v in rep.metadata.items()
-                          if k.endswith("_iso"))
-        return 0 if rep.exact_everywhere() and metadata_ok else 1
+        ok = rep.exact_everywhere() and all(
+            v for k, v in rep.metadata.items() if k.endswith("_iso"))
+        return _show_sequence(rep, ok, args, out)
     if args.action == "delta-checks":
         checks = uct.delta_functor_checks(c, b, args.n)
         for key, val in sorted(checks.items()):
             print(f"{key}: {val}", file=out)
-        emit(checks, args, out)
+        emit(checks, args)
         return 0 if all(checks.values()) else 1
     raise SchemaError(f"unknown uct action {args.action}")
 
@@ -301,19 +289,17 @@ def cmd_ar(args, out) -> int:
         print(f"lhs {format_invariants(result['lhs'])} "
               f"rhs {format_invariants(result['rhs'])} "
               f"verdict {result['verdict']}", file=out)
-        emit({"verdict": result["verdict"]}, args, out)
+        emit({"verdict": result["verdict"]}, args)
         return 0 if result["verdict"] else 1
     if args.action == "adjunction":
         result = archeck.stab_adjunction_check(load_module(args.A),
                                                load_module(args.B), args.side)
         print(f"verdict {result['verdict']}", file=out)
-        emit({"verdict": result["verdict"]}, args, out)
+        emit({"verdict": result["verdict"]}, args)
         return 0 if result["verdict"] else 1
     if args.action == "bidual":
         rep = archeck.bidual_check(load_module(args.A))
-        print_report(rep, out)
-        emit(report_to_json(rep), args, out)
-        return _sequence_exit(rep)
+        return _show_sequence(rep, rep.exact_everywhere(), args, out)
     raise SchemaError(f"unknown ar action {args.action}")
 
 
@@ -332,7 +318,7 @@ def cmd_suite(args, out) -> int:
     for failure in report.failures[:3]:
         print(f"  counterexample at index {failure['index']}: "
               f"{failure['node']}", file=out)
-    emit(report.to_json(), args, out)
+    emit(report.to_json(), args)
     return 0 if report.ok else 1
 
 

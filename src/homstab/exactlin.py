@@ -531,62 +531,3 @@ def invariant_divisors(a: IntMat, ring: RingDesc) -> tuple[tuple[int, ...], int]
     divisors = tuple(d for d in diag if d not in (0, 1))
     free = a.rows - sum(1 for d in diag if d != 0)
     return divisors, free
-
-
-# ---------------------------------------------------------------------------
-# Hermite reduction (canonical element representatives)
-
-
-def hermite_column_form(a: IntMat) -> IntMat:
-    """Column-echelon Hermite form of the integer column span of A."""
-    m, n = a.rows, a.cols
-    H = [list(r) for r in a.data]
-
-    def swap(i, j):
-        for r in range(m):
-            H[r][i], H[r][j] = H[r][j], H[r][i]
-
-    col = 0
-    for row in range(m):
-        if col >= n:
-            break
-        piv = next((j for j in range(col, n) if H[row][j]), None)
-        if piv is None:
-            continue
-        swap(col, piv)
-        for j in range(col + 1, n):
-            while H[row][j]:
-                q = H[row][j] // H[row][col]
-                for r in range(m):
-                    H[r][j] -= q * H[r][col]
-                if H[row][j]:
-                    swap(col, j)
-        if H[row][col] < 0:
-            for r in range(m):
-                H[r][col] = -H[r][col]
-        col += 1
-    return IntMat(m, col, tuple(tuple(row[:col]) for row in H))
-
-
-def reduce_mod_columns(v: IntMat, lattice: IntMat, ring: RingDesc) -> IntMat:
-    """Canonical representative of a column vector modulo a column span."""
-    if ring.modulus is not None:
-        n = ring.modulus
-        lattice = lattice.mod(ring).hstack(IntMat.diag([n] * lattice.rows,
-                                                       rows=lattice.rows, cols=lattice.rows))
-        v = v.mod(ring)
-    H = hermite_column_form(lattice)
-    out = [r[0] for r in v.data]
-    col = 0
-    for row in range(len(out)):
-        if col >= H.cols:
-            break
-        if H.data[row][col] == 0:
-            continue
-        q = out[row] // H.data[row][col]
-        if q:
-            for r in range(len(out)):
-                out[r] -= q * H.data[r][col]
-        col += 1
-    vec = IntMat.column(out)
-    return vec.mod(ring)

@@ -23,7 +23,7 @@ Flattening conventions, used consistently everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
 from .exactlin import (
@@ -279,9 +279,6 @@ class Subquotient:
         if not in_span(self.sub.hstack(self.ambient.rel), self.den, ring):
             raise MembershipError("denominators do not lie in the subobject")
 
-    def as_module(self) -> "SubquotientRealization":
-        return realize_subquotient(self)
-
 
 @dataclass(frozen=True, eq=False)
 class SubquotientRealization:
@@ -297,15 +294,21 @@ class SubquotientRealization:
     def decode_matrix(self) -> IntMat:
         return (self.subq.sub @ self.bwd).mod(self.module.ring)
 
+    @cached_property
+    def _span(self) -> IntMat:
+        """sub | den | ambient relations, built once: every encode solves
+        against this one matrix, so the SNF cache hashes it once."""
+        sq = self.subq
+        return sq.sub.hstack(sq.den).hstack(sq.ambient.rel)
+
     def encode(self, v: IntMat) -> IntMat:
         """Ambient coordinates -> module coordinates; MembershipError if the
         element is not in the subobject."""
         ring = self.module.ring
-        amb = self.subq
-        sol = solve_matrix(amb.sub.hstack(amb.den).hstack(amb.ambient.rel), v, ring)
+        sol = solve_matrix(self._span, v, ring)
         if sol is None:
             raise MembershipError("element lies outside the subquotient")
-        u = IntMat(amb.sub.cols, v.cols, sol.data[:amb.sub.cols])
+        u = IntMat(self.subq.sub.cols, v.cols, sol.data[:self.subq.sub.cols])
         return (self.fwd @ u).mod(ring)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import WrongShape
 from .exactlin import IntMat, RingDesc
 from .fpmod import FPModule, Morphism, free_module, hom_module, make_module
 
@@ -24,6 +25,15 @@ class InstanceSpec:
     max_rels: int = 4
     max_entry: int = 8
     count: int = 100
+
+    def __post_init__(self):
+        if not (self.count >= 0 and self.max_gens >= 1 and self.max_rels >= 0
+                and self.max_entry >= 0):
+            raise WrongShape(
+                "instance spec needs count >= 0, max_gens >= 1, max_rels >= 0 "
+                f"and max_entry >= 0; got count {self.count}, max_gens "
+                f"{self.max_gens}, max_rels {self.max_rels}, max_entry "
+                f"{self.max_entry}")
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

@@ -1,5 +1,14 @@
 """Named property suites: one per acceptance criterion, plus a few finer
-slices.  Every suite is a pure function of (spec, index); the runner
+slices.
+
+A suite body is ``body(spec, index, inputs)``: it draws its instance from
+``(spec, index)`` alone, records the serialized instance into ``inputs`` (a
+dict the runner owns, so a failure carries whatever was drawn so far) and
+states each check as one ``_require``, ``_require_exact`` or
+``_require_isos`` call.  Those helpers are the only raisers of
+``SuiteFailure``; ``_suite(name)`` registers the body in ``SUITES`` as a
+``(spec, index) -> {"ok", "node", "inputs"}`` function and is the only place
+that catches it.  Any other exception propagates unchanged.  The runner
 aggregates verdicts in index order, so reports are deterministic regardless
 of worker count, and every failure carries a replayable serialized input.
 """
@@ -11,7 +20,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 
-from .archeck import ar_formula_check, bidual_check, stab_adjunction_check
+from .archeck import (
+    ar_formula_check, bidual_check, stab_adjunction_check, stable_hom,
+)
 from .errors import UnknownSuite
 from .fpmod import (
     canonical_invariants, cokernel, direct_sum_morphism, free_module,
@@ -19,8 +30,8 @@ from .fpmod import (
 )
 from .funcalc import (
     FP, ExtFixedFirst, HomContra, HomCov, TensorLeft, auslander_four_term,
-    derived_eval, quot_stabilize, satellite, sub_stabilize, sub_stabilize_fp,
-    torsion_radical,
+    derived_eval, lam, quot_stabilize, rho, satellite, sub_stabilize,
+    sub_stabilize_fp, torsion_radical,
 )
 from .fundseq import (
     circular_sequence, contra_fund, hereditary_decomposition, left_fund_cov,
@@ -32,7 +43,6 @@ from .instances import (
 )
 from .resolve import cosyzygy, ext, ext_tor_oracle_Z, tor
 from .serialize import serialize_complex, serialize_module, serialize_morphism
-from .archeck import stable_hom
 from .uct import (
     coh_substab, cohomology_functor, delta_functor_checks, homology,
     homology_qstab, homology_tensor_functor, chains_mod_boundaries,
@@ -54,386 +64,333 @@ def _iso_mor(f) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the one failure path
+
+
+class SuiteFailure(Exception):
+    """A suite check failed at ``node``; raised only by the helpers below."""
+
+    def __init__(self, node: str):
+        super().__init__(node)
+        self.node = node
+
+
+def _require(ok, node: str):
+    if not ok:
+        raise SuiteFailure(node)
+
+
+def _require_exact(rep, prefix: str = "", away_from: str | None = None):
+    """The report is exact (away from nodes of kind ``away_from``); the node
+    is ``prefix`` plus the report's first failure."""
+    ok = (rep.exact_everywhere() if away_from is None
+          else rep.exact_away_from(away_from))
+    if not ok:
+        raise SuiteFailure(prefix + rep.failures()[0])
+
+
+def _require_isos(metadata: dict, prefix: str):
+    for key, ok in metadata.items():
+        if key.endswith("_iso"):
+            _require(ok, prefix + key)
+
+
+SUITES: dict = {}
+
+
+def _suite(name: str):
+    """Register ``body(spec, index, inputs)`` as ``SUITES[name]``."""
+    def register(body):
+        def run(spec: InstanceSpec, index: int) -> dict:
+            inputs: dict = {}
+            try:
+                body(spec, index, inputs)
+            except SuiteFailure as failure:
+                return {"ok": False, "node": failure.node, "inputs": inputs}
+            return {"ok": True, "node": None, "inputs": inputs}
+        SUITES[name] = run
+        return run
+    return register
+
+
+# ---------------------------------------------------------------------------
 # suite bodies
 
 
-def suite_circular(spec, index):
-    rng = _rng(spec, index)
-    f, g = random_composable_pair(rng, spec.ring, spec.max_gens,
+@_suite("circular-exactness")
+def suite_circular(spec, index, inputs):
+    f, g = random_composable_pair(_rng(spec, index), spec.ring, spec.max_gens,
                                   spec.max_rels, spec.max_entry)
-    rep = circular_sequence(f, g)
-    ok = rep.exact_everywhere()
-    return {"ok": ok, "node": None if ok else rep.failures()[0],
-            "inputs": {"f": serialize_morphism(f), "g": serialize_morphism(g)}}
+    inputs.update(f=serialize_morphism(f), g=serialize_morphism(g))
+    _require_exact(circular_sequence(f, g))
 
 
-def suite_rfs_half_exact(spec, index, depth=3, coeffs=4):
+def _covariant_rows(spec, index, inputs, build, depth, coeffs=4):
+    """Yield (name, functor, b, row) for Hom(a,-) and a (x) - at each drawn
+    coefficient b, once the row is checked exact."""
     rng = _rng(spec, index)
     a = _mod(rng, spec)
-    inputs = {"A": serialize_module(a), "B": []}
+    inputs.update(A=serialize_module(a), B=[])
     for _ in range(coeffs):
         b = _mod(rng, spec)
         inputs["B"].append(serialize_module(b))
         for name, expr in (("hom", HomCov(a)), ("tensor", TensorLeft(a))):
-            rep = right_fund_cov(expr, b, depth)
-            if not rep.exact_everywhere():
-                return {"ok": False, "node": f"{name}: {rep.failures()[0]}",
-                        "inputs": inputs}
-            if name == "hom":
-                if any(not n.module.is_zero() for n in rep.nodes
-                       if n.kind == "stab"):
-                    return {"ok": False, "node": "hom: Fbar != 0",
-                            "inputs": inputs}
-                from .funcalc import rho
-                if not _iso_mor(rho(expr, b)):
-                    return {"ok": False, "node": "hom: rho not iso",
-                            "inputs": inputs}
-            else:
-                if any(not n.module.is_zero() for n in rep.nodes
-                       if n.kind == "satellite"):
-                    return {"ok": False, "node": "tensor: S^i != 0",
-                            "inputs": inputs}
-                for i in range(1, depth + 1):
-                    lhs = rep.node_module(f"R^{i}F(b)")
-                    rhs, _ = sub_stabilize(expr, cosyzygy(b, i + 1))
-                    if not iso_test(lhs, rhs):
-                        return {"ok": False,
-                                "node": f"tensor: R^{i} != Fbar(S^{i+1}b)",
-                                "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+            rep = build(expr, b, depth)
+            _require_exact(rep, f"{name}: ")
+            yield name, expr, b, rep
 
 
-def suite_lfs_half_exact(spec, index, depth=3, coeffs=4):
-    rng = _rng(spec, index)
-    a = _mod(rng, spec)
-    inputs = {"A": serialize_module(a), "B": []}
-    for _ in range(coeffs):
-        b = _mod(rng, spec)
-        inputs["B"].append(serialize_module(b))
-        for name, expr in (("hom", HomCov(a)), ("tensor", TensorLeft(a))):
-            rep = left_fund_cov(expr, b, depth)
-            if not rep.exact_everywhere():
-                return {"ok": False, "node": f"{name}: {rep.failures()[0]}",
-                        "inputs": inputs}
-            if name == "tensor":
-                from .funcalc import lam
-                if not _iso_mor(lam(expr, b)):
-                    return {"ok": False, "node": "tensor: lambda not iso",
-                            "inputs": inputs}
-                for i in range(1, depth + 1):
-                    if not iso_test(rep.node_module(f"L_{i}F(b)"),
-                                    tor(a, b, i)):
-                        return {"ok": False, "node": f"tensor: L_{i} != Tor_{i}",
-                                "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+@_suite("rfs-half-exact")
+def suite_rfs_half_exact(spec, index, inputs, depth=3):
+    for name, expr, b, rep in _covariant_rows(spec, index, inputs,
+                                              right_fund_cov, depth):
+        if name == "hom":
+            _require(all(n.module.is_zero() for n in rep.nodes
+                         if n.kind == "stab"), "hom: Fbar != 0")
+            _require(_iso_mor(rho(expr, b)), "hom: rho not iso")
+            continue
+        _require(all(n.module.is_zero() for n in rep.nodes
+                     if n.kind == "satellite"), "tensor: S^i != 0")
+        for i in range(1, depth + 1):
+            lhs = rep.node_module(f"R^{i}F(b)")
+            rhs, _ = sub_stabilize(expr, cosyzygy(b, i + 1))
+            _require(iso_test(lhs, rhs), f"tensor: R^{i} != Fbar(S^{i+1}b)")
 
 
-def suite_fp_identifications(spec, index, coeffs=5, depth=3):
+@_suite("lfs-half-exact")
+def suite_lfs_half_exact(spec, index, inputs, depth=3):
+    for name, expr, b, rep in _covariant_rows(spec, index, inputs,
+                                              left_fund_cov, depth):
+        if name == "tensor":
+            _require(_iso_mor(lam(expr, b)), "tensor: lambda not iso")
+            for i in range(1, depth + 1):
+                _require(iso_test(rep.node_module(f"L_{i}F(b)"),
+                                  tor(expr.a, b, i)),
+                         f"tensor: L_{i} != Tor_{i}")
+
+
+@_suite("fp-identifications")
+def suite_fp_identifications(spec, index, inputs, coeffs=5, depth=3):
     rng = _rng(spec, index)
     a = _mod(rng, spec)
     b = _mod(rng, spec)
     f = random_morphism(rng, a, b, spec.max_entry)
     expr = FP(f)
     w = kernel(f)[0]
-    inputs = {"f": serialize_morphism(f)}
+    inputs.update(f=serialize_morphism(f))
     for _ in range(coeffs):
         x = _mod(rng, spec)
-        if not iso_test(derived_eval(expr, 0, "right", x),
-                        hom_module(w, x).module):
-            return {"ok": False, "node": "R^0F != Hom(w,-)", "inputs": inputs}
+        _require(iso_test(derived_eval(expr, 0, "right", x),
+                          hom_module(w, x).module), "R^0F != Hom(w,-)")
         if spec.ring.quasi_frobenius:
             for i in range(depth + 1):
-                if not iso_test(derived_eval(expr, i, "right", x),
-                                ext(w, x, i)):
-                    return {"ok": False, "node": f"R^{i}F != Ext^{i}(w,-)",
-                            "inputs": inputs}
+                _require(iso_test(derived_eval(expr, i, "right", x),
+                                  ext(w, x, i)), f"R^{i}F != Ext^{i}(w,-)")
             lhs, _ = sub_stabilize_fp(expr, x)
             rhs, _ = sub_stabilize(expr, x)
-            if not iso_test(lhs, rhs):
-                return {"ok": False, "node": "substab_fp != substab",
-                        "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+            _require(iso_test(lhs, rhs), "substab_fp != substab")
 
 
-def suite_four_term(spec, index):
+@_suite("four-term")
+def suite_four_term(spec, index, inputs):
     rng = _rng(spec, index)
     a = _mod(rng, spec)
     x = _mod(rng, spec)
-    inputs = {"A": serialize_module(a), "X": serialize_module(x)}
+    inputs.update(A=serialize_module(a), X=serialize_module(x))
     tra = transpose(a)
     for side in ("tensor", "hom"):
-        rep = auslander_four_term(a, x, side)
-        if not rep.exact_everywhere():
-            return {"ok": False, "node": f"{side}: {rep.failures()[0]}",
-                    "inputs": inputs}
+        _require_exact(auslander_four_term(a, x, side), f"{side}: ")
     if spec.ring.quasi_frobenius:
         lhs, _ = sub_stabilize(TensorLeft(a), x)
-        if not iso_test(lhs, ext(tra, x, 1)):
-            return {"ok": False, "node": "substab(tensor) != Ext^1(TrA,-)",
-                    "inputs": inputs}
+        _require(iso_test(lhs, ext(tra, x, 1)),
+                 "substab(tensor) != Ext^1(TrA,-)")
     lhs, _ = quot_stabilize(HomCov(a), x)
-    if not iso_test(lhs, tor(tra, x, 1)):
-        return {"ok": False, "node": "qstab(hom) != Tor_1(TrA,-)",
-                "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+    _require(iso_test(lhs, tor(tra, x, 1)), "qstab(hom) != Tor_1(TrA,-)")
 
 
-def suite_ext_tor_oracle(spec, index):
+@_suite("ext-tor-oracle")
+def suite_ext_tor_oracle(spec, index, inputs):
     rng = _rng(spec, index)
     m = _mod(rng, spec)
     n = _mod(rng, spec)
-    inputs = {"M": serialize_module(m), "N": serialize_module(n)}
+    inputs.update(M=serialize_module(m), N=serialize_module(n))
     for i in (0, 1):
-        if not iso_test(ext(m, n, i), ext_tor_oracle_Z(m, n, i, "ext")):
-            return {"ok": False, "node": f"ext^{i} != oracle", "inputs": inputs}
-        if not iso_test(tor(m, n, i), ext_tor_oracle_Z(m, n, i, "tor")):
-            return {"ok": False, "node": f"tor_{i} != oracle", "inputs": inputs}
+        _require(iso_test(ext(m, n, i), ext_tor_oracle_Z(m, n, i, "ext")),
+                 f"ext^{i} != oracle")
+        _require(iso_test(tor(m, n, i), ext_tor_oracle_Z(m, n, i, "tor")),
+                 f"tor_{i} != oracle")
     for i in (2, 3):
-        if not ext(m, n, i).is_zero() or not tor(m, n, i).is_zero():
-            return {"ok": False, "node": f"degree {i} should vanish",
-                    "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+        _require(ext(m, n, i).is_zero() and tor(m, n, i).is_zero(),
+                 f"degree {i} should vanish")
 
 
-def suite_uct_classical(spec, index, length=5):
+@_suite("uct-classical")
+def suite_uct_classical(spec, index, inputs, length=5):
     rng = _rng(spec, index)
     c = random_complex(rng, spec.ring, length=rng.randint(2, length),
                        max_gens=spec.max_gens, max_entry=spec.max_entry,
                        free=True)
     b = _mod(rng, spec)
-    inputs = {"C": serialize_complex(c), "B": serialize_module(b)}
+    inputs.update(C=serialize_complex(c), B=serialize_module(b))
     for n in range(c.lo, c.hi + 1):
         for which in ("cohomology", "homology"):
             rep = uct_classical(c, b, n, which)
-            if not rep.exact_everywhere():
-                return {"ok": False, "node": f"{which}@{n}: not exact",
-                        "inputs": inputs}
-            if not rep.metadata.get("split"):
-                return {"ok": False, "node": f"{which}@{n}: not split",
-                        "inputs": inputs}
-            bad = [k for k, v in rep.metadata.items()
-                   if k.endswith("_iso") and not v]
-            if bad:
-                return {"ok": False, "node": f"{which}@{n}: {bad[0]}",
-                        "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+            _require(rep.exact_everywhere(), f"{which}@{n}: not exact")
+            _require(rep.metadata.get("split"), f"{which}@{n}: not split")
+            _require_isos(rep.metadata, f"{which}@{n}: ")
 
 
-def suite_uct_general(spec, index, depth=2):
+@_suite("uct-general")
+def suite_uct_general(spec, index, inputs, depth=2):
     rng = _rng(spec, index)
     c = random_complex(rng, spec.ring, length=4, max_gens=spec.max_gens,
                        max_entry=spec.max_entry)
     b = _mod(rng, spec)
     n = rng.randint(c.lo, c.hi)
-    inputs = {"C": serialize_complex(c), "B": serialize_module(b), "n": n}
+    inputs.update(C=serialize_complex(c), B=serialize_module(b), n=n)
     for which in ("cohomology", "homology"):
         rep = uct_general(c, b, n, depth, which)
-        if not rep.is_complex():
-            return {"ok": False, "node": f"{which}: not a complex",
-                    "inputs": inputs}
-        if not rep.exact_away_from("derived"):
-            return {"ok": False, "node": f"{which}: {rep.failures()[0]}",
-                    "inputs": inputs}
-        bad = [k for k, v in rep.metadata.items()
-               if k.endswith("_iso") and not v]
-        if bad:
-            return {"ok": False, "node": f"{which}: {bad[0]}", "inputs": inputs}
+        _require(rep.is_complex(), f"{which}: not a complex")
+        _require_exact(rep, f"{which}: ", away_from="derived")
+        _require_isos(rep.metadata, f"{which}: ")
     if spec.ring.quasi_frobenius:
         lhs = coh_substab(c, n, b)
         rhs, _ = sub_stabilize(cohomology_functor(c, n), b)
-        if not iso_test(lhs, rhs):
-            return {"ok": False, "node": "coh_substab != substab",
-                    "inputs": inputs}
+        _require(iso_test(lhs, rhs), "coh_substab != substab")
     lhs = homology_qstab(c, n, b)
     rhs, _ = quot_stabilize(homology_tensor_functor(c, n), b)
-    if not iso_test(lhs, rhs):
-        return {"ok": False, "node": "homology_qstab != qstab",
-                "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+    _require(iso_test(lhs, rhs), "homology_qstab != qstab")
 
 
-def suite_uct_special(spec, index, depth=3):
+@_suite("uct-special")
+def suite_uct_special(spec, index, inputs, depth=3):
     rng = _rng(spec, index)
     c = random_complex(rng, spec.ring, length=4, max_gens=spec.max_gens,
                        max_entry=spec.max_entry, free=True)
     b = _mod(rng, spec)
     n = rng.randint(c.lo + 1, c.hi - 1)
-    inputs = {"C": serialize_complex(c), "B": serialize_module(b), "n": n}
+    inputs.update(C=serialize_complex(c), B=serialize_module(b), n=n)
     for which in ("cohomology", "homology"):
         rep = uct_special(c, b, n, depth, which)
-        if not rep.exact_everywhere():
-            return {"ok": False, "node": f"{which}: {rep.failures()[0]}",
-                    "inputs": inputs}
-        bad = [k for k, v in rep.metadata.items()
-               if k.endswith("_iso") and not v]
-        if bad:
-            return {"ok": False, "node": f"{which}: {bad[0]}", "inputs": inputs}
-    checks = delta_functor_checks(c, b, n)
-    bad = [k for k, v in checks.items() if not v]
-    if bad:
-        return {"ok": False, "node": f"delta check {bad[0]}", "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+        _require_exact(rep, f"{which}: ")
+        _require_isos(rep.metadata, f"{which}: ")
+    for key, ok in delta_functor_checks(c, b, n).items():
+        _require(ok, f"delta check {key}")
 
 
-def suite_uct_pinched(spec, index):
+@_suite("uct-pinched")
+def suite_uct_pinched(spec, index, inputs):
     rng = _rng(spec, index)
     c = random_complex(rng, spec.ring, length=4, max_gens=spec.max_gens,
                        max_entry=spec.max_entry, free=True)
     b = _mod(rng, spec)
     n = rng.randint(c.lo, c.hi)
-    inputs = {"C": serialize_complex(c), "B": serialize_module(b), "n": n}
+    inputs.update(C=serialize_complex(c), B=serialize_module(b), n=n)
     hn = homology(c, n).module
     cnb = chains_mod_boundaries(c, n).module
-    if not iso_test(ext(cnb, b, 1), ext(hn, b, 1)):
-        return {"ok": False, "node": "Ext^1(C_n/B_n) != Ext^1(H_n)",
-                "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+    _require(iso_test(ext(cnb, b, 1), ext(hn, b, 1)),
+             "Ext^1(C_n/B_n) != Ext^1(H_n)")
 
 
-def suite_contra_collapse(spec, index, depth=2):
+@_suite("contra-collapse")
+def suite_contra_collapse(spec, index, inputs, depth=2):
     rng = _rng(spec, index)
     cmod = _mod(rng, spec)
     b = _mod(rng, spec)
-    inputs = {"C": serialize_module(cmod), "B": serialize_module(b)}
+    inputs.update(C=serialize_module(cmod), B=serialize_module(b))
     expr = HomContra(cmod)
     rep = contra_fund(expr, b, depth, "right")
-    if not rep.exact_everywhere():
-        return {"ok": False, "node": rep.failures()[0], "inputs": inputs}
-    if any(not n.module.is_zero() for n in rep.nodes if n.kind == "stab"):
-        return {"ok": False, "node": "Fbar != 0", "inputs": inputs}
+    _require_exact(rep)
+    _require(all(n.module.is_zero() for n in rep.nodes if n.kind == "stab"),
+             "Fbar != 0")
     for i in range(1, depth + 1):
-        if not iso_test(rep.node_module(f"S^{i}F(b)"), ext(b, cmod, i)):
-            return {"ok": False, "node": f"S^{i} != Ext^{i}(-,C)",
-                    "inputs": inputs}
-        if not iso_test(rep.node_module(f"R_{i}F(b)"), ext(b, cmod, i)):
-            return {"ok": False, "node": f"R_{i} != Ext^{i}(-,C)",
-                    "inputs": inputs}
+        _require(iso_test(rep.node_module(f"S^{i}F(b)"), ext(b, cmod, i)),
+                 f"S^{i} != Ext^{i}(-,C)")
+        _require(iso_test(rep.node_module(f"R_{i}F(b)"), ext(b, cmod, i)),
+                 f"R_{i} != Ext^{i}(-,C)")
     if spec.ring.hereditary:
-        bar, include = sub_stabilize(expr, b)
-        from .funcalc import rho
+        _, include = sub_stabilize(expr, b)
         ses = short_exact(include, rho(expr, b))
-        if not ses.exact_everywhere():
-            return {"ok": False, "node": "first row not exact",
-                    "inputs": inputs}
-        ok, _ = splitting_test(ses)
-        if not ok:
-            return {"ok": False, "node": "first row not split",
-                    "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+        _require(ses.exact_everywhere(), "first row not exact")
+        _require(splitting_test(ses)[0], "first row not split")
 
 
-def suite_ar_formula(spec, index):
+@_suite("ar-formula")
+def suite_ar_formula(spec, index, inputs):
     rng = _rng(spec, index)
     a = _mod(rng, spec)
     b = _mod(rng, spec)
-    inputs = {"A": serialize_module(a), "B": serialize_module(b)}
-    ok = ar_formula_check(a, b)["verdict"]
-    return {"ok": ok, "node": None if ok else "AR formula", "inputs": inputs}
+    inputs.update(A=serialize_module(a), B=serialize_module(b))
+    _require(ar_formula_check(a, b)["verdict"], "AR formula")
 
 
-def suite_stab_adjunction(spec, index):
+@_suite("stab-adjunction")
+def suite_stab_adjunction(spec, index, inputs):
     rng = _rng(spec, index)
     a = _mod(rng, spec)
     b = _mod(rng, spec)
-    inputs = {"A": serialize_module(a), "B": serialize_module(b)}
+    inputs.update(A=serialize_module(a), B=serialize_module(b))
     if spec.ring.quasi_frobenius:
-        if not stab_adjunction_check(a, b, "right")["verdict"]:
-            return {"ok": False, "node": "right adjunction", "inputs": inputs}
+        _require(stab_adjunction_check(a, b, "right")["verdict"],
+                 "right adjunction")
     for q in (1, 2):
-        if not stab_adjunction_check(a, b, "left", q_rank=q)["verdict"]:
-            return {"ok": False, "node": f"left adjunction (Q rank {q})",
-                    "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+        _require(stab_adjunction_check(a, b, "left", q_rank=q)["verdict"],
+                 f"left adjunction (Q rank {q})")
 
 
-def suite_bidual(spec, index):
-    rng = _rng(spec, index)
-    a = _mod(rng, spec)
-    rep = bidual_check(a)
-    ok = rep.exact_everywhere()
-    return {"ok": ok, "node": None if ok else rep.failures()[0],
-            "inputs": {"A": serialize_module(a)}}
+@_suite("bidual")
+def suite_bidual(spec, index, inputs):
+    a = _mod(_rng(spec, index), spec)
+    inputs.update(A=serialize_module(a))
+    _require_exact(bidual_check(a))
 
 
-def suite_torsion_radical(spec, index):
-    rng = _rng(spec, index)
-    a = _mod(rng, spec)
-    inputs = {"A": serialize_module(a)}
+@_suite("torsion-radical")
+def suite_torsion_radical(spec, index, inputs):
+    a = _mod(_rng(spec, index), spec)
+    inputs.update(A=serialize_module(a))
     rad, _ = torsion_radical(a)
     if spec.ring.hereditary:
         divisors, _free = canonical_invariants(a)
-        expected = (tuple(divisors), 0)
-        if canonical_invariants(rad) != expected:
-            return {"ok": False, "node": "radical != torsion part",
-                    "inputs": inputs}
+        _require(canonical_invariants(rad) == (tuple(divisors), 0),
+                 "radical != torsion part")
     else:
         rhs, _ = sub_stabilize(TensorLeft(a), free_module(spec.ring, 1))
-        if not iso_test(rad, rhs):
-            return {"ok": False, "node": "radical != container kernel",
-                    "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+        _require(iso_test(rad, rhs), "radical != container kernel")
 
 
-def suite_hereditary_decomposition(spec, index, samples=3):
+@_suite("hereditary-decomposition")
+def suite_hereditary_decomposition(spec, index, inputs, samples=3):
     rng = _rng(spec, index)
-    d = random_module(rng, spec.ring, spec.max_gens, spec.max_rels,
-                      spec.max_entry, allow_zero=False)
+    d = _mod(rng, spec, allow_zero=False)
     e = _mod(rng, spec)
     pres = direct_sum_morphism([
         ExtFixedFirst(d, 1).fp_presentation(),
         zero_morphism(e, free_module(spec.ring, 0))])
     f = FP(pres, half_exact=True)
     xs = [_mod(rng, spec) for _ in range(samples)]
-    inputs = {"D": serialize_module(d), "E": serialize_module(e),
-              "X": [serialize_module(x) for x in xs]}
+    inputs.update(D=serialize_module(d), E=serialize_module(e),
+                  X=[serialize_module(x) for x in xs])
     dec = hereditary_decomposition(f, xs)
-    if not iso_test(dec.w, e):
-        return {"ok": False, "node": "w(F) != E", "inputs": inputs}
-    if not dec.all_ok():
-        return {"ok": False, "node": "decomposition failed", "inputs": inputs}
+    _require(iso_test(dec.w, e), "w(F) != E")
+    _require(dec.all_ok(), "decomposition failed")
     for x, rep, _, _, _ in dec.samples:
-        if not iso_test(rep.node_module("A"), ext(d, x, 1)):
-            return {"ok": False, "node": "Fbar != Ext^1(D,-)", "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
+        _require(iso_test(rep.node_module("A"), ext(d, x, 1)),
+                 "Fbar != Ext^1(D,-)")
 
 
-def suite_satellite_recovery(spec, index, samples=3):
+@_suite("satellite-recovery")
+def suite_satellite_recovery(spec, index, inputs, samples=3):
     rng = _rng(spec, index)
-    d = random_module(rng, spec.ring, spec.max_gens, spec.max_rels,
-                      spec.max_entry, allow_zero=False)
-    inputs = {"D": serialize_module(d)}
+    d = _mod(rng, spec, allow_zero=False)
+    inputs.update(D=serialize_module(d))
     for _ in range(samples):
         x = _mod(rng, spec)
         lhs = satellite(ExtFixedFirst(d, 1), 1, "left", x)
-        if not iso_test(lhs, stable_hom(d, x, "projectives")):
-            return {"ok": False, "node": "S_1 Ext^1(D,-) != stable Hom",
-                    "inputs": inputs}
+        _require(iso_test(lhs, stable_hom(d, x, "projectives")),
+                 "S_1 Ext^1(D,-) != stable Hom")
         rhs, _ = quot_stabilize(HomCov(d), x)
-        if not iso_test(lhs, rhs):
-            return {"ok": False, "node": "S_1 Ext^1(D,-) != qstab Hom(D,-)",
-                    "inputs": inputs}
-    return {"ok": True, "node": None, "inputs": inputs}
-
-
-SUITES = {
-    "circular-exactness": suite_circular,
-    "rfs-half-exact": suite_rfs_half_exact,
-    "lfs-half-exact": suite_lfs_half_exact,
-    "fp-identifications": suite_fp_identifications,
-    "four-term": suite_four_term,
-    "ext-tor-oracle": suite_ext_tor_oracle,
-    "uct-classical": suite_uct_classical,
-    "uct-general": suite_uct_general,
-    "uct-special": suite_uct_special,
-    "uct-pinched": suite_uct_pinched,
-    "contra-collapse": suite_contra_collapse,
-    "ar-formula": suite_ar_formula,
-    "stab-adjunction": suite_stab_adjunction,
-    "bidual": suite_bidual,
-    "torsion-radical": suite_torsion_radical,
-    "hereditary-decomposition": suite_hereditary_decomposition,
-    "satellite-recovery": suite_satellite_recovery,
-}
+        _require(iso_test(lhs, rhs), "S_1 Ext^1(D,-) != qstab Hom(D,-)")
 
 
 # ---------------------------------------------------------------------------

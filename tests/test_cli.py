@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from homstab.errors import NotAComplex, NotWellDefined, SchemaError
+from homstab.errors import NotAComplex, NotWellDefined, SchemaError, WrongShape
 from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import cyclic
 from homstab.instances import InstanceSpec, random_complex, random_module, random_morphism
@@ -113,6 +113,50 @@ def test_suite_reports_pinned(tmp_path, capsys):
     capsys.readouterr()
     payload = json.dumps(docs, sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == SUITE_PIN_SHA256
+
+
+# every suite's report (duration_ms removed) at seed 11, count 3, over Z, Z/8
+# and Z/12 under two forced failures: iso_test always false in the suites, and
+# every sequence report inexact (its failure list falling back to a fixed
+# line when no verdict really failed); a suite that raises is recorded by the
+# exception's type name
+FAILURE_PIN_SHA256 = "277919220c31110e584d684fa7a6cfea64cb78f3df1255f711c71d479c426e44"
+
+
+def test_suite_failure_records_pinned(monkeypatch):
+    from homstab import suites
+    from homstab.seqreport import SequenceReport
+    real_failures = SequenceReport.failures
+
+    def iso_false(m):
+        m.setattr(suites, "iso_test", lambda a, b: False)
+
+    def inexact(m):
+        m.setattr(SequenceReport, "exact_everywhere", lambda self: False)
+        m.setattr(SequenceReport, "failures",
+                  lambda self: real_failures(self) or ["forced failure"])
+
+    docs, records = [], []
+    for forced, patch in (("iso_test", iso_false), ("inexact", inexact)):
+        with monkeypatch.context() as m:
+            patch(m)
+            for label, ring in (("Z", ZZ), ("Z/8", Zmod(8)), ("Z/12", Zmod(12))):
+                spec = InstanceSpec(seed=11, ring=ring, count=3)
+                for name in sorted(suites.SUITES):
+                    try:
+                        doc = run_suite(name, spec).to_json()
+                    except Exception as exc:
+                        docs.append([forced, label, name, type(exc).__name__])
+                        continue
+                    doc.pop("duration_ms")
+                    docs.append([forced, label, name, doc])
+                    records += doc["failures"]
+                    assert set(suites.SUITES[name](spec, 0)) == {
+                        "ok", "node", "inputs"}
+    assert len(records) == 150
+    assert len({r["node"] for r in records}) == 19
+    payload = json.dumps(docs, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == FAILURE_PIN_SHA256
 
 
 def test_suite_zero_instances_vacuous():
@@ -318,3 +362,24 @@ def test_cli_negative_depth_index_or_degree_is_usage_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "suite run circular-exactness --count -1",
+    "suite run circular-exactness --gens 0",
+    "suite run circular-exactness --gens -1",
+    "suite run circular-exactness --rels -1",
+    "suite run circular-exactness --entries -3",
+    "seq hereditary --functor ext:{z2}:1 --samples -1",
+    "seq hereditary --functor ext:{z2}:1 --gens 0",
+])
+def test_cli_negative_instance_spec_is_usage_error(tmp_path, capsys, argv):
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps({"ring": {"kind": "Z"}, "gens": 1,
+                              "relations": [["2"]]}))
+    assert main(argv.format(z2=z2).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: instance spec needs")
+    assert captured.out == ""
+    with pytest.raises(WrongShape):
+        InstanceSpec(seed=0, ring=ZZ, count=-1)

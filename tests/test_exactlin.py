@@ -23,7 +23,7 @@ from homstab import exactlin
 from homstab.errors import DimensionMismatch
 from homstab.exactlin import (
     IntMat, ZZ, Zmod, snf, kernel_basis, solve, solve_matrix,
-    invariant_divisors, in_span, hermite_column_form, reduce_mod_columns,
+    invariant_divisors, in_span,
 )
 from homstab.fpmod import cyclic, free_module, make_morphism
 
@@ -251,27 +251,6 @@ def test_invariant_divisors_match_snf_diagonal(a, ring):
     expected = (tuple(d for d in diag if d not in (0, 1)),
                 a.rows - sum(1 for d in diag if d != 0))
     assert invariant_divisors(a, ring) == expected
-
-def test_hermite_reduction_canonicalizes():
-    lat = IntMat.from_rows([[2, 0], [0, 3]])
-    v = IntMat.column([5, 7])
-    r = reduce_mod_columns(v, lat, ZZ)
-    assert r == IntMat.column([1, 1])
-    # representative is a fixed point
-    assert reduce_mod_columns(r, lat, ZZ) == r
-    h = hermite_column_form(IntMat.from_rows([[4, 6], [0, 0]]))
-    assert h == IntMat.from_rows([[2], [0]])
-
-
-@settings(max_examples=80, deadline=None)
-@given(mats(max_dim=3, max_entry=5), st.sampled_from(RINGS),
-       st.lists(st.integers(-9, 9), min_size=0, max_size=3))
-def test_reduction_stays_in_coset(a, ring, vs):
-    vs = (vs + [0] * a.rows)[:a.rows]
-    v = IntMat.column(vs).mod(ring)
-    r = reduce_mod_columns(v, a, ring)
-    assert in_span(a, (v - r).mod(ring), ring)
-    assert reduce_mod_columns(r, a, ring) == r
 
 
 # ---------------------------------------------------------------------------
