@@ -12,10 +12,7 @@ import json
 import sys
 
 from . import archeck, funcalc, fundseq, resolve, uct
-from .errors import (
-    HomstabError, HypothesisViolated, NotAComplex, NotWellDefined, SchemaError,
-    UnknownSuite, UnsupportedRing, WrongShape, DimensionMismatch,
-)
+from .errors import HomstabError, SchemaError
 from .exactlin import RingDesc, ZZ, Zmod
 from .fpmod import (
     FPModule, canonical_invariants, dual, hom_module, tensor_module, transpose,
@@ -26,11 +23,6 @@ from .serialize import (
     parse_complex, parse_module, parse_morphism, serialize_module,
 )
 from .suites import SUITES, run_suite
-
-USAGE_ERRORS = (SchemaError, NotWellDefined, NotAComplex, UnsupportedRing,
-                HypothesisViolated, UnknownSuite, WrongShape,
-                DimensionMismatch, FileNotFoundError, ValueError)
-
 
 def parse_ring_flag(text: str) -> RingDesc:
     text = text.strip()
@@ -451,10 +443,7 @@ def main(argv=None) -> int:
                 "ar": cmd_ar, "suite": cmd_suite}
     try:
         return handlers[args.group](args, out)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HomstabError as exc:
+    except (HomstabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,22 @@ Flattening conventions, used consistently everywhere:
 * hom:    a generator matrix G is vectorized column-major,
           ``vec(G)[j*g_N + i] = G[i][j]``;
 * tensor: generator (i of M, j of N) sits at index ``i*g_N + j``.
+
+Realizations.  Every constructed module (subquotient, homology, kernel,
+cokernel, Hom, tensor) comes back as a realization inside an ambient
+coordinate system, with one contract:
+
+* ``module``: the normalized module;
+* ``decode``: one matrix, module coordinates -> ambient coordinates (a
+  representative of each class);
+* ``encode(cols)``: ambient columns -> module coordinates.
+
+The ambient of a subquotient, homology or kernel is the module it sits in, of
+a cokernel the target, of Hom(M, N) the free module on vec(G), of M (x) N the
+raw generator pairs.  ``Own(m)`` realizes m in its own coordinates.  A map
+between two realizations induced by a matrix between their ambients is
+``induced(src, tgt, arrow)``: ``tgt.encode(arrow @ src.decode)`` as a
+morphism, checked for well-definedness like any other.
 """
 
 from __future__ import annotations
@@ -287,11 +303,9 @@ class SubquotientRealization:
     fwd: IntMat  # sub-coordinates -> module coordinates
     bwd: IntMat  # module coordinates -> sub-coordinates
 
-    def decode(self, v: IntMat) -> IntMat:
-        """Module coordinates -> ambient coordinates (a coset representative)."""
-        return (self.subq.sub @ (self.bwd @ v)).mod(self.module.ring)
-
-    def decode_matrix(self) -> IntMat:
+    @cached_property
+    def decode(self) -> IntMat:
+        """Module coordinates -> ambient coordinates (coset representatives)."""
         return (self.subq.sub @ self.bwd).mod(self.module.ring)
 
     @cached_property
@@ -312,19 +326,37 @@ class SubquotientRealization:
         return (self.fwd @ u).mod(ring)
 
 
-def realize_subquotient(sq: Subquotient) -> SubquotientRealization:
-    ring = sq.ambient.ring
-    combined = sq.den.hstack(sq.ambient.rel)
-    ker = kernel_basis(sq.sub.hstack(combined.scale(-1)), ring)
-    rel = IntMat(sq.sub.cols, ker.cols, ker.data[:sq.sub.cols])
-    module, fwd, bwd = present_with_iso(ring, sq.sub.cols, rel)
-    return SubquotientRealization(sq, module, fwd, bwd)
-
-
 def subquotient(ambient: FPModule, sub: IntMat, den: IntMat | None = None) -> SubquotientRealization:
     if den is None:
         den = IntMat.zeros(ambient.gens, 0)
-    return realize_subquotient(Subquotient(ambient, sub, den))
+    sq = Subquotient(ambient, sub, den)
+    ring = ambient.ring
+    combined = den.hstack(ambient.rel)
+    ker = kernel_basis(sub.hstack(combined.scale(-1)), ring)
+    rel = IntMat(sub.cols, ker.cols, ker.data[:sub.cols])
+    module, fwd, bwd = present_with_iso(ring, sub.cols, rel)
+    return SubquotientRealization(sq, module, fwd, bwd)
+
+
+@dataclass(frozen=True, eq=False)
+class Own:
+    """A module realized in its own coordinates."""
+
+    module: FPModule
+
+    @cached_property
+    def decode(self) -> IntMat:
+        return IntMat.identity(self.module.gens)
+
+    def encode(self, cols: IntMat) -> IntMat:
+        return cols
+
+
+def induced(src, tgt, arrow: IntMat | None = None) -> Morphism:
+    """src.module -> tgt.module induced by ``arrow`` between their ambients
+    (by the identity when both share one ambient)."""
+    cols = src.decode if arrow is None else arrow @ src.decode
+    return make_morphism(src.module, tgt.module, tgt.encode(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +369,12 @@ class KernelRealization:
     include: Morphism
     _sq: SubquotientRealization
 
-    def encode(self, v: IntMat) -> IntMat:
-        return self._sq.encode(v)
+    @property
+    def decode(self) -> IntMat:
+        return self.include.mat
+
+    def encode(self, cols: IntMat) -> IntMat:
+        return self._sq.encode(cols)
 
 
 def kernel_generators(f: Morphism) -> IntMat:
@@ -352,7 +388,7 @@ def kernel_generators(f: Morphism) -> IntMat:
 
 def kernel_realization(f: Morphism) -> KernelRealization:
     sq = subquotient(f.source, kernel_generators(f))
-    include = make_morphism(sq.module, f.source, sq.decode_matrix())
+    include = make_morphism(sq.module, f.source, sq.decode)
     return KernelRealization(sq.module, include, sq)
 
 
@@ -365,7 +401,10 @@ def kernel(f: Morphism) -> tuple[FPModule, Morphism]:
 class CokernelRealization:
     module: FPModule
     project: Morphism
-    lift: IntMat  # module coordinates -> target coordinates (a section)
+    decode: IntMat  # module coordinates -> target coordinates (a section)
+
+    def encode(self, cols: IntMat) -> IntMat:
+        return self.project.mat @ cols
 
 
 def cokernel_realization(f: Morphism) -> CokernelRealization:
@@ -383,7 +422,7 @@ def epi_mono_factor(f: Morphism) -> tuple[Morphism, Morphism]:
     """f = m . e with e epi onto the image and m mono into the target."""
     sq = subquotient(f.target, f.mat)
     e = make_morphism(f.source, sq.module, sq.fwd)
-    m = make_morphism(sq.module, f.target, sq.decode_matrix())
+    m = make_morphism(sq.module, f.target, sq.decode)
     return e, m
 
 
@@ -446,20 +485,21 @@ class HomRealization:
     module: FPModule
     _sq: SubquotientRealization
 
-    def decode(self, v: IntMat) -> Morphism:
-        amb = self._sq.decode(v)
-        g = _unvec(amb, self.target.gens, self.source.gens)
-        return make_morphism(self.source, self.target, g)
+    @property
+    def decode(self) -> IntMat:
+        """Module coordinates -> vectorized generator matrices."""
+        return self._sq.decode
 
-    def encode(self, f: Morphism) -> IntMat:
-        return self._sq.encode(_vec(f.mat))
-
-    def encode_ambient(self, cols: IntMat) -> IntMat:
-        """Vectorized generator matrices (ambient coords) -> module coords."""
+    def encode(self, cols: IntMat) -> IntMat:
         return self._sq.encode(cols)
 
-    def ambient_decode_matrix(self) -> IntMat:
-        return self._sq.decode_matrix()
+    def morphism(self, coords: IntMat) -> Morphism:
+        """The morphism whose coordinates are the column ``coords``."""
+        g = _unvec(self.decode @ coords, self.target.gens, self.source.gens)
+        return make_morphism(self.source, self.target, g)
+
+    def coords(self, f: Morphism) -> IntMat:
+        return self.encode(_vec(f.mat))
 
 
 def _vec(g: IntMat) -> IntMat:
@@ -504,8 +544,7 @@ def hom_transport(h_from: HomRealization, h_to: HomRealization, left: IntMat,
     One encode of the transformed ambient decode: with column-major
     vectorization, vec(L G R) = (R^T (x) L) vec(G).
     """
-    ambient = right.transpose().kron(left) @ h_from._sq.decode(coords)
-    return h_to.encode_ambient(ambient)
+    return h_to.encode(right.transpose().kron(left) @ (h_from.decode @ coords))
 
 
 def hom_push(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Morphism:
@@ -530,7 +569,7 @@ def hom_pull(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Mor
 
 def solve_for_morphism(source: FPModule, target: FPModule, conditions) -> Morphism | None:
     """Find a morphism H: source -> target with L @ H @ R = rhs modulo the
-    column span of ``ambient_rel``, for every (L, R, rhs[, ambient_rel]).
+    column span of ``ambient_rel``, for every (L, R, rhs, ambient_rel).
 
     Well-definedness of H is part of the system.  This one solver powers
     factoring through monos, extending along monos into injectives, chain-map
@@ -539,13 +578,8 @@ def solve_for_morphism(source: FPModule, target: FPModule, conditions) -> Morphi
     ring = source.ring
     gs, gt = source.gens, target.gens
     h_width = gs * gt
-    conds = []
-    for cond in conditions:
-        L, R, rhs = cond[0], cond[1], cond[2]
-        amb = cond[3] if len(cond) > 3 else IntMat.zeros(L.rows, 0)
-        conds.append((L, R, rhs, amb))
-    conds.append((IntMat.identity(gt), source.rel,
-                  IntMat.zeros(gt, source.rel.cols), target.rel))
+    conds = list(conditions) + [(IntMat.identity(gt), source.rel,
+                                 IntMat.zeros(gt, source.rel.cols), target.rel)]
     row_blocks = []
     rhs_blocks = []
     slack_widths = [c[1].cols * c[3].cols for c in conds]
@@ -576,15 +610,10 @@ class TensorRealization:
     right: FPModule
     module: FPModule
     fwd: IntMat  # raw (g_left*g_right) coordinates -> module coordinates
-    bwd: IntMat
+    decode: IntMat  # module coordinates -> raw coordinates (a section)
 
-    def pure(self, x: IntMat, y: IntMat) -> IntMat:
-        ring = self.module.ring
-        raw = []
-        for i in range(self.left.gens):
-            for j in range(self.right.gens):
-                raw.append(x.data[i][0] * y.data[j][0])
-        return (self.fwd @ IntMat.column(raw)).mod(ring)
+    def encode(self, cols: IntMat) -> IntMat:
+        return self.fwd @ cols
 
 
 @lru_cache(maxsize=4096)
@@ -602,11 +631,8 @@ def tensor_module(m: FPModule, n: FPModule) -> TensorRealization:
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:
     """f (x) g between the normalized tensor modules."""
-    src = tensor_module(f.source, g.source)
-    tgt = tensor_module(f.target, g.target)
-    raw = f.mat.kron(g.mat)
-    ring = f.source.ring
-    return make_morphism(src.module, tgt.module, (tgt.fwd @ raw @ src.bwd).mod(ring))
+    return induced(tensor_module(f.source, g.source),
+                   tensor_module(f.target, g.target), f.mat.kron(g.mat))
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +650,8 @@ def evaluation_map(m: FPModule) -> Morphism:
     dstar = hom_module(star.module, r1)
     # row k of the transposed decode is the k-th generator functional, so
     # column i, read as a 1 x g matrix, is evaluation at generator i
-    functionals = star.ambient_decode_matrix().transpose()
-    return make_morphism(m, dstar.module, dstar.encode_ambient(functionals))
+    functionals = star.decode.transpose()
+    return make_morphism(m, dstar.module, dstar.encode(functionals))
 
 
 def transpose(m: FPModule) -> FPModule:

@@ -12,8 +12,9 @@ contravariant-left thread an injective resolution, which needs a
 quasi-Frobenius base ring; the other two thread a projective resolution over
 either ring.  A thread cuts stabilization, satellite and derived nodes out of
 the applied arrows, and every connecting map between two nodes is one
-``_link``: F of a thread arrow, carried from the source node's coordinates
-into the target node's.  rho, lambda, beta and alpha are single links.
+``fpmod.induced``: F of a thread arrow, carried from the source node's
+coordinates into the target node's.  rho, lambda, beta and alpha are single
+induced maps.
 Finitely presented shapes provide projective-side shortcuts valid over any
 ring:
 
@@ -31,16 +32,15 @@ Ext^i(A,-), Tor_i(A,-) are half-exact; FP/TC only if the caller says so).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 from .errors import UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
-    FPModule, HomRealization, Morphism, cokernel_realization,
-    epi_mono_factor, evaluation_map, free_module, hom_module, hom_pull,
-    hom_push, hom_transport, identity_morphism, is_identity,
-    kernel_realization, make_morphism, solve_for_morphism, tensor_module,
-    tensor_mor, zero_morphism,
+    CokernelRealization, FPModule, KernelRealization, Morphism, Own,
+    cokernel_realization, epi_mono_factor, evaluation_map, free_module,
+    hom_module, hom_pull, hom_push, hom_transport, identity_morphism, induced,
+    is_identity, kernel_realization, make_morphism, solve_for_morphism,
+    tensor_module, tensor_mor, zero_morphism,
 )
 from .resolve import (
     _require_nonnegative, cosyzygy, ext as resolve_ext, homology_at,
@@ -143,40 +143,34 @@ class TensorLeft(FunctorExpr):
         return f"{self.a} (x) -"
 
 
-@dataclass(frozen=True, eq=False)
-class _FPEval:
-    hom_a: HomRealization
-    value: object  # CokernelRealization of (f, X): Hom(B,X) -> Hom(A,X)
-
-
 class FP(FunctorExpr):
     """coker((B,-) --(f,-)--> (A,-)) for f: A -> B (Yoneda presentation)."""
 
     def __init__(self, f: Morphism, half_exact: bool = False):
         self.f = f
         self.half_exact = half_exact
-        self._cache: dict[FPModule, _FPEval] = {}
+        self._cache: dict[FPModule, CokernelRealization] = {}
 
-    def _at(self, x: FPModule) -> _FPEval:
+    def _at(self, x: FPModule) -> CokernelRealization:
+        """F(X) as the cokernel of (f, X): Hom(B, X) -> Hom(A, X)."""
         got = self._cache.get(x)
         if got is None:
-            hom_a = hom_module(self.f.source, x)
-            pres = hom_pull(hom_module(self.f.target, x), hom_a, self.f)
-            got = _FPEval(hom_a, cokernel_realization(pres))
-            self._cache[x] = got
+            pres = hom_pull(hom_module(self.f.target, x),
+                            hom_module(self.f.source, x), self.f)
+            got = self._cache[x] = cokernel_realization(pres)
         return got
 
     def eval_obj(self, x):
-        return self._at(x).value.module
+        return self._at(x).module
 
     def eval_mor(self, phi):
-        # project . hom_push . lift, pushing the lifted elements themselves
+        # project . hom_push . decode, pushing the decoded elements themselves
         ex, ey = self._at(phi.source), self._at(phi.target)
-        pushed = hom_transport(ex.hom_a, ey.hom_a, phi.mat,
-                               IntMat.identity(self.f.source.gens),
-                               ex.value.lift)
-        return make_morphism(ex.value.module, ey.value.module,
-                             ey.value.project.mat @ pushed)
+        a = self.f.source
+        pushed = hom_transport(hom_module(a, phi.source),
+                               hom_module(a, phi.target), phi.mat,
+                               IntMat.identity(a.gens), ex.decode)
+        return make_morphism(ex.module, ey.module, ey.encode(pushed))
 
     def fp_presentation(self):
         return self.f
@@ -185,40 +179,28 @@ class FP(FunctorExpr):
         return f"coker(({self.f.target},-) -> ({self.f.source},-))"
 
 
-@dataclass(frozen=True, eq=False)
-class _TCEval:
-    tens_a: object
-    tens_b: object
-    copresented_by: Morphism  # f (x) X: A(x)X -> B(x)X
-    value: object             # KernelRealization
-
-
 class TC(FunctorExpr):
     """ker(A(x)- --(f(x)-)--> B(x)-) for f: A -> B (tensor copresentation)."""
 
     def __init__(self, f: Morphism, half_exact: bool = False):
         self.f = f
         self.half_exact = half_exact
-        self._cache: dict[FPModule, _TCEval] = {}
+        self._cache: dict[FPModule, KernelRealization] = {}
 
-    def _at(self, x: FPModule) -> _TCEval:
+    def _at(self, x: FPModule) -> KernelRealization:
+        """F(X) as the kernel of f (x) X: A(x)X -> B(x)X."""
         got = self._cache.get(x)
         if got is None:
-            ta = tensor_module(self.f.source, x)
-            tb = tensor_module(self.f.target, x)
-            pres = tensor_mor(self.f, identity_morphism(x))
-            got = _TCEval(ta, tb, pres, kernel_realization(pres))
-            self._cache[x] = got
+            got = self._cache[x] = kernel_realization(
+                tensor_mor(self.f, identity_morphism(x)))
         return got
 
     def eval_obj(self, x):
-        return self._at(x).value.module
+        return self._at(x).module
 
     def eval_mor(self, phi):
-        ex, ey = self._at(phi.source), self._at(phi.target)
         ax_phi = tensor_mor(identity_morphism(self.f.source), phi)
-        return make_morphism(ex.value.module, ey.value.module,
-                             ey.value.encode(ax_phi.mat @ ex.value.include.mat))
+        return induced(self._at(phi.source), self._at(phi.target), ax_phi.mat)
 
     def tc_copresentation(self):
         return self.f
@@ -328,7 +310,7 @@ class ShiftSigma(_Shift):
 
 
 # ---------------------------------------------------------------------------
-# the threaded-resolution table, the thread, and the one link between nodes
+# the threaded-resolution table and the thread
 
 # (variance, side) -> (injective resolution threaded?, A arrows, C arrows).
 # A_k joins the k-th (co)syzygy of the argument with the k-th term, C_k joins
@@ -365,45 +347,12 @@ def _ends(f: FunctorExpr, phi: Morphism, at) -> tuple:
     return at(phi.target), at(phi.source)
 
 
-class _Node(NamedTuple):
-    """A node cut from an applied thread: its module, the coordinate
-    transport into the applied term it sits in (None when it is that term)
-    and back, and the kernel inclusion or cokernel projection cutting it."""
-
-    module: FPModule
-    decode: IntMat | None
-    encode: Callable[[IntMat], IntMat]
-    edge: Morphism | None = None
-
-
-def _kernel_node(m: Morphism) -> _Node:
-    kr = kernel_realization(m)
-    return _Node(kr.module, kr.include.mat, kr.encode, kr.include)
-
-
-def _cokernel_node(m: Morphism) -> _Node:
-    c = cokernel_realization(m)
-    return _Node(c.module, c.lift, c.project.mat.__matmul__, c.project)
-
-
-def _plain_node(fx: FPModule) -> _Node:
-    return _Node(fx, None, lambda cols: cols)
-
-
-def _link(src: _Node, tgt: _Node, fmap: Morphism | None = None) -> Morphism:
-    """src -> tgt induced by the applied arrow fmap between the terms they
-    sit in (by the identity when both sit in one term)."""
-    cols = src.decode
-    if fmap is not None:
-        cols = fmap.mat if cols is None else fmap.mat @ cols
-    return make_morphism(src.module, tgt.module, tgt.encode(cols))
-
-
 class _Thread:
     """F applied along the resolution of x that the (variance, side) row of
     ``_THREADED`` names, to the given depth; each F(d_k), F(A_k), F(C_k) is
-    computed once.  On the right side stabilizations and degree-0 derived
-    nodes are kernels and satellites cokernels; the left side swaps them."""
+    computed once.  Its nodes are realizations inside the applied terms.  On
+    the right side stabilizations and degree-0 derived nodes are kernels and
+    satellites cokernels; the left side swaps them."""
 
     def __init__(self, f: FunctorExpr, side: str, x: FPModule, depth: int,
                  what: str):
@@ -416,8 +365,9 @@ class _Thread:
         self._arrows = {"a": getattr(res, a), "c": getattr(res, c),
                         "d": res.diffs}
         self._applied: dict[tuple[str, int], Morphism] = {}
-        self._sub, self._quot = (_kernel_node, _cokernel_node) if self.right \
-            else (_cokernel_node, _kernel_node)
+        self._sub, self._quot = \
+            (kernel_realization, cokernel_realization) if self.right \
+            else (cokernel_realization, kernel_realization)
 
     def applied(self, family: str, k: int) -> Morphism:
         """F at the k-th arrow of family "a", "c" or "d" (the diffs)."""
@@ -426,18 +376,17 @@ class _Thread:
             got = self._applied[family, k] = self.f.eval_mor(self._arrows[family][k])
         return got
 
-    def stab(self, k: int) -> _Node:
+    def stab(self, k: int):
         return self._sub(self.applied("a", k))
 
-    def sat(self, i: int) -> _Node:
+    def sat(self, i: int):
         return self._quot(self.applied("c", i - 1))
 
-    def der(self, i: int) -> _Node:
+    def der(self, i: int):
         if i == 0:
             return self._sub(self.applied("d", 0))
         pair = (self.applied("d", i - 1), self.applied("d", i))
-        hq = homology_at(*(pair if self.right else pair[::-1]))
-        return _Node(hq.module, hq.decode_matrix(), hq.encode)
+        return homology_at(*(pair if self.right else pair[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +405,9 @@ def sub_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     """
     if _fp_right(f, x) is not None:
         return sub_stabilize_fp(f, x)
-    node = _Thread(f, "right", x, 0,
-                   "sub-stabilization of a covariant functor").stab(0)
-    return node.module, node.edge
+    kr = _Thread(f, "right", x, 0,
+                 "sub-stabilization of a covariant functor").stab(0)
+    return kr.module, kr.include
 
 
 def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
@@ -466,12 +415,12 @@ def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     of the left thread (a free cover of X when covariant; an injective
     container, quasi-Frobenius only, when contravariant).
     """
-    node = _Thread(f, "left", x, 0,
-                   "quot-stabilization of a contravariant functor").stab(0)
-    return node.module, node.edge
+    c = _Thread(f, "left", x, 0,
+                "quot-stabilization of a contravariant functor").stab(0)
+    return c.module, c.project
 
 
-def _fp_value(f: FunctorExpr, pres: Morphism, x: FPModule) -> _FPEval:
+def _fp_value(f: FunctorExpr, pres: Morphism, x: FPModule) -> CokernelRealization:
     """F(X) of a functor presented by ``pres``, as a cokernel of Hom maps."""
     return f._at(x) if isinstance(f, FP) else FP(pres)._at(x)
 
@@ -487,10 +436,9 @@ def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     hom_im = hom_module(e.target, x)
     bar = cokernel_realization(hom_pull(hom_b, hom_im, m))
     fx = _fp_value(f, pres, x)
-    pulled = hom_transport(hom_im, fx.hom_a, IntMat.identity(x.gens), e.mat,
-                           bar.lift)
-    return bar.module, make_morphism(bar.module, fx.value.module,
-                                     fx.value.project.mat @ pulled)
+    pulled = hom_transport(hom_im, hom_module(pres.source, x),
+                           IntMat.identity(x.gens), e.mat, bar.decode)
+    return bar.module, make_morphism(bar.module, fx.module, fx.encode(pulled))
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,7 +521,7 @@ class QuotStab(_Stabilization):
 # derived functors
 
 
-def _derived_node(f: FunctorExpr, i: int, side: str, x: FPModule) -> _Node:
+def _derived_node(f: FunctorExpr, i: int, side: str, x: FPModule):
     return _Thread(f, side, x, i + 1,
                    "derived functors on the injective side").der(i)
 
@@ -593,7 +541,7 @@ def derived_mor(f: FunctorExpr, i: int, side: str, phi: Morphism) -> Morphism:
         return ExtFixedFirst(kernel_realization(pres).module, i).eval_mor(phi)
     src, tgt = _ends(f, phi, lambda y: _derived_node(f, i, side, y))
     lift = _chain_map(phi, i + 1, _injective_side(f, side))[i]
-    return _link(src, tgt, f.eval_mor(lift))
+    return induced(src, tgt, f.eval_mor(lift).mat)
 
 
 class _Indexed(FunctorExpr):
@@ -659,7 +607,7 @@ def satellite(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
     return _satellite_node(f, i, side, x).module
 
 
-def _satellite_node(f: FunctorExpr, i: int, side: str, x: FPModule) -> _Node:
+def _satellite_node(f: FunctorExpr, i: int, side: str, x: FPModule):
     if i < 1:
         raise WrongShape("satellites are indexed from 1")
     return _Thread(f, side, x, i,
@@ -676,7 +624,7 @@ class Satellite(_Indexed):
         i, f = self.i, self.inner
         src, tgt = _ends(f, phi, lambda y: _satellite_node(f, i, self.side, y))
         shift = sigma_shift_mor if _injective_side(f, self.side) else omega_shift_mor
-        return _link(src, tgt, f.eval_mor(shift(phi, i)))
+        return induced(src, tgt, f.eval_mor(shift(phi, i)).mat)
 
 
 # ---------------------------------------------------------------------------
@@ -710,36 +658,33 @@ def _ring_of(f: FunctorExpr):
 
 def rho(f: FunctorExpr, x: FPModule) -> Morphism:
     """F(X) -> R0 F(X), the zeroth right-derived comparison."""
-    fx = f.eval_obj(x)
     pres = _fp_right(f, x)
     if pres is not None:
         kr = kernel_realization(pres)
         hom_w = hom_module(kr.module, x)
-        fpx = _fp_value(f, pres, x)
-        restrict = hom_pull(fpx.hom_a, hom_w, kr.include)
-        return make_morphism(fx, hom_w.module, restrict.mat @ fpx.value.lift)
+        restrict = hom_pull(hom_module(pres.source, x), hom_w, kr.include)
+        return induced(_fp_value(f, pres, x), Own(hom_w.module), restrict.mat)
     t = _Thread(f, "right", x, 1, "rho of a covariant functor")
-    return _link(_plain_node(fx), t.der(0), t.applied("a", 0))
+    return induced(Own(f.eval_obj(x)), t.der(0), t.applied("a", 0).mat)
 
 
 def lam(f: FunctorExpr, x: FPModule) -> Morphism:
     """L0 F(X) -> F(X), the zeroth left-derived comparison."""
-    fx = f.eval_obj(x)
     t = _Thread(f, "left", x, 1, "lambda of a contravariant functor")
-    return _link(t.der(0), _plain_node(fx), t.applied("a", 0))
+    return induced(t.der(0), Own(f.eval_obj(x)), t.applied("a", 0).mat)
 
 
 def beta(f: FunctorExpr, x: FPModule) -> Morphism:
     """R0 F(X) -> F-bar(Sigma X) (covariant) / F-bar(Omega X) (contravariant)."""
     t = _Thread(f, "right", x, 1, "beta of a covariant functor")
-    return _link(t.der(0), t.stab(1), t.applied("c", 0))
+    return induced(t.der(0), t.stab(1), t.applied("c", 0).mat)
 
 
 def alpha(f: FunctorExpr, x: FPModule) -> Morphism:
     """F-under(Omega X) -> L0 F(X) (covariant) /
     F-under(Sigma X) -> L0 F(X) (contravariant)."""
     t = _Thread(f, "left", x, 1, "alpha of a contravariant functor")
-    return _link(t.stab(1), t.der(0), t.applied("c", 0))
+    return induced(t.stab(1), t.der(0), t.applied("c", 0).mat)
 
 
 @dataclass(eq=False)
@@ -845,12 +790,7 @@ def auslander_four_term(a: FPModule, x: FPModule, which: str) -> SequenceReport:
              (labels[2], hom.module, "plain"),
              (labels[3], right.module, "derived"),
              ("0", zero, "zero")]
-    maps = [zero_morphism(zero, left.module),
-            make_morphism(left.module, tensored.module,
-                          tensored.project.mat @ left.decode_matrix()),
-            make_morphism(tensored.module, hom.module,
-                          hom.encode_ambient(m2.mat @ tensored.lift)),
-            make_morphism(hom.module, right.module,
-                          right.encode(hom.ambient_decode_matrix())),
+    maps = [zero_morphism(zero, left.module), induced(left, tensored),
+            induced(tensored, hom, m2.mat), induced(hom, right),
             zero_morphism(right.module, zero)]
     return build_report(nodes, maps, {"display": f"four-term-{which}"})

@@ -11,8 +11,7 @@ everywhere when the functor is half-exact.
 
 There is one row builder for both sides.  It reads funcalc's thread (F
 applied along the resolution the threaded-resolution table names for the
-functor's variance and the side) and joins its nodes with funcalc's single
-``_link``.
+functor's variance and the side) and joins its nodes with ``fpmod.induced``.
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ from dataclasses import dataclass
 from .errors import NotExact, UnsupportedRing
 from .exactlin import IntMat
 from .fpmod import (
-    FPModule, Morphism, cokernel_realization, direct_sum, free_module,
-    hom_module, iso_test, kernel_realization, make_morphism,
-    solve_for_morphism, zero_morphism,
+    FPModule, Morphism, Own, cokernel_realization, direct_sum, free_module,
+    hom_module, induced, iso_test, kernel_realization, solve_for_morphism,
+    zero_morphism,
 )
 from .funcalc import (
-    COVARIANT, FunctorExpr, _link, _plain_node, _Thread, defect,
-    rho as rho_component, sub_stabilize_fp,
+    COVARIANT, FunctorExpr, _Thread, defect, rho as rho_component,
+    sub_stabilize_fp,
 )
 from .resolve import _require_nonnegative
 from .seqreport import (
@@ -56,11 +55,11 @@ def circular_sequence(f: Morphism, g: Morphism) -> SequenceReport:
     zero = free_module(f.source.ring, 0)
     maps = [
         zero_morphism(zero, kf.module),
-        make_morphism(kf.module, kgf.module, kgf.encode(kf.include.mat)),
-        make_morphism(kgf.module, kg.module, kg.encode(f.mat @ kgf.include.mat)),
-        make_morphism(kg.module, cf.module, cf.project.mat @ kg.include.mat),
-        make_morphism(cf.module, cgf.module, cgf.project.mat @ g.mat @ cf.lift),
-        make_morphism(cgf.module, cg.module, cg.project.mat @ cgf.lift),
+        induced(kf, kgf),
+        induced(kgf, kg, f.mat),
+        induced(kg, cf),
+        induced(cf, cgf, g.mat),
+        induced(cgf, cg),
         zero_morphism(cg.module, zero),
     ]
     nodes = [("0", zero), ("ker f", kf.module), ("ker gf", kgf.module),
@@ -90,13 +89,14 @@ def _row(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
     stab, sat, der = ("Fbar", "S^", f"R{script}") if right \
         else ("Funder", "S_", f"L{script}")
     # (label, kind, node, applied arrow from the node before; None: identity)
-    chain = [("F(b)", "plain", _plain_node(f.eval_obj(b)), None)]
+    chain = [("F(b)", "plain", Own(f.eval_obj(b)), None)]
     for i in range(depth + 1):
         if i:
             chain.append((f"{sat}{i}F(b)", "satellite", t.sat(i), None))
-        chain.append((f"{der}{i}F(b)", "derived", t.der(i), t.applied("a", i)))
+        chain.append((f"{der}{i}F(b)", "derived", t.der(i),
+                      t.applied("a", i).mat))
         chain.append((f"{stab}({shift}^{i + 1}b)", "stab", t.stab(i + 1),
-                      t.applied("c", i)))
+                      t.applied("c", i).mat))
     if not right:
         chain.append((f"{sat}{depth + 1}F(b)", "satellite", t.sat(depth + 1), None))
     steps = [(src, tgt, arrow)
@@ -107,12 +107,12 @@ def _row(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
     ends = [("0", zero, "zero"), (f"{stab}(b)", base.module, "stab")]
     if right:
         nodes = ends + body
-        maps = [zero_morphism(zero, base.module), base.edge]
-        maps += [_link(src, tgt, arrow) for src, tgt, arrow in steps]
+        maps = [zero_morphism(zero, base.module), base.include]
+        maps += [induced(src, tgt, arrow) for src, tgt, arrow in steps]
     else:
         nodes = body[::-1] + ends[::-1]
-        maps = [_link(tgt, src, arrow) for src, tgt, arrow in reversed(steps)]
-        maps += [base.edge, zero_morphism(base.module, zero)]
+        maps = [induced(tgt, src, arrow) for src, tgt, arrow in reversed(steps)]
+        maps += [base.project, zero_morphism(base.module, zero)]
     variance = "co" if f.variance == COVARIANT else "contra"
     display = f"{'rfs' if right else 'lfs'}-{variance}-fun"
     return build_report(nodes, maps, {

@@ -58,7 +58,7 @@ def random_morphism(rng: random.Random, source: FPModule, target: FPModule,
     h = hom_module(source, target)
     coords = IntMat.column([rng.randint(-max_entry, max_entry)
                             for _ in range(h.module.gens)])
-    return h.decode(coords.mod(source.ring))
+    return h.morphism(coords.mod(source.ring))
 
 
 def random_composable_pair(rng: random.Random, ring: RingDesc, max_gens=3,

@@ -85,7 +85,7 @@ def proj_resolution(m: FPModule, depth: int) -> ProjResolution:
         prev = terms[-1]
         sq = subquotient(prev, p)
         syzygies.append(sq.module)
-        includes.append(make_morphism(sq.module, prev, sq.decode_matrix()))
+        includes.append(make_morphism(sq.module, prev, sq.decode))
         nxt = free_module(ring, p.cols)
         terms.append(nxt)
         covers.append(make_morphism(nxt, sq.module, sq.fwd))
@@ -117,7 +117,7 @@ def injective_container(m: FPModule) -> Morphism:
     star = hom_module(m, free_module(m.ring, 1))
     container = free_module(m.ring, star.module.gens)
     # row k is the k-th generator functional of M*
-    emb = make_morphism(m, container, star.ambient_decode_matrix().transpose())
+    emb = make_morphism(m, container, star.decode.transpose())
     # the double-dual embedding is injective precisely because Z/n is
     # self-injective; verify rather than trust
     if not kernel(emb)[0].is_zero():
@@ -169,7 +169,7 @@ def inj_resolution(m: FPModule, depth: int) -> InjResolution:
     for _ in range(depth):
         c = cokernel_realization(embeds[-1])
         projs.append(c.project)
-        sections.append(c.lift)
+        sections.append(c.decode)
         cosyzygies.append(c.module)
         nxt = injective_container(c.module)
         embeds.append(nxt)
@@ -207,17 +207,14 @@ def homology_at(f: Morphism, g: Morphism) -> SubquotientRealization:
 def _hom_complex(m: FPModule, n: FPModule, depth: int):
     pr = proj_resolution(m, depth)
     homs = [hom_module(t, n) for t in pr.terms]
-    maps = [hom_pull(homs[k - 1], homs[k], pr.diffs[k - 1])
+    return [hom_pull(homs[k - 1], homs[k], pr.diffs[k - 1])
             for k in range(1, len(pr.terms))]
-    return homs, maps
-
-
 
 
 def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Ext^i(M, N), homology of Hom(proj. resolution of M, N)."""
     _require_nonnegative(i, "Ext and Tor degrees")
-    homs, maps = _hom_complex(m, n, i + 1)
+    maps = _hom_complex(m, n, i + 1)
     if i == 0:
         return kernel(maps[0])[0]
     return homology_at(maps[i - 1], maps[i]).module

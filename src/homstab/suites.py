@@ -23,7 +23,7 @@ from random import Random
 from .archeck import (
     ar_formula_check, bidual_check, stab_adjunction_check, stable_hom,
 )
-from .errors import UnknownSuite
+from .errors import UnknownSuite, WrongShape
 from .fpmod import (
     canonical_invariants, cokernel, direct_sum_morphism, free_module,
     hom_module, iso_test, kernel, transpose, zero_morphism,
@@ -433,6 +433,8 @@ def run_suite(name: str, spec: InstanceSpec, workers: int = 1) -> SuiteReport:
     if name not in SUITES:
         raise UnknownSuite(f"no suite named {name!r}; known: "
                            + ", ".join(sorted(SUITES)))
+    if workers < 1:
+        raise WrongShape(f"workers must be at least 1, got {workers}")
     start = time.monotonic()
     jobs = [(name, spec, i) for i in range(spec.count)]
     if workers > 1 and spec.count > 1:

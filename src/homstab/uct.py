@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from .errors import HypothesisViolated, NotAComplex
 from .exactlin import IntMat, RingDesc
 from .fpmod import (
-    FPModule, Morphism, cokernel_realization, epi_mono_factor, free_module,
-    hom_module, hom_pull, hom_transport, identity_morphism,
-    is_projective_module, iso_test, kernel_realization, make_morphism,
-    tensor_module, tensor_mor, zero_morphism,
+    FPModule, Morphism, Own, cokernel_realization, epi_mono_factor,
+    free_module, hom_module, hom_pull, hom_transport, identity_morphism,
+    induced, is_projective_module, iso_test, kernel_realization,
+    make_morphism, tensor_module, tensor_mor, zero_morphism,
 )
 from .funcalc import (
     FP, TC, FunctorExpr, defect, satellite, sub_stabilize, sub_stabilize_fp,
@@ -119,9 +119,8 @@ def chains_mod_boundaries(c: Complex, n: int):
 
 def induced_boundary(c: Complex, n: int) -> Morphism:
     """db_n : C_n/B_n -> C_{n-1}, the map every UCT construction threads on."""
-    cnb = chains_mod_boundaries(c, n)
-    return make_morphism(cnb.module, c.term(n - 1),
-                         (c.differential(n).mat @ cnb.lift).mod(c.ring))
+    return induced(chains_mod_boundaries(c, n), Own(c.term(n - 1)),
+                   c.differential(n).mat)
 
 
 def cohomology_functor(c: Complex, n: int) -> FunctorExpr:
@@ -166,7 +165,7 @@ def _boundary_into_cycles(c: Complex, n: int):
     """j : B_{n-1} -> Z_{n-1} with the ambient inclusions, plus realizations."""
     e_cor, m_incl = epi_mono_factor(c.differential(n))
     cycles = kernel_realization(c.differential(n - 1))
-    j = make_morphism(e_cor.target, cycles.module, cycles.encode(m_incl.mat))
+    j = induced(Own(e_cor.target), cycles, m_incl.mat)
     return e_cor, m_incl, cycles, j
 
 
@@ -198,11 +197,11 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
         hom_h = hom_module(hn.module, b)
         idb = IntMat.identity(b.gens)
         # lifted Ext^1 classes precomposed with C_n ->> B_{n-1}
-        pulled = hom_transport(hom_bnd, homs[n], idb, e_cor.mat, ext1.lift)
+        pulled = hom_transport(hom_bnd, homs[n], idb, e_cor.mat, ext1.decode)
         left = make_morphism(ext1.module, hreal.module, hreal.encode(pulled))
         # cohomology classes restricted along H_n into C_n
-        restricted = hom_transport(homs[n], hom_h, idb, hn.decode_matrix(),
-                                   hreal.decode_matrix())
+        restricted = hom_transport(homs[n], hom_h, idb, hn.decode,
+                                   hreal.decode)
         right = make_morphism(hreal.module, hom_h.module, restricted)
         rep = short_exact(left, right, label="ucf-cohomology")
         rep.metadata["ext_end_iso"] = iso_test(ext1.module,
@@ -219,13 +218,12 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
     tensor_h = tensor_module(hn.module, b)
     cnb_tensor = tensor_module(c.term(n), b)
     hten = homology_tensor(c, b, n)
-    kron = hn.decode_matrix().kron(IntMat.identity(b.gens))
-    left = make_morphism(tensor_h.module, hten.module,
-                         hten.encode(cnb_tensor.fwd @ kron @ tensor_h.bwd))
+    # H_n -> C_n on coset representatives, tensored with B on raw generator
+    # pairs and carried into the normalized C_n (x) B
+    kron = hn.decode.kron(IntMat.identity(b.gens))
+    left = induced(tensor_h, hten, cnb_tensor.encode(kron))
     tor1 = kernel_realization(tensor_mor(j, idb))
-    ecor_b = tensor_mor(e_cor, idb)
-    right = make_morphism(hten.module, tor1.module,
-                          tor1.encode(ecor_b.mat @ hten.decode_matrix()))
+    right = induced(hten, tor1, tensor_mor(e_cor, idb).mat)
     rep = short_exact(left, right, label="ucf-homology")
     rep.metadata["tensor_end_iso"] = iso_test(tensor_h.module,
                                               tor(hn.module, b, 0))
@@ -261,19 +259,19 @@ def hom_copresentation(c: Complex, n: int, x: FPModule) -> SequenceReport:
     """The evaluated tensor copresentation
     0 -> H_n(C(x)X) -> (C_n/B_n)(x)X -> C_{n-1}(x)X -> (C_{n-1}/B_{n-1})(x)X -> 0."""
     expr = homology_tensor_functor(c, n)
-    ev = expr._at(x)
+    kr = expr._at(x)
     idx = identity_morphism(x)
+    copresented_by = tensor_mor(expr.f, idx)
     tail_proj = tensor_mor(chains_mod_boundaries(c, n - 1).project, idx)
     zero = free_module(c.ring, 0)
     nodes = [("0", zero, "zero"),
-             ("H_n(C(x)X)", ev.value.module, "plain"),
-             ("(C_n/B_n)(x)X", ev.tens_a.module, "plain"),
-             ("C_{n-1}(x)X", ev.tens_b.module, "plain"),
+             ("H_n(C(x)X)", kr.module, "plain"),
+             ("(C_n/B_n)(x)X", copresented_by.source, "plain"),
+             ("C_{n-1}(x)X", copresented_by.target, "plain"),
              ("(C_{n-1}/B_{n-1})(x)X", tail_proj.target, "plain"),
              ("0", zero, "zero")]
-    maps = [zero_morphism(zero, ev.value.module), ev.value.include,
-            ev.copresented_by, tail_proj,
-            zero_morphism(tail_proj.target, zero)]
+    maps = [zero_morphism(zero, kr.module), kr.include, copresented_by,
+            tail_proj, zero_morphism(tail_proj.target, zero)]
     return build_report(nodes, maps, {"display": "hom-copres"})
 
 
@@ -299,19 +297,10 @@ def uct_general(c: Complex, b: FPModule, n: int, depth: int,
         raise HypothesisViolated("which must be 'cohomology' or 'homology'")
     for node in rep.nodes:
         if node.kind == "derived":
-            i = _derived_index(node.label)
+            i = _label_index(node.label)
             rep.metadata[f"derived_{i}_iso"] = iso_test(node.module,
                                                         derived(hn, b, i))
     return rep
-
-
-def _derived_index(label: str) -> int:
-    head = label.split("F(")[0]
-    for prefix in ("R^", "R_", "L_", "L^", "(w(F), "):
-        if head.startswith(prefix):
-            return int(head[len(prefix):]) if head[len(prefix):].isdigit() else 0
-    digits = "".join(ch for ch in head if ch.isdigit())
-    return int(digits) if digits else 0
 
 
 def uct_special(c: Complex, b: FPModule, n: int, depth: int,
@@ -335,17 +324,17 @@ def uct_special(c: Complex, b: FPModule, n: int, depth: int,
     derived = ext if which == "cohomology" else tor
     for node in rep.nodes:
         if node.kind == "stab":
-            i = _shift_index(node.label)
+            i = _label_index(node.label)
             rep.metadata[f"stab_{i}_iso"] = iso_test(
                 node.module, derived(cnb_prev, b, i + 1))
         elif node.kind == "satellite":
-            i = _shift_index(node.label)
+            i = _label_index(node.label)
             rep.metadata[f"satellite_{i}_iso"] = iso_test(
                 node.module, derived(cnb, b, i))
     return rep
 
 
-def _shift_index(label: str) -> int:
+def _label_index(label: str) -> int:
     digits = "".join(ch for ch in label if ch.isdigit())
     return int(digits) if digits else 0
 

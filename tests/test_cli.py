@@ -383,3 +383,29 @@ def test_cli_negative_instance_spec_is_usage_error(tmp_path, capsys, argv):
     assert captured.out == ""
     with pytest.raises(WrongShape):
         InstanceSpec(seed=0, ring=ZZ, count=-1)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_workers_below_one_is_usage_error(capsys, workers):
+    argv = ["suite", "run", "circular-exactness", "--count", "2",
+            "--workers", workers]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: workers must be at least 1")
+    assert captured.out == ""
+    with pytest.raises(WrongShape):
+        run_suite("circular-exactness", InstanceSpec(seed=0, ring=ZZ, count=2),
+                  workers=int(workers))
+
+
+@pytest.mark.parametrize("argv", [
+    "module show {dir}",
+    "module show {z2} --json-out {dir}",
+])
+def test_cli_directory_path_is_usage_error(tmp_path, capsys, argv):
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps({"ring": {"kind": "Z"}, "gens": 1,
+                              "relations": [["2"]]}))
+    assert main(argv.format(dir=tmp_path, z2=z2).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

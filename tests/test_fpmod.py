@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 from homstab.errors import NotWellDefined
 from homstab.exactlin import IntMat, ZZ, Zmod, in_span
 from homstab.fpmod import (
-    canonical_invariants, cokernel, cyclic, direct_sum,
-    direct_sum_morphism, dual, epi_mono_factor, evaluation_map, free_module,
-    hom_module, identity_morphism, image, iso_test, kernel, make_module,
-    make_morphism, morphisms_equal, stably_iso_test, tensor_module, tensor_mor,
-    transpose, zero_module, is_projective_module, kernel_realization,
+    Own, canonical_invariants, cokernel, cokernel_realization, cyclic,
+    direct_sum, direct_sum_morphism, dual, epi_mono_factor, evaluation_map,
+    free_module, hom_module, identity_morphism, image, induced, is_identity,
+    iso_test, kernel, make_module, make_morphism, morphisms_equal,
+    stably_iso_test, tensor_module, tensor_mor, transpose, zero_module,
+    is_projective_module, kernel_realization,
 )
+from homstab.instances import random_module, random_morphism
+from homstab.resolve import homology_at
 
+RINGS = [ZZ, Zmod(2), Zmod(4), Zmod(5), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]
 Z2 = cyclic(ZZ, 2)
 Z3 = cyclic(ZZ, 3)
 Z = free_module(ZZ, 1)
@@ -98,7 +102,7 @@ def test_projectivity_over_zmods():
 def test_hom_module_spec_examples():
     z2z4 = hom_module(cyclic(ZZ, 2), cyclic(ZZ, 4))
     assert invs(z2z4.module) == ((2,), 0)
-    f = z2z4.decode(IntMat.column([1]))
+    f = z2z4.morphism(IntMat.column([1]))
     assert f.mat == IntMat.from_rows([[2]])  # the only nonzero map sends x to 2x
 
     m = make_module(ZZ, [[12, 0], [0, 0]])
@@ -115,8 +119,8 @@ def test_hom_decode_additive(a, b):
         return
     va = IntMat.column([a] * h.module.gens)
     vb = IntMat.column([b] * h.module.gens)
-    lhs = h.decode((va + vb).mod(ZZ))
-    rhs = h.decode(va) + h.decode(vb)
+    lhs = h.morphism((va + vb).mod(ZZ))
+    rhs = h.morphism(va) + h.morphism(vb)
     assert morphisms_equal(lhs, rhs)
 
 
@@ -124,7 +128,8 @@ def test_hom_encode_decode_roundtrip():
     h = hom_module(Z2_mod4, Z4_mod4)
     for k in range(h.module.gens):
         col = IntMat.column([int(i == k) for i in range(h.module.gens)])
-        assert morphisms_equal(h.decode(h.encode(h.decode(col))), h.decode(col))
+        assert morphisms_equal(h.morphism(h.coords(h.morphism(col))),
+                               h.morphism(col))
 
 
 def test_tensor_module_spec_examples():
@@ -201,10 +206,34 @@ def test_hom_push_pull_match_per_generator_composition():
             h_ax, h_ay = hom_module(a, x), hom_module(a, y)
             push = hom_push(h_ax, h_ay, phi)
             for k in range(h_ax.module.gens):
-                g = h_ax.decode(basis(h_ax.module.gens, k))
-                assert push.mat.col(k) == h_ay.encode(phi.compose(g))
+                g = h_ax.morphism(basis(h_ax.module.gens, k))
+                assert push.mat.col(k) == h_ay.coords(phi.compose(g))
             h_ya, h_xa = hom_module(y, a), hom_module(x, a)
             pull = hom_pull(h_ya, h_xa, phi)
             for k in range(h_ya.module.gens):
-                g = h_ya.decode(basis(h_ya.module.gens, k))
-                assert pull.mat.col(k) == h_xa.encode(g.compose(phi))
+                g = h_ya.morphism(basis(h_ya.module.gens, k))
+                assert pull.mat.col(k) == h_xa.coords(g.compose(phi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(RINGS), st.integers(2, 3))
+def test_realization_decode_encode_contract(seed, ring, d):
+    # every realization: encode undoes decode, so the map it induces on
+    # itself is the identity; the kernel's decode is its inclusion and the
+    # cokernel's encode its projection
+    import random
+    rng = random.Random(seed)
+    a, b = (random_module(rng, ring, 3, 3, 6) for _ in range(2))
+    f = random_morphism(rng, a, b)
+    kr, cr = kernel_realization(f), cokernel_realization(f)
+    # homology with a denominator: im f / im(d f) inside b
+    homology = homology_at(f.scale(d), cr.project)
+    # a coprime torsion pair trims a generator of the tensor presentation, so
+    # its decode and encode differ (over Z, Z/6 and Z/12)
+    trimmed = tensor_module(direct_sum([a, cyclic(ring, 2)]).module,
+                            direct_sum([b, cyclic(ring, 3)]).module)
+    for r in (kr, cr, homology, hom_module(a, b), tensor_module(a, b),
+              trimmed, Own(a)):
+        assert is_identity(induced(r, r))
+    assert morphisms_equal(induced(kr, Own(f.source)), kr.include)
+    assert morphisms_equal(induced(Own(f.target), cr), cr.project)
