@@ -84,31 +84,26 @@ def report_to_json(rep: SequenceReport) -> dict:
     }
 
 
-def print_report(rep: SequenceReport, out):
-    labels = " -> ".join(f"{n.label}{format_invariants(n.module)}"
-                         for n in rep.nodes)
-    print(labels, file=out)
-    for line in rep.failures():
-        print(f"  FAIL {line}", file=out)
+def format_report(rep: SequenceReport) -> str:
+    lines = [" -> ".join(f"{n.label}{format_invariants(n.module)}"
+                         for n in rep.nodes)]
+    lines += [f"  FAIL {line}" for line in rep.failures()]
     verdict = "exact" if rep.exact_everywhere() else (
         "complex (inexact nodes marked)" if rep.is_complex() else "NOT a complex")
-    print(f"  verdict: {verdict}", file=out)
-    for key, val in sorted(rep.metadata.items()):
-        if key != "display":
-            print(f"  {key}: {val}", file=out)
+    lines.append(f"  verdict: {verdict}")
+    lines += [f"  {key}: {val}" for key, val in sorted(rep.metadata.items())
+              if key != "display"]
+    return "\n".join(lines)
 
 
-def emit(payload: dict, args):
+def respond(args, out, text: str, payload, ok: bool) -> int:
+    """Write ``payload`` to --json-out, then print ``text``; exit 0 iff
+    ``ok``.  Writing first means a bad report path fails before any output."""
     if args.json_out:
         with open(args.json_out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-
-
-def _show_sequence(rep: SequenceReport, ok: bool, args, out) -> int:
-    """Print and emit a sequence report; exit 0 iff its verdict ``ok``."""
-    print_report(rep, out)
-    emit(report_to_json(rep), args)
+    print(text, file=out)
     return 0 if ok else 1
 
 
@@ -119,13 +114,11 @@ def _show_sequence(rep: SequenceReport, ok: bool, args, out) -> int:
 def cmd_module(args, out) -> int:
     m = load_module(args.module)
     if args.action == "show":
-        print(f"{m} (gens {m.gens}, relations {m.rel.cols})", file=out)
-        emit(serialize_module(m), args)
-        return 0
+        return respond(args, out, f"{m} (gens {m.gens}, relations {m.rel.cols})",
+                       serialize_module(m), True)
     if args.action == "invariants":
-        print(format_invariants(m), file=out)
-        emit({"invariants": format_invariants(m)}, args)
-        return 0
+        return respond(args, out, format_invariants(m),
+                       {"invariants": format_invariants(m)}, True)
     if args.action == "dual":
         result = dual(m)
     elif args.action == "transpose":
@@ -136,9 +129,8 @@ def cmd_module(args, out) -> int:
         result = tensor_module(m, load_module(args.other)).module
     else:
         raise SchemaError(f"unknown module action {args.action}")
-    print(format_invariants(result), file=out)
-    emit(serialize_module(result), args)
-    return 0
+    return respond(args, out, format_invariants(result),
+                   serialize_module(result), True)
 
 
 def cmd_resolve(args, out) -> int:
@@ -147,43 +139,39 @@ def cmd_resolve(args, out) -> int:
         b = load_module(args.B)
         fn = resolve.ext if args.action == "ext" else resolve.tor
         result = fn(a, b, args.i)
-        print(format_invariants(result), file=out)
-        emit(serialize_module(result), args)
-        return 0
+        return respond(args, out, format_invariants(result),
+                       serialize_module(result), True)
     m = load_module(args.module)
     if args.action == "proj":
         res = resolve.proj_resolution(m, args.depth)
-        for k, t in enumerate(res.terms):
-            print(f"P_{k}: {format_invariants(t)}", file=out)
-        emit({"terms": [serialize_module(t) for t in res.terms]}, args)
-        return 0
+        return respond(args, out, "\n".join(
+            f"P_{k}: {format_invariants(t)}" for k, t in enumerate(res.terms)),
+            {"terms": [serialize_module(t) for t in res.terms]}, True)
     if args.action == "inj":
         res = resolve.inj_resolution(m, args.depth)
-        for k, t in enumerate(res.terms):
-            print(f"I^{k}: {format_invariants(t)}", file=out)
-        emit({"terms": [serialize_module(t) for t in res.terms]}, args)
-        return 0
+        return respond(args, out, "\n".join(
+            f"I^{k}: {format_invariants(t)}" for k, t in enumerate(res.terms)),
+            {"terms": [serialize_module(t) for t in res.terms]}, True)
     if args.action == "syzygy":
         result = resolve.syzygy(m, args.k)
     elif args.action == "cosyzygy":
         result = resolve.cosyzygy(m, args.k)
     else:
         raise SchemaError(f"unknown resolve action {args.action}")
-    print(format_invariants(result), file=out)
-    emit(serialize_module(result), args)
-    return 0
+    return respond(args, out, format_invariants(result),
+                   serialize_module(result), True)
 
 
 def cmd_functor(args, out) -> int:
     if args.action == "fourterm":
         rep = funcalc.auslander_four_term(load_module(args.A),
                                           load_module(args.X), args.which)
-        return _show_sequence(rep, rep.exact_everywhere(), args, out)
+        return respond(args, out, format_report(rep), report_to_json(rep),
+                       rep.exact_everywhere())
     if args.action == "torsionradical":
         rad, _ = funcalc.torsion_radical(load_module(args.A))
-        print(format_invariants(rad), file=out)
-        emit(serialize_module(rad), args)
-        return 0
+        return respond(args, out, format_invariants(rad), serialize_module(rad),
+                       True)
     expr = parse_functor_spec(args.functor, half_exact=args.half_exact)
     if args.action == "defect":
         result = funcalc.defect(expr)
@@ -200,24 +188,22 @@ def cmd_functor(args, out) -> int:
                                       load_module(args.at))
     else:
         raise SchemaError(f"unknown functor action {args.action}")
-    print(format_invariants(result), file=out)
-    emit(serialize_module(result), args)
-    return 0
+    return respond(args, out, format_invariants(result),
+                   serialize_module(result), True)
 
 
 def cmd_seq(args, out) -> int:
     if args.action == "circular":
         rep = fundseq.circular_sequence(parse_morphism(load_doc(args.f)),
                                         parse_morphism(load_doc(args.g)))
-        return _show_sequence(rep, rep.exact_everywhere(), args, out)
+        return respond(args, out, format_report(rep), report_to_json(rep),
+                       rep.exact_everywhere())
     if args.action == "split":
         i = parse_morphism(load_doc(args.f))
         p = parse_morphism(load_doc(args.g))
         rep = fundseq.short_exact(i, p)
         ok, _ = fundseq.splitting_test(rep)
-        print(f"split: {ok}", file=out)
-        emit({"split": ok}, args)
-        return 0 if ok else 1
+        return respond(args, out, f"split: {ok}", {"split": ok}, ok)
     if args.action == "hereditary":
         expr = parse_functor_spec(args.functor, half_exact=True)
         spec = InstanceSpec(args.seed, ZZ, args.gens, args.rels, args.entries,
@@ -228,10 +214,9 @@ def cmd_seq(args, out) -> int:
                             spec.max_entry) for _ in range(args.samples)]
         dec = fundseq.hereditary_decomposition(expr, xs)
         ok = dec.all_ok()
-        print(f"w(F): {format_invariants(dec.w)}; decomposition ok: {ok}",
-              file=out)
-        emit({"ok": ok, "w": serialize_module(dec.w)}, args)
-        return 0 if ok else 1
+        return respond(args, out,
+                       f"w(F): {format_invariants(dec.w)}; decomposition ok: {ok}",
+                       {"ok": ok, "w": serialize_module(dec.w)}, ok)
     expr = parse_functor_spec(args.functor, half_exact=args.half_exact)
     b = load_module(args.b)
     if args.action == "right-cov":
@@ -246,7 +231,7 @@ def cmd_seq(args, out) -> int:
         raise SchemaError(f"unknown seq action {args.action}")
     ok = (rep.exact_everywhere() if expr.half_exact
           else rep.exact_away_from("derived"))
-    return _show_sequence(rep, ok, args, out)
+    return respond(args, out, format_report(rep), report_to_json(rep), ok)
 
 
 def cmd_uct(args, out) -> int:
@@ -255,44 +240,43 @@ def cmd_uct(args, out) -> int:
     if args.action == "classical":
         rep = uct.uct_classical(c, b, args.n, args.which)
         ok = rep.exact_everywhere() and rep.metadata.get("split", False)
-        return _show_sequence(rep, ok, args, out)
-    if args.action == "general":
+    elif args.action == "general":
         rep = uct.uct_general(c, b, args.n, args.depth, args.which)
-        return _show_sequence(rep, rep.exact_away_from("derived"), args, out)
-    if args.action in ("projective", "flat"):
+        ok = rep.exact_away_from("derived")
+    elif args.action in ("projective", "flat"):
         which = "cohomology" if args.action == "projective" else "homology"
         rep = uct.uct_special(c, b, args.n, args.depth, which)
         ok = rep.exact_everywhere() and all(
             v for k, v in rep.metadata.items() if k.endswith("_iso"))
-        return _show_sequence(rep, ok, args, out)
-    if args.action == "delta-checks":
+    elif args.action == "delta-checks":
         checks = uct.delta_functor_checks(c, b, args.n)
-        for key, val in sorted(checks.items()):
-            print(f"{key}: {val}", file=out)
-        emit(checks, args)
-        return 0 if all(checks.values()) else 1
-    raise SchemaError(f"unknown uct action {args.action}")
+        return respond(args, out,
+                       "\n".join(f"{k}: {v}" for k, v in sorted(checks.items())),
+                       checks, all(checks.values()))
+    else:
+        raise SchemaError(f"unknown uct action {args.action}")
+    return respond(args, out, format_report(rep), report_to_json(rep), ok)
 
 
 def cmd_ar(args, out) -> int:
     if args.action == "formula":
         result = archeck.ar_formula_check(load_module(args.A),
                                           load_module(args.B))
-        print(f"lhs {format_invariants(result['lhs'])} "
-              f"rhs {format_invariants(result['rhs'])} "
-              f"verdict {result['verdict']}", file=out)
-        emit({"verdict": result["verdict"]}, args)
-        return 0 if result["verdict"] else 1
-    if args.action == "adjunction":
+        text = (f"lhs {format_invariants(result['lhs'])} "
+                f"rhs {format_invariants(result['rhs'])} "
+                f"verdict {result['verdict']}")
+    elif args.action == "adjunction":
         result = archeck.stab_adjunction_check(load_module(args.A),
                                                load_module(args.B), args.side)
-        print(f"verdict {result['verdict']}", file=out)
-        emit({"verdict": result["verdict"]}, args)
-        return 0 if result["verdict"] else 1
-    if args.action == "bidual":
+        text = f"verdict {result['verdict']}"
+    elif args.action == "bidual":
         rep = archeck.bidual_check(load_module(args.A))
-        return _show_sequence(rep, rep.exact_everywhere(), args, out)
-    raise SchemaError(f"unknown ar action {args.action}")
+        return respond(args, out, format_report(rep), report_to_json(rep),
+                       rep.exact_everywhere())
+    else:
+        raise SchemaError(f"unknown ar action {args.action}")
+    return respond(args, out, text, {"verdict": result["verdict"]},
+                   result["verdict"])
 
 
 def cmd_suite(args, out) -> int:
@@ -304,14 +288,11 @@ def cmd_suite(args, out) -> int:
                         max_gens=args.gens, max_rels=args.rels,
                         max_entry=args.entries, count=args.count)
     report = run_suite(args.name, spec, workers=args.workers)
-    print(report.summary(), file=out)
-    for warning in report.warnings:
-        print(f"  warning: {warning}", file=out)
-    for failure in report.failures[:3]:
-        print(f"  counterexample at index {failure['index']}: "
-              f"{failure['node']}", file=out)
-    emit(report.to_json(), args)
-    return 0 if report.ok else 1
+    lines = [report.summary()]
+    lines += [f"  warning: {warning}" for warning in report.warnings]
+    lines += [f"  counterexample at index {failure['index']}: {failure['node']}"
+              for failure in report.failures[:3]]
+    return respond(args, out, "\n".join(lines), report.to_json(), report.ok)
 
 
 # ---------------------------------------------------------------------------

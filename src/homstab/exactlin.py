@@ -161,9 +161,6 @@ class IntMat:
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def col(self, j: int) -> "IntMat":
         return IntMat(self.rows, 1, tuple((r[j],) for r in self.data))
 

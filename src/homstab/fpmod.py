@@ -30,10 +30,24 @@ coordinate system, with one contract:
 
 The ambient of a subquotient, homology or kernel is the module it sits in, of
 a cokernel the target, of Hom(M, N) the free module on vec(G), of M (x) N the
-raw generator pairs.  ``Own(m)`` realizes m in its own coordinates.  A map
-between two realizations induced by a matrix between their ambients is
-``induced(src, tgt, arrow)``: ``tgt.encode(arrow @ src.decode)`` as a
-morphism, checked for well-definedness like any other.
+raw generator pairs.  ``Own(m)`` realizes m in its own coordinates.
+``Within(outer, inner)`` carries a realization whose ambient is
+``outer.module`` (a cokernel or homology inside a Hom module) over to outer's
+ambient: decode is ``outer.decode @ inner.decode``, encode runs outer's encode
+and then inner's.
+
+Every map between constructed modules is built one of two ways:
+
+* induced: ``induced(src, tgt, arrow)`` is ``tgt.encode(arrow @ src.decode)``
+  for a matrix between the two ambients, checked for well-definedness like
+  any other morphism.  ``hom_push`` and ``hom_pull`` are induced by
+  R^T (x) L on vectorized generator matrices (vec(L G R) = (R^T (x) L) vec(G));
+* solved: ``factor_through(g, m)`` finds h with m . h = g and
+  ``extend_along(g, m)`` finds h with h . m = g; each returns None when there
+  is no such h.  Both solve one linear system (the equation modulo the
+  target's relations, plus the well-definedness of h), which serves
+  factoring through monos, extending into injectives, the comparison theorem
+  and retraction search.
 """
 
 from __future__ import annotations
@@ -200,13 +214,6 @@ def is_projective_module(m: FPModule) -> bool:
     return all(all(v == _vp(n, p) for p, v in _prime_components(d, n)) for d in divs)
 
 
-def element(m: FPModule, coords) -> IntMat:
-    col = coords if isinstance(coords, IntMat) else IntMat.column(coords)
-    if col.rows != m.gens:
-        raise DimensionMismatch("element has wrong number of coordinates")
-    return col.mod(m.ring)
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -350,6 +357,25 @@ class Own:
 
     def encode(self, cols: IntMat) -> IntMat:
         return cols
+
+
+@dataclass(frozen=True, eq=False)
+class Within:
+    """``inner``, whose ambient is ``outer.module``, in outer's ambient."""
+
+    outer: object
+    inner: object
+
+    @property
+    def module(self) -> FPModule:
+        return self.inner.module
+
+    @cached_property
+    def decode(self) -> IntMat:
+        return self.outer.decode @ self.inner.decode
+
+    def encode(self, cols: IntMat) -> IntMat:
+        return self.inner.encode(self.outer.encode(cols))
 
 
 def induced(src, tgt, arrow: IntMat | None = None) -> Morphism:
@@ -536,78 +562,57 @@ def hom_module(m: FPModule, n: FPModule) -> HomRealization:
     return HomRealization(m, n, sq.module, sq)
 
 
-def hom_transport(h_from: HomRealization, h_to: HomRealization, left: IntMat,
-                  right: IntMat, coords: IntMat) -> IntMat:
-    """Coordinates in h_to of G -> left @ G @ right, applied to the elements
-    of h_from whose coordinates are the columns of ``coords``.
-
-    One encode of the transformed ambient decode: with column-major
-    vectorization, vec(L G R) = (R^T (x) L) vec(G).
-    """
-    return h_to.encode(right.transpose().kron(left) @ (h_from.decode @ coords))
-
-
 def hom_push(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Morphism:
     """Hom(A, X) -> Hom(A, Y) induced by phi: X -> Y (postcomposition)."""
     if phi.source != h_from.target:
         raise DimensionMismatch("compose: middle objects differ")
-    ident = IntMat.identity(h_from.module.gens)
-    mat = hom_transport(h_from, h_to, phi.mat,
-                        IntMat.identity(h_from.source.gens), ident)
-    return make_morphism(h_from.module, h_to.module, mat)
+    return induced(h_from, h_to, IntMat.identity(h_from.source.gens).kron(phi.mat))
 
 
 def hom_pull(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Morphism:
     """Hom(Y, B) -> Hom(X, B) induced by phi: X -> Y (precomposition)."""
     if phi.target != h_from.source:
         raise DimensionMismatch("compose: middle objects differ")
-    ident = IntMat.identity(h_from.module.gens)
-    mat = hom_transport(h_from, h_to, IntMat.identity(h_from.target.gens),
-                        phi.mat, ident)
-    return make_morphism(h_from.module, h_to.module, mat)
+    return induced(h_from, h_to,
+                   phi.mat.transpose().kron(IntMat.identity(h_from.target.gens)))
 
 
-def solve_for_morphism(source: FPModule, target: FPModule, conditions) -> Morphism | None:
-    """Find a morphism H: source -> target with L @ H @ R = rhs modulo the
-    column span of ``ambient_rel``, for every (L, R, rhs, ambient_rel).
-
-    Well-definedness of H is part of the system.  This one solver powers
-    factoring through monos, extending along monos into injectives, chain-map
-    lifting, and retraction search for splitting tests.
-    """
+def _solve(source: FPModule, target: FPModule, left: IntMat, right: IntMat,
+           rhs: IntMat, amb: IntMat) -> Morphism | None:
+    """H: source -> target with left @ H @ right = rhs modulo the column span
+    of ``amb``, or None.  Well-definedness of H (H @ P_source = P_target @ Y)
+    is the second block row of the system."""
     ring = source.ring
     gs, gt = source.gens, target.gens
-    h_width = gs * gt
-    conds = list(conditions) + [(IntMat.identity(gt), source.rel,
-                                 IntMat.zeros(gt, source.rel.cols), target.rel)]
-    row_blocks = []
-    rhs_blocks = []
-    slack_widths = [c[1].cols * c[3].cols for c in conds]
-    for idx, (L, R, rhs, amb) in enumerate(conds):
-        coeff = R.transpose().kron(L)
-        row = coeff
-        for j, w in enumerate(slack_widths):
-            block = IntMat.identity(R.cols).kron(amb) if j == idx \
-                else IntMat.zeros(coeff.rows, w)
-            row = row.hstack(block)
-        row_blocks.append(row)
-        rhs_blocks.append(_vec(rhs))
-    big = row_blocks[0]
-    vec = rhs_blocks[0]
-    for row, r in zip(row_blocks[1:], rhs_blocks[1:]):
-        big = big.vstack(row)
-        vec = vec.vstack(r)
-    sol = solve_matrix(big, vec, ring)
+    srel, trel = source.rel, target.rel
+    top = right.transpose().kron(left)
+    top = top.hstack(IntMat.identity(right.cols).kron(amb)).hstack(
+        IntMat.zeros(top.rows, srel.cols * trel.cols))
+    bottom = srel.transpose().kron(IntMat.identity(gt))
+    bottom = bottom.hstack(IntMat.zeros(bottom.rows, right.cols * amb.cols)).hstack(
+        IntMat.identity(srel.cols).kron(trel))
+    sol = solve_matrix(top.vstack(bottom),
+                       _vec(rhs).vstack(IntMat.zeros(bottom.rows, 1)), ring)
     if sol is None:
         return None
-    h = _unvec(IntMat(h_width, 1, sol.data[:h_width]), gt, gs)
+    h = _unvec(IntMat(gs * gt, 1, sol.data[:gs * gt]), gt, gs)
     return make_morphism(source, target, h)
+
+
+def factor_through(g: Morphism, m: Morphism) -> Morphism | None:
+    """h with m . h = g (g: X -> N through m: M -> N), or None."""
+    return _solve(g.source, m.source, m.mat, IntMat.identity(g.source.gens),
+                  g.mat, g.target.rel)
+
+
+def extend_along(g: Morphism, m: Morphism) -> Morphism | None:
+    """h with h . m = g (g: M -> Y along m: M -> N), or None."""
+    return _solve(m.target, g.target, IntMat.identity(g.target.gens), m.mat,
+                  g.mat, g.target.rel)
 
 
 @dataclass(frozen=True, eq=False)
 class TensorRealization:
-    left: FPModule
-    right: FPModule
     module: FPModule
     fwd: IntMat  # raw (g_left*g_right) coordinates -> module coordinates
     decode: IntMat  # module coordinates -> raw coordinates (a section)
@@ -626,7 +631,7 @@ def tensor_module(m: FPModule, n: FPModule) -> TensorRealization:
     rel = m.rel.kron(IntMat.identity(n.gens)).hstack(
         IntMat.identity(m.gens).kron(n.rel))
     module, fwd, bwd = present_with_iso(ring, gens, rel)
-    return TensorRealization(m, n, module, fwd, bwd)
+    return TensorRealization(module, fwd, bwd)
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:

@@ -14,7 +14,11 @@ either ring.  A thread cuts stabilization, satellite and derived nodes out of
 the applied arrows, and every connecting map between two nodes is one
 ``fpmod.induced``: F of a thread arrow, carried from the source node's
 coordinates into the target node's.  rho, lambda, beta and alpha are single
-induced maps.
+induced maps.  Every other map is solved for by lifting: the (co)syzygy
+shifts of a morphism and the stabilizations of F(phi) factor through a mono
+(``fpmod.factor_through``) or extend along one into an injective
+(``fpmod.extend_along``), and the comparison theorem lifts a map to
+resolutions one square at a time with the same two forms.
 Finitely presented shapes provide projective-side shortcuts valid over any
 ring:
 
@@ -36,11 +40,11 @@ from dataclasses import dataclass
 from .errors import UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
-    CokernelRealization, FPModule, KernelRealization, Morphism, Own,
-    cokernel_realization, epi_mono_factor, evaluation_map, free_module,
-    hom_module, hom_pull, hom_push, hom_transport, identity_morphism, induced,
-    is_identity, kernel_realization, make_morphism, solve_for_morphism,
-    tensor_module, tensor_mor, zero_morphism,
+    CokernelRealization, FPModule, KernelRealization, Morphism, Own, Within,
+    cokernel_realization, epi_mono_factor, evaluation_map, extend_along,
+    factor_through, free_module, hom_module, hom_pull, hom_push,
+    identity_morphism, induced, is_identity, kernel_realization,
+    make_morphism, tensor_module, tensor_mor, zero_morphism,
 )
 from .resolve import (
     _require_nonnegative, cosyzygy, ext as resolve_ext, homology_at,
@@ -165,12 +169,10 @@ class FP(FunctorExpr):
 
     def eval_mor(self, phi):
         # project . hom_push . decode, pushing the decoded elements themselves
-        ex, ey = self._at(phi.source), self._at(phi.target)
         a = self.f.source
-        pushed = hom_transport(hom_module(a, phi.source),
-                               hom_module(a, phi.target), phi.mat,
-                               IntMat.identity(a.gens), ex.decode)
-        return make_morphism(ex.module, ey.module, ey.encode(pushed))
+        return induced(Within(hom_module(a, phi.source), self._at(phi.source)),
+                       Within(hom_module(a, phi.target), self._at(phi.target)),
+                       IntMat.identity(a.gens).kron(phi.mat))
 
     def fp_presentation(self):
         return self.f
@@ -231,26 +233,6 @@ def TorFixedFirst(a: FPModule, i: int) -> FunctorExpr:
 # syzygy / cosyzygy shifts
 
 
-def _factor_through(g: Morphism, m: Morphism) -> Morphism:
-    """h with m . h = g, for maps landing in the image of the mono m."""
-    h = solve_for_morphism(
-        g.source, m.source,
-        [(m.mat, IntMat.identity(g.source.gens), g.mat, g.target.rel)])
-    if h is None:
-        raise WrongShape("map does not factor through the given mono")
-    return h
-
-
-def _extend_along(g: Morphism, m: Morphism) -> Morphism:
-    """h with h . m = g; solvable when g.target is injective (QF ring)."""
-    h = solve_for_morphism(
-        m.target, g.target,
-        [(IntMat.identity(g.target.gens), m.mat, g.mat, g.target.rel)])
-    if h is None:
-        raise WrongShape("map does not extend along the given mono")
-    return h
-
-
 def omega_shift_mor(phi: Morphism, k: int) -> Morphism:
     """Omega^k on morphisms; well-defined modulo maps through projectives."""
     for _ in range(k):
@@ -259,7 +241,9 @@ def omega_shift_mor(phi: Morphism, k: int) -> Morphism:
             continue
         px, py = proj_resolution(phi.source, 1), proj_resolution(phi.target, 1)
         h0 = make_morphism(px.terms[0], py.terms[0], phi.mat)
-        phi = _factor_through(h0.compose(px.includes[0]), py.includes[0])
+        phi = factor_through(h0.compose(px.includes[0]), py.includes[0])
+        if phi is None:
+            raise WrongShape("map does not factor through the given mono")
     return phi
 
 
@@ -273,7 +257,9 @@ def sigma_shift_mor(phi: Morphism, k: int) -> Morphism:
             continue
         cx = inj_resolution(phi.source, 1)
         cy = inj_resolution(phi.target, 1)
-        h = _extend_along(cy.augmentation.compose(phi), cx.augmentation)
+        h = extend_along(cy.augmentation.compose(phi), cx.augmentation)
+        if h is None:
+            raise WrongShape("map does not extend along the given mono")
         mat = (cy.projs[0].compose(h)).mat @ cx.sections[0]
         phi = make_morphism(cx.cosyzygies[1], cy.cosyzygies[1],
                             mat.mod(phi.source.ring))
@@ -432,31 +418,23 @@ def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     if pres is None:
         raise WrongShape("functor has no finitely presented shape")
     e, m = epi_mono_factor(pres)
-    hom_b = hom_module(pres.target, x)
     hom_im = hom_module(e.target, x)
-    bar = cokernel_realization(hom_pull(hom_b, hom_im, m))
-    fx = _fp_value(f, pres, x)
-    pulled = hom_transport(hom_im, hom_module(pres.source, x),
-                           IntMat.identity(x.gens), e.mat, bar.decode)
-    return bar.module, make_morphism(bar.module, fx.module, fx.encode(pulled))
+    bar = cokernel_realization(hom_pull(hom_module(pres.target, x), hom_im, m))
+    k = induced(Within(hom_im, bar),
+                Within(hom_module(pres.source, x), _fp_value(f, pres, x)),
+                e.mat.transpose().kron(IntMat.identity(x.gens)))
+    return bar.module, k
 
 
-@dataclass(frozen=True, eq=False)
-class TCQuotStab:
-    """Evaluated tensor copresentation 0 -> K -> D(x)X -> B(x)X -> C(x)X -> 0
-    of the quot-stabilization of a tensor-copresented functor (D = Im f)."""
-
-    module: FPModule
-    include: Morphism  # K -> D(x)X
-
-
-def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> TCQuotStab:
+def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> KernelRealization:
+    """F-under(X) of a tensor-copresented F with its inclusion into D(x)X,
+    from the evaluated copresentation 0 -> F-under(X) -> D(x)X -> B(x)X ->
+    C(x)X -> 0 (D = Im f)."""
     pres = f.tc_copresentation()
     if pres is None:
         raise WrongShape("functor has no tensor-copresented shape")
     _, m = epi_mono_factor(pres)
-    kr = kernel_realization(tensor_mor(m, identity_morphism(x)))
-    return TCQuotStab(kr.module, kr.include)
+    return kernel_realization(tensor_mor(m, identity_morphism(x)))
 
 
 class _Stabilization(FunctorExpr):
@@ -484,12 +462,8 @@ class SubStab(_Stabilization):
 
     def eval_mor(self, phi):
         inner_phi = self.inner.eval_mor(phi)
-        (src_mod, src_incl), (tgt_mod, tgt_incl) = _ends(self, phi, self._at)
-        carried = inner_phi.compose(src_incl)
-        h = solve_for_morphism(
-            src_mod, tgt_mod,
-            [(tgt_incl.mat, IntMat.identity(src_mod.gens), carried.mat,
-              carried.target.rel)])
+        (_, src_incl), (_, tgt_incl) = _ends(self, phi, self._at)
+        h = factor_through(inner_phi.compose(src_incl), tgt_incl)
         if h is None:
             raise WrongShape("morphism does not respect the sub-stabilization")
         return h
@@ -503,12 +477,8 @@ class QuotStab(_Stabilization):
 
     def eval_mor(self, phi):
         inner_phi = self.inner.eval_mor(phi)
-        (src_mod, src_proj), (tgt_mod, tgt_proj) = _ends(self, phi, self._at)
-        carried = tgt_proj.compose(inner_phi)
-        h = solve_for_morphism(
-            src_mod, tgt_mod,
-            [(IntMat.identity(tgt_mod.gens), src_proj.mat, carried.mat,
-              tgt_mod.rel)])
+        (_, src_proj), (_, tgt_proj) = _ends(self, phi, self._at)
+        h = extend_along(tgt_proj.compose(inner_phi), src_proj)
         if h is None:
             raise WrongShape("morphism does not respect the quot-stabilization")
         return h
@@ -576,18 +546,16 @@ def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
     resolve = inj_resolution if injective else proj_resolution
     rx, ry = resolve(phi.source, depth), resolve(phi.target, depth)
     if injective:
-        hs = [_extend_along(ry.augmentation.compose(phi), rx.augmentation)]
+        hs = [extend_along(ry.augmentation.compose(phi), rx.augmentation)]
+        if hs[0] is None:
+            raise WrongShape("map does not extend along the given mono")
     else:
         hs = [make_morphism(rx.terms[0], ry.terms[0], phi.mat)]
-    for k in range(1, depth + 1):
-        dx, dy = rx.diffs[k - 1], ry.diffs[k - 1]
+    for dx, dy in zip(rx.diffs, ry.diffs):
         if injective:  # h_k . dx = dy . h_k-1
-            square = (IntMat.identity(ry.terms[k].gens), dx.mat,
-                      dy.compose(hs[-1]).mat, ry.terms[k].rel)
+            hs.append(extend_along(dy.compose(hs[-1]), dx))
         else:          # dy . h_k = h_k-1 . dx
-            square = (dy.mat, IntMat.identity(rx.terms[k].gens),
-                      hs[-1].compose(dx).mat, ry.terms[k - 1].rel)
-        hs.append(solve_for_morphism(rx.terms[k], ry.terms[k], [square]))
+            hs.append(factor_through(hs[-1].compose(dx), dy))
     return hs
 
 

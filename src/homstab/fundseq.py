@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotExact, UnsupportedRing
-from .exactlin import IntMat
 from .fpmod import (
-    FPModule, Morphism, Own, cokernel_realization, direct_sum, free_module,
-    hom_module, induced, iso_test, kernel_realization, solve_for_morphism,
-    zero_morphism,
+    FPModule, Morphism, Own, cokernel_realization, direct_sum, extend_along,
+    free_module, hom_module, identity_morphism, induced, iso_test,
+    kernel_realization, zero_morphism,
 )
 from .funcalc import (
     COVARIANT, FunctorExpr, _Thread, defect, rho as rho_component,
@@ -191,10 +190,7 @@ def splitting_test(report: SequenceReport) -> tuple[bool, Morphism | None]:
         raise NotExact("splitting_test needs a verified short exact sequence")
     start = next(i for i, n in enumerate(report.nodes) if n.kind != "zero")
     include = report.maps[start]
-    a, b = include.source, include.target
-    r = solve_for_morphism(
-        b, a, [(IntMat.identity(a.gens), include.mat,
-                IntMat.identity(a.gens).mod(a.ring), a.rel)])
+    r = extend_along(identity_morphism(include.source), include)
     return (r is not None), r
 
 

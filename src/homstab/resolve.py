@@ -25,9 +25,9 @@ from .errors import NotAComplex, UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
     FPModule, Morphism, SubquotientRealization, canonical_invariants,
-    cokernel_realization, free_module, hom_module, hom_pull, identity_morphism,
-    kernel, kernel_generators, make_module, make_morphism, subquotient,
-    tensor_module, tensor_mor,
+    cokernel_realization, epi_mono_factor, free_module, hom_module, hom_pull,
+    identity_morphism, kernel, kernel_generators, make_module, make_morphism,
+    subquotient, tensor_module, tensor_mor,
 )
 
 
@@ -47,8 +47,6 @@ class ProjResolution:
     diffs[k-1] : F_k -> F_{k-1} factors as includes[k-1] . covers[k],
     covers[0] is the augmentation F_0 ->> base, syzygies[k] = Omega^k(base).
     """
-
-    direction = "projective"
 
     base: FPModule
     terms: tuple[FPModule, ...]
@@ -82,14 +80,13 @@ def proj_resolution(m: FPModule, depth: int) -> ProjResolution:
     diffs: list[Morphism] = []
     p = m.rel
     for _ in range(depth):
-        prev = terms[-1]
-        sq = subquotient(prev, p)
-        syzygies.append(sq.module)
-        includes.append(make_morphism(sq.module, prev, sq.decode))
-        nxt = free_module(ring, p.cols)
-        terms.append(nxt)
-        covers.append(make_morphism(nxt, sq.module, sq.fwd))
-        diffs.append(make_morphism(nxt, prev, p))
+        d = make_morphism(free_module(ring, p.cols), terms[-1], p)
+        cover, include = epi_mono_factor(d)
+        terms.append(d.source)
+        diffs.append(d)
+        syzygies.append(cover.target)
+        covers.append(cover)
+        includes.append(include)
         p = kernel_basis(p, ring)
     return ProjResolution(m, tuple(terms), tuple(diffs), tuple(syzygies),
                           tuple(covers), tuple(includes))
@@ -132,8 +129,6 @@ class InjResolution:
     diffs[k] : I^k -> I^{k+1} factors as embeds[k+1] . projs[k],
     embeds[0] is the augmentation base ↪ I^0, cosyzygies[k] = Sigma^k(base).
     """
-
-    direction = "injective"
 
     base: FPModule
     terms: tuple[FPModule, ...]

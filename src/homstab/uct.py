@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from .errors import HypothesisViolated, NotAComplex
 from .exactlin import IntMat, RingDesc
 from .fpmod import (
-    FPModule, Morphism, Own, cokernel_realization, epi_mono_factor,
-    free_module, hom_module, hom_pull, hom_transport, identity_morphism,
-    induced, is_projective_module, iso_test, kernel_realization,
-    make_morphism, tensor_module, tensor_mor, zero_morphism,
+    FPModule, Morphism, Own, Within, cokernel_realization, epi_mono_factor,
+    free_module, hom_module, hom_pull, identity_morphism, induced,
+    is_projective_module, iso_test, kernel_realization, tensor_module,
+    tensor_mor, zero_morphism,
 )
 from .funcalc import (
     FP, TC, FunctorExpr, defect, satellite, sub_stabilize, sub_stabilize_fp,
@@ -82,9 +82,6 @@ class Complex:
     def boundaries_projective(self) -> bool:
         return all(is_projective_module(boundaries(self, n))
                    for n in range(self.lo - 1, self.hi + 1))
-
-    def support(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
 
 
 def make_complex(ring: RingDesc, terms, diffs, lo: int = 0) -> Complex:
@@ -193,23 +190,21 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
         hom_bnd = hom_module(e_cor.target, b)
         hom_cyc = hom_module(cycles.module, b)
         ext1 = cokernel_realization(hom_pull(hom_cyc, hom_bnd, j))
-        hreal = cohomology(c, b, n)
+        hreal = Within(homs[n], cohomology(c, b, n))
         hom_h = hom_module(hn.module, b)
         idb = IntMat.identity(b.gens)
         # lifted Ext^1 classes precomposed with C_n ->> B_{n-1}
-        pulled = hom_transport(hom_bnd, homs[n], idb, e_cor.mat, ext1.decode)
-        left = make_morphism(ext1.module, hreal.module, hreal.encode(pulled))
+        left = induced(Within(hom_bnd, ext1), hreal,
+                       e_cor.mat.transpose().kron(idb))
         # cohomology classes restricted along H_n into C_n
-        restricted = hom_transport(homs[n], hom_h, idb, hn.decode,
-                                   hreal.decode)
-        right = make_morphism(hreal.module, hom_h.module, restricted)
+        right = induced(hreal, hom_h, hn.decode.transpose().kron(idb))
         rep = short_exact(left, right, label="ucf-cohomology")
         rep.metadata["ext_end_iso"] = iso_test(ext1.module,
                                                ext(hn_prev.module, b, 1))
         rep.metadata["hom_end_iso"] = iso_test(hom_h.module,
                                                hom_module(hn.module, b).module)
         if rep.exact_everywhere():
-            ok, retraction = splitting_test(rep)
+            ok, _ = splitting_test(rep)
             rep.metadata["split"] = ok
         return rep
     if which != "homology":

@@ -401,11 +401,21 @@ def test_cli_workers_below_one_is_usage_error(capsys, workers):
 @pytest.mark.parametrize("argv", [
     "module show {dir}",
     "module show {z2} --json-out {dir}",
+    "ext --A {z2} --B {z2} --i 1 --json-out {dir}",
+    "seq circular --f {f} --g {f} --json-out {dir}",
+    "suite run circular-exactness --ring Z/4 --count 2 --json-out {dir}",
 ])
 def test_cli_directory_path_is_usage_error(tmp_path, capsys, argv):
     z2 = tmp_path / "z2.json"
     z2.write_text(json.dumps({"ring": {"kind": "Z"}, "gens": 1,
                               "relations": [["2"]]}))
-    assert main(argv.format(dir=tmp_path, z2=z2).split()) == 2
+    zdoc = {"ring": {"kind": "Z"}, "gens": 1, "relations": []}
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"source": zdoc, "target": zdoc,
+                             "matrix": [["2"]]}))
+    assert main(argv.format(dir=tmp_path, z2=z2, f=f).split()) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    # the report is written before anything is printed, so a report path
+    # that cannot be written leaves stdout empty
+    assert captured.out == ""

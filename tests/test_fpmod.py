@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from homstab.errors import NotWellDefined
 from homstab.exactlin import IntMat, ZZ, Zmod, in_span
 from homstab.fpmod import (
-    Own, canonical_invariants, cokernel, cokernel_realization, cyclic,
+    Own, Within, canonical_invariants, cokernel, cokernel_realization, cyclic,
     direct_sum, direct_sum_morphism, dual, epi_mono_factor, evaluation_map,
-    free_module, hom_module, identity_morphism, image, induced, is_identity,
-    iso_test, kernel, make_module, make_morphism, morphisms_equal,
-    stably_iso_test, tensor_module, tensor_mor, transpose, zero_module,
-    is_projective_module, kernel_realization,
+    extend_along, factor_through, free_module, hom_module, hom_push,
+    identity_morphism, image, induced, is_identity, iso_test, kernel,
+    make_module, make_morphism, morphisms_equal, stably_iso_test,
+    tensor_module, tensor_mor, transpose, zero_module, is_projective_module,
+    kernel_realization,
 )
 from homstab.instances import random_module, random_morphism
 from homstab.resolve import homology_at
@@ -232,8 +233,54 @@ def test_realization_decode_encode_contract(seed, ring, d):
     # its decode and encode differ (over Z, Z/6 and Z/12)
     trimmed = tensor_module(direct_sum([a, cyclic(ring, 2)]).module,
                             direct_sum([b, cyclic(ring, 3)]).module)
+    # a cokernel inside Hom(a, b), realized in vec(G) coordinates
+    within = Within(hom_module(a, b), cokernel_realization(
+        hom_push(hom_module(a, a), hom_module(a, b), f)))
     for r in (kr, cr, homology, hom_module(a, b), tensor_module(a, b),
-              trimmed, Own(a)):
+              trimmed, Own(a), within):
         assert is_identity(induced(r, r))
     assert morphisms_equal(induced(kr, Own(f.source)), kr.include)
     assert morphisms_equal(induced(Own(f.target), cr), cr.project)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(RINGS))
+def test_factor_through_and_extend_along_solve_their_equations(seed, ring):
+    # a returned h solves m . h = g (factor_through) or h . m = g
+    # (extend_along); when g is built from a solution, one is returned
+    import random
+    rng = random.Random(seed)
+    x, s, t, y = (random_module(rng, ring, 3, 3, 6) for _ in range(4))
+    m = random_morphism(rng, s, t)
+
+    def shifted(g):
+        # the same morphism on another generator matrix, so the equation
+        # holds only modulo the target's relations
+        rel = g.target.rel
+        noise = IntMat(rel.cols, g.source.gens, tuple(
+            tuple(rng.randint(-3, 3) for _ in range(g.source.gens))
+            for _ in range(rel.cols)))
+        return make_morphism(g.source, g.target, g.mat + rel @ noise)
+
+    for g, solvable in ((random_morphism(rng, x, t), False),
+                        (shifted(m.compose(random_morphism(rng, x, s))), True)):
+        h = factor_through(g, m)
+        assert h is not None or not solvable
+        if h is not None:
+            assert morphisms_equal(m.compose(h), g)
+    for g, solvable in ((random_morphism(rng, s, y), False),
+                        (shifted(random_morphism(rng, t, y).compose(m)), True)):
+        h = extend_along(g, m)
+        assert h is not None or not solvable
+        if h is not None:
+            assert morphisms_equal(h.compose(m), g)
+
+
+def test_solver_forms_return_none_without_a_solution():
+    # 2: Z/2 -> Z/4 over Z/4 and 2: Z -> Z over Z have no retraction and no
+    # section
+    for m in (make_morphism(Z2_mod4, Z4_mod4, [[2]]),
+              make_morphism(Z, Z, [[2]])):
+        assert extend_along(identity_morphism(m.source), m) is None
+        assert factor_through(identity_morphism(m.target), m) is None
+        assert is_identity(factor_through(m, m))  # m is mono

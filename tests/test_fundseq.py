@@ -10,13 +10,13 @@ from homstab.archeck import bidual_check
 from homstab.errors import NotAComplex, UnsupportedRing, WrongShape
 from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
-    canonical_invariants, cyclic, direct_sum, free_module, identity_morphism,
-    is_projective_module, iso_test, make_morphism, morphisms_equal,
-    zero_morphism,
+    KernelRealization, canonical_invariants, cyclic, direct_sum, free_module,
+    identity_morphism, is_projective_module, iso_test, make_morphism,
+    morphisms_equal, zero_morphism,
 )
 from homstab.funcalc import (
     COVARIANT, FP, Derived, ExtFixedFirst, HomContra, HomCov, QuotStab, Satellite,
-    SubStab, TCQuotStab, TensorLeft, alpha, auslander_four_term, beta,
+    SubStab, TensorLeft, alpha, auslander_four_term, beta,
     derived_eval, lam, nat_trans_sample, quot_stabilize, rho, satellite,
     sub_stabilize, sub_stabilize_fp, tc_quot_stabilize,
 )
@@ -360,7 +360,7 @@ def _second_pin_payload():
             for stab in (sub_stabilize, quot_stabilize, sub_stabilize_fp,
                          tc_quot_stabilize):
                 got = _pin_try(stab, f, x)
-                if isinstance(got, TCQuotStab):
+                if isinstance(got, KernelRealization):
                     got = (got.module, got.include)
                 out.append(_pin_value(got))
             for cls in (SubStab, QuotStab):
