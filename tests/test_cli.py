@@ -262,6 +262,16 @@ def test_cli_suite_and_reports(tmp_path, capsys):
     assert main(["suite", "list"]) == 0
 
 
+def test_cli_suite_list_writes_json_out(tmp_path, capsys):
+    from homstab.suites import SUITES
+    out = tmp_path / "suites.json"
+    assert main(["suite", "list", "--json-out", str(out)]) == 0
+    names = sorted(SUITES)
+    assert json.loads(out.read_text()) == {"suites": names}
+    assert "circular-exactness" in names
+    assert capsys.readouterr().out.splitlines() == names
+
+
 def test_cli_worked_example_prints_invariants(tmp_path, capsys):
     z2 = tmp_path / "z2.json"
     z2.write_text(json.dumps({"ring": {"kind": "Z"}, "gens": 1,
@@ -404,6 +414,7 @@ def test_cli_workers_below_one_is_usage_error(capsys, workers):
     "ext --A {z2} --B {z2} --i 1 --json-out {dir}",
     "seq circular --f {f} --g {f} --json-out {dir}",
     "suite run circular-exactness --ring Z/4 --count 2 --json-out {dir}",
+    "suite list --json-out {dir}",
 ])
 def test_cli_directory_path_is_usage_error(tmp_path, capsys, argv):
     z2 = tmp_path / "z2.json"
