@@ -9,8 +9,6 @@ Hom-modulo-injectives neutralizes.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .errors import UnsupportedRing
 from .fpmod import (
     FPModule, Morphism, cokernel_realization, free_module, hom_module,
@@ -21,7 +19,7 @@ from .funcalc import (
     sub_stabilize,
 )
 from .resolve import ext, injective_container
-from .seqreport import SequenceReport
+from .seqreport import SequenceNode, SequenceReport
 
 
 def matlis_dual(m: FPModule) -> FPModule:
@@ -98,7 +96,8 @@ def bidual_check(a: FPModule) -> SequenceReport:
     rep = auslander_four_term(a, free_module(a.ring, 1), "tensor")
     relabel = {"Ext^1(TrA, X)": "Ext^1(TrA, R)", "A(x)X": "A",
                "(A*, X)": "A**", "Ext^2(TrA, X)": "Ext^2(TrA, R)"}
-    rep.nodes = [replace(node, label=relabel.get(node.label, node.label))
+    rep.nodes = [SequenceNode(relabel.get(node.label, node.label), node.module,
+                              node.kind)
                  for node in rep.nodes]
     rep.metadata["display"] = "bidual"
     return rep

@@ -46,7 +46,6 @@ it those without building V and Vinv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd
@@ -58,15 +57,29 @@ from .errors import DimensionMismatch
 # rings
 
 
-@dataclass(frozen=True)
 class RingDesc:
-    """Base ring: Z when ``modulus`` is None, Z/modulus otherwise."""
+    """Base ring: Z when ``modulus`` is None, Z/modulus otherwise.
 
-    modulus: int | None = None
+    Immutable by convention; compared and hashed by ``modulus``.
+    """
 
-    def __post_init__(self):
-        if self.modulus is not None and self.modulus < 2:
+    __slots__ = ("modulus",)
+
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None and modulus < 2:
             raise ValueError("modulus must be at least 2")
+        self.modulus = modulus
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.modulus,))
+
+    def __repr__(self):
+        return f"RingDesc(modulus={self.modulus!r})"
 
     @property
     def kind(self) -> str:
@@ -283,15 +296,35 @@ class IntMat:
 # Smith normal form
 
 
-@dataclass(frozen=True)
 class SNFResult:
-    """U @ A @ V == S exactly (mod n over Z/n); U, V invertible over the ring."""
+    """U @ A @ V == S exactly (mod n over Z/n); U, V invertible over the ring.
 
-    U: IntMat
-    Uinv: IntMat
-    S: IntMat
-    V: IntMat
-    Vinv: IntMat
+    Immutable by convention; compared and hashed by its five matrices.
+    """
+
+    __slots__ = ("U", "Uinv", "S", "V", "Vinv")
+
+    def __init__(self, U: IntMat, Uinv: IntMat, S: IntMat, V: IntMat, Vinv: IntMat):
+        self.U = U
+        self.Uinv = Uinv
+        self.S = S
+        self.V = V
+        self.Vinv = Vinv
+
+    def _fields(self) -> tuple:
+        return (self.U, self.Uinv, self.S, self.V, self.Vinv)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "SNFResult(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields())) + ")"
 
     def diagonal(self) -> list[int]:
         k = min(self.S.rows, self.S.cols)
@@ -514,9 +547,9 @@ def kernel_basis(a: IntMat, ring: RingDesc) -> IntMat:
     n = ring.modulus
     if n is None:
         return v.take_cols(free)
-    rows = [[r[j] % n for j in free] for r in v.data]
-    keep = [t for t, col in enumerate(zip(*rows)) if any(col)]
-    return IntMat(v.rows, len(keep), tuple(tuple(r[t] for t in keep) for r in rows))
+    data = v.data
+    keep = [j for j in free if any(r[j] % n for r in data)]
+    return IntMat(v.rows, len(keep), tuple(tuple([r[j] % n for j in keep]) for r in data))
 
 
 def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:

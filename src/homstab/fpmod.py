@@ -52,7 +52,6 @@ Every map between constructed modules is built one of two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
@@ -69,15 +68,44 @@ from .exactlin import snf  # noqa: F401
 # modules
 
 
-@dataclass(frozen=True)
 class FPModule:
-    ring: RingDesc
-    gens: int
-    rel: IntMat  # gens x (number of relations)
+    """The module presented by ``rel`` (gens x number of relations).
 
-    def __post_init__(self):
-        if self.rel.rows != self.gens:
+    Immutable by convention: compared by presentation, and the hash is
+    computed once, on first use, and stored, as for ``IntMat``.
+    """
+
+    __slots__ = ("ring", "gens", "rel", "_hash")
+
+    def __init__(self, ring: RingDesc, gens: int, rel: IntMat):
+        if rel.rows != gens:
             raise DimensionMismatch("presentation rows must equal generator count")
+        self.ring = ring
+        self.gens = gens
+        self.rel = rel
+        self._hash = None
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring == other.ring and self.gens == other.gens
+                and self.rel == other.rel)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.ring, self.gens, self.rel))
+        return h
+
+    def __repr__(self):
+        return f"FPModule(ring={self.ring!r}, gens={self.gens!r}, rel={self.rel!r})"
+
+    def __reduce__(self):
+        # the stored hash is left out: hash(None), so Z's hash, differs
+        # between processes
+        return FPModule, (self.ring, self.gens, self.rel)
 
     def is_zero(self) -> bool:
         return self.gens == 0
@@ -220,11 +248,17 @@ def is_projective_module(m: FPModule) -> bool:
 # morphisms
 
 
-@dataclass(frozen=True, eq=False)
 class Morphism:
-    source: FPModule
-    target: FPModule
-    mat: IntMat  # g_target x g_source
+    """source -> target by the generator matrix ``mat`` (g_target x
+    g_source).  Compared by identity: use ``morphisms_equal`` for equality
+    of maps."""
+
+    __slots__ = ("source", "target", "mat")
+
+    def __init__(self, source: FPModule, target: FPModule, mat: IntMat):
+        self.source = source
+        self.target = target
+        self.mat = mat
 
     def __call__(self, v: IntMat) -> IntMat:
         return (self.mat @ v).mod(self.target.ring)
@@ -289,28 +323,27 @@ def is_identity(f: Morphism) -> bool:
 # subquotients
 
 
-@dataclass(frozen=True, eq=False)
 class Subquotient:
     """(span(sub) + relations) / (span(den) + relations) inside ``ambient``."""
 
-    ambient: FPModule
-    sub: IntMat
-    den: IntMat
+    __slots__ = ("ambient", "sub", "den")
 
-    def __post_init__(self):
-        if self.sub.rows != self.ambient.gens or self.den.rows != self.ambient.gens:
+    def __init__(self, ambient: FPModule, sub: IntMat, den: IntMat):
+        if sub.rows != ambient.gens or den.rows != ambient.gens:
             raise DimensionMismatch("subquotient generators must live in the ambient")
-        ring = self.ambient.ring
-        if not in_span(self.sub.hstack(self.ambient.rel), self.den, ring):
+        if not in_span(sub.hstack(ambient.rel), den, ambient.ring):
             raise MembershipError("denominators do not lie in the subobject")
+        self.ambient = ambient
+        self.sub = sub
+        self.den = den
 
 
-@dataclass(frozen=True, eq=False)
 class SubquotientRealization:
-    subq: Subquotient
-    module: FPModule
-    fwd: IntMat  # sub-coordinates -> module coordinates
-    bwd: IntMat  # module coordinates -> sub-coordinates
+    def __init__(self, subq: Subquotient, module: FPModule, fwd: IntMat, bwd: IntMat):
+        self.subq = subq
+        self.module = module
+        self.fwd = fwd  # sub-coordinates -> module coordinates
+        self.bwd = bwd  # module coordinates -> sub-coordinates
 
     @cached_property
     def decode(self) -> IntMat:
@@ -347,11 +380,11 @@ def subquotient(ambient: FPModule, sub: IntMat, den: IntMat | None = None) -> Su
     return SubquotientRealization(sq, module, fwd, bwd)
 
 
-@dataclass(frozen=True, eq=False)
 class Own:
     """A module realized in its own coordinates."""
 
-    module: FPModule
+    def __init__(self, module: FPModule):
+        self.module = module
 
     @cached_property
     def decode(self) -> IntMat:
@@ -361,12 +394,12 @@ class Own:
         return cols
 
 
-@dataclass(frozen=True, eq=False)
 class Within:
     """``inner``, whose ambient is ``outer.module``, in outer's ambient."""
 
-    outer: object
-    inner: object
+    def __init__(self, outer, inner):
+        self.outer = outer
+        self.inner = inner
 
     @property
     def module(self) -> FPModule:
@@ -391,11 +424,13 @@ def induced(src, tgt, arrow: IntMat | None = None) -> Morphism:
 # kernels, cokernels, images
 
 
-@dataclass(frozen=True, eq=False)
 class KernelRealization:
-    module: FPModule
-    include: Morphism
-    _sq: SubquotientRealization
+    __slots__ = ("module", "include", "_sq")
+
+    def __init__(self, module: FPModule, include: Morphism, _sq: SubquotientRealization):
+        self.module = module
+        self.include = include
+        self._sq = _sq
 
     @property
     def decode(self) -> IntMat:
@@ -425,11 +460,13 @@ def kernel(f: Morphism) -> tuple[FPModule, Morphism]:
     return k.module, k.include
 
 
-@dataclass(frozen=True, eq=False)
 class CokernelRealization:
-    module: FPModule
-    project: Morphism
-    decode: IntMat  # module coordinates -> target coordinates (a section)
+    __slots__ = ("module", "project", "decode")
+
+    def __init__(self, module: FPModule, project: Morphism, decode: IntMat):
+        self.module = module
+        self.project = project
+        self.decode = decode  # module coordinates -> target coordinates (a section)
 
     def encode(self, cols: IntMat) -> IntMat:
         return self.project.mat @ cols
@@ -462,11 +499,14 @@ def image(f: Morphism) -> FPModule:
 # direct sums
 
 
-@dataclass(frozen=True, eq=False)
 class DirectSum:
-    module: FPModule
-    injections: tuple[Morphism, ...]
-    projections: tuple[Morphism, ...]
+    __slots__ = ("module", "injections", "projections")
+
+    def __init__(self, module: FPModule, injections: tuple[Morphism, ...],
+                 projections: tuple[Morphism, ...]):
+        self.module = module
+        self.injections = injections
+        self.projections = projections
 
 
 def direct_sum(summands) -> DirectSum:
@@ -506,12 +546,15 @@ def direct_sum_morphism(fs) -> Morphism:
 # hom and tensor
 
 
-@dataclass(frozen=True, eq=False)
 class HomRealization:
-    source: FPModule
-    target: FPModule
-    module: FPModule
-    _sq: SubquotientRealization
+    __slots__ = ("source", "target", "module", "_sq")
+
+    def __init__(self, source: FPModule, target: FPModule, module: FPModule,
+                 _sq: SubquotientRealization):
+        self.source = source
+        self.target = target
+        self.module = module
+        self._sq = _sq
 
     @property
     def decode(self) -> IntMat:
@@ -613,11 +656,13 @@ def extend_along(g: Morphism, m: Morphism) -> Morphism | None:
                   g.mat, g.target.rel)
 
 
-@dataclass(frozen=True, eq=False)
 class TensorRealization:
-    module: FPModule
-    fwd: IntMat  # raw (g_left*g_right) coordinates -> module coordinates
-    decode: IntMat  # module coordinates -> raw coordinates (a section)
+    __slots__ = ("module", "fwd", "decode")
+
+    def __init__(self, module: FPModule, fwd: IntMat, decode: IntMat):
+        self.module = module
+        self.fwd = fwd  # raw (g_left*g_right) coordinates -> module coordinates
+        self.decode = decode  # module coordinates -> raw coordinates (a section)
 
     def encode(self, cols: IntMat) -> IntMat:
         return self.fwd @ cols

@@ -35,8 +35,6 @@ Ext^i(A,-), Tor_i(A,-) are half-exact; FP/TC only if the caller says so).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
@@ -655,14 +653,17 @@ def alpha(f: FunctorExpr, x: FPModule) -> Morphism:
     return induced(t.stab(1), t.der(0), t.applied("c", 0).mat)
 
 
-@dataclass(eq=False)
 class NatTransSample:
     """Component maps of a canonical transformation on sampled objects, with
     naturality-square verdicts on sampled morphisms."""
 
-    name: str
-    components: list[tuple[FPModule, Morphism]]
-    naturality: list[tuple[Morphism, bool]]
+    __slots__ = ("name", "components", "naturality")
+
+    def __init__(self, name: str, components: list[tuple[FPModule, Morphism]],
+                 naturality: list[tuple[Morphism, bool]]):
+        self.name = name
+        self.components = components
+        self.naturality = naturality
 
     def all_natural(self) -> bool:
         return all(ok for _, ok in self.naturality)

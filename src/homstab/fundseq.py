@@ -16,8 +16,6 @@ functor's variance and the side) and joins its nodes with ``fpmod.induced``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotExact, UnsupportedRing
 from .fpmod import (
     FPModule, Morphism, Own, cokernel_realization, direct_sum, extend_along,
@@ -205,13 +203,15 @@ def short_exact(a_to_b: Morphism, b_to_c: Morphism, label="ses") -> SequenceRepo
     return build_report(nodes, maps, {"display": label})
 
 
-@dataclass(eq=False)
 class HereditaryDecomposition:
     """Per-sample verification that a half-exact finitely presented functor
     over a hereditary ring splits as F-bar + (w(F), -)."""
 
-    w: FPModule
-    samples: list  # (X, SequenceReport, split_ok, retraction, sum_iso_ok)
+    __slots__ = ("w", "samples")
+
+    def __init__(self, w: FPModule, samples: list):
+        self.w = w
+        self.samples = samples  # (X, SequenceReport, split_ok, retraction, sum_iso_ok)
 
     def all_ok(self) -> bool:
         return all(rep.exact_everywhere() and split and iso

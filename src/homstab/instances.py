@@ -10,30 +10,47 @@ well-definedness witness always exists.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import WrongShape
 from .exactlin import IntMat, RingDesc
 from .fpmod import FPModule, Morphism, free_module, hom_module, make_module
 
 
-@dataclass(frozen=True)
 class InstanceSpec:
-    seed: int
-    ring: RingDesc
-    max_gens: int = 4
-    max_rels: int = 4
-    max_entry: int = 8
-    count: int = 100
+    """Immutable by convention; compared and hashed by field value."""
 
-    def __post_init__(self):
-        if not (self.count >= 0 and self.max_gens >= 1 and self.max_rels >= 0
-                and self.max_entry >= 0):
+    __slots__ = ("seed", "ring", "max_gens", "max_rels", "max_entry", "count")
+
+    def __init__(self, seed: int, ring: RingDesc, max_gens: int = 4,
+                 max_rels: int = 4, max_entry: int = 8, count: int = 100):
+        if not (count >= 0 and max_gens >= 1 and max_rels >= 0
+                and max_entry >= 0):
             raise WrongShape(
                 "instance spec needs count >= 0, max_gens >= 1, max_rels >= 0 "
-                f"and max_entry >= 0; got count {self.count}, max_gens "
-                f"{self.max_gens}, max_rels {self.max_rels}, max_entry "
-                f"{self.max_entry}")
+                f"and max_entry >= 0; got count {count}, max_gens "
+                f"{max_gens}, max_rels {max_rels}, max_entry {max_entry}")
+        self.seed = seed
+        self.ring = ring
+        self.max_gens = max_gens
+        self.max_rels = max_rels
+        self.max_entry = max_entry
+        self.count = count
+
+    def _fields(self) -> tuple:
+        return (self.seed, self.ring, self.max_gens, self.max_rels,
+                self.max_entry, self.count)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "InstanceSpec(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields())) + ")"
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

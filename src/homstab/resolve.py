@@ -17,7 +17,6 @@ classification-based oracle over Z cross-checks them in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -40,7 +39,6 @@ def _require_nonnegative(n: int, what: str) -> None:
 # projective resolutions
 
 
-@dataclass(frozen=True, eq=False)
 class ProjResolution:
     """... -> F_2 -> F_1 -> F_0 ->> base with stored epi-mono factorizations.
 
@@ -48,12 +46,17 @@ class ProjResolution:
     covers[0] is the augmentation F_0 ->> base, syzygies[k] = Omega^k(base).
     """
 
-    base: FPModule
-    terms: tuple[FPModule, ...]
-    diffs: tuple[Morphism, ...]
-    syzygies: tuple[FPModule, ...]
-    covers: tuple[Morphism, ...]
-    includes: tuple[Morphism, ...]
+    __slots__ = ("base", "terms", "diffs", "syzygies", "covers", "includes")
+
+    def __init__(self, base: FPModule, terms: tuple[FPModule, ...],
+                 diffs: tuple[Morphism, ...], syzygies: tuple[FPModule, ...],
+                 covers: tuple[Morphism, ...], includes: tuple[Morphism, ...]):
+        self.base = base
+        self.terms = terms
+        self.diffs = diffs
+        self.syzygies = syzygies
+        self.covers = covers
+        self.includes = includes
 
     @property
     def depth(self) -> int:
@@ -122,7 +125,6 @@ def injective_container(m: FPModule) -> Morphism:
     return emb
 
 
-@dataclass(frozen=True, eq=False)
 class InjResolution:
     """base ↪ I^0 -> I^1 -> ... with stored epi-mono factorizations.
 
@@ -130,13 +132,20 @@ class InjResolution:
     embeds[0] is the augmentation base ↪ I^0, cosyzygies[k] = Sigma^k(base).
     """
 
-    base: FPModule
-    terms: tuple[FPModule, ...]
-    diffs: tuple[Morphism, ...]
-    cosyzygies: tuple[FPModule, ...]
-    embeds: tuple[Morphism, ...]
-    projs: tuple[Morphism, ...]
-    sections: tuple[IntMat, ...]  # coordinate sections of the projs
+    __slots__ = ("base", "terms", "diffs", "cosyzygies", "embeds", "projs",
+                 "sections")
+
+    def __init__(self, base: FPModule, terms: tuple[FPModule, ...],
+                 diffs: tuple[Morphism, ...], cosyzygies: tuple[FPModule, ...],
+                 embeds: tuple[Morphism, ...], projs: tuple[Morphism, ...],
+                 sections: tuple[IntMat, ...]):
+        self.base = base
+        self.terms = terms
+        self.diffs = diffs
+        self.cosyzygies = cosyzygies
+        self.embeds = embeds
+        self.projs = projs
+        self.sections = sections  # coordinate sections of the projs
 
     @property
     def depth(self) -> int:

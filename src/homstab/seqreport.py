@@ -8,27 +8,32 @@ Verdicts are computed at build time, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NotAComplex
 from .exactlin import in_span
 from .fpmod import FPModule, Morphism, kernel_generators
 
 
-@dataclass(frozen=True, eq=False)
 class SequenceNode:
-    label: str
-    module: FPModule
-    kind: str = "plain"  # plain | stab | satellite | derived | zero
+    __slots__ = ("label", "module", "kind")
+
+    def __init__(self, label: str, module: FPModule, kind: str = "plain"):
+        self.label = label
+        self.module = module
+        self.kind = kind  # plain | stab | satellite | derived | zero
 
 
-@dataclass(eq=False)
 class SequenceReport:
-    nodes: list[SequenceNode]
-    maps: list[Morphism]
-    composite_zero: list[bool] = field(default_factory=list)
-    exact_at: list[bool | None] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("nodes", "maps", "composite_zero", "exact_at", "metadata")
+
+    def __init__(self, nodes: list[SequenceNode], maps: list[Morphism],
+                 composite_zero: list[bool] | None = None,
+                 exact_at: list[bool | None] | None = None,
+                 metadata: dict | None = None):
+        self.nodes = nodes
+        self.maps = maps
+        self.composite_zero = [] if composite_zero is None else composite_zero
+        self.exact_at = [] if exact_at is None else exact_at
+        self.metadata = {} if metadata is None else metadata
 
     def is_complex(self) -> bool:
         return all(self.composite_zero)

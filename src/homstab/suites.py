@@ -16,8 +16,6 @@ of worker count, and every failure carries a replayable serialized input.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from random import Random
 
 from .archeck import (
@@ -397,15 +395,37 @@ def suite_satellite_recovery(spec, index, inputs, samples=3):
 # runner
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    count: int
-    passes: int
-    failures: list = field(default_factory=list)
-    duration_ms: int = 0
-    warnings: list = field(default_factory=list)
+    """Compared by value; unhashable, since it is filled in after it is built."""
+
+    __slots__ = ("suite", "seed", "count", "passes", "failures",
+                 "duration_ms", "warnings")
+
+    def __init__(self, suite: str, seed: int, count: int, passes: int,
+                 failures: list | None = None, duration_ms: int = 0,
+                 warnings: list | None = None):
+        self.suite = suite
+        self.seed = seed
+        self.count = count
+        self.passes = passes
+        self.failures = [] if failures is None else failures
+        self.duration_ms = duration_ms
+        self.warnings = [] if warnings is None else warnings
+
+    def _fields(self) -> tuple:
+        return (self.suite, self.seed, self.count, self.passes,
+                self.failures, self.duration_ms, self.warnings)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "SuiteReport(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields())) + ")"
 
     @property
     def ok(self) -> bool:
@@ -438,6 +458,9 @@ def run_suite(name: str, spec: InstanceSpec, workers: int = 1) -> SuiteReport:
     start = time.monotonic()
     jobs = [(name, spec, i) for i in range(spec.count)]
     if workers > 1 and spec.count > 1:
+        # imported here: multiprocessing would otherwise load with every
+        # CLI call, which runs serially
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:

@@ -26,8 +26,6 @@ but kept for faithfulness of the emitted maps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HypothesisViolated, NotAComplex
 from .exactlin import IntMat, RingDesc
 from .fpmod import (
@@ -51,14 +49,17 @@ from .resolve import ext, homology_at, tor
 # complexes
 
 
-@dataclass(frozen=True, eq=False)
 class Complex:
     """Finite chain complex; terms outside the support are zero."""
 
-    ring: RingDesc
-    lo: int
-    terms: tuple[FPModule, ...]           # C_lo .. C_hi
-    diffs: tuple[Morphism, ...]           # d_i: C_i -> C_{i-1}, i = lo+1 .. hi
+    __slots__ = ("ring", "lo", "terms", "diffs")
+
+    def __init__(self, ring: RingDesc, lo: int, terms: tuple[FPModule, ...],
+                 diffs: tuple[Morphism, ...]):
+        self.ring = ring
+        self.lo = lo
+        self.terms = terms  # C_lo .. C_hi
+        self.diffs = diffs  # d_i: C_i -> C_{i-1}, i = lo+1 .. hi
 
     @property
     def hi(self) -> int:

@@ -344,6 +344,21 @@ def test_console_entry_point_runs():
     assert "circular-exactness" in proc.stdout
 
 
+def test_import_footprint():
+    # the modules a fresh interpreter has before the import (whatever
+    # ``site`` preloads here) are the baseline; homstab may add none of the
+    # process pool's or dataclasses' dependencies
+    code = ("import sys; before = set(sys.modules); import homstab.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    added = proc.stdout.split()
+    assert "homstab.cli" in added
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+    assert [m for m in added
+            if any(m == h or m.startswith(h + ".") for h in heavy)] == []
+
+
 @pytest.mark.parametrize("argv", [
     "seq right-cov --functor hom:{q2} --b {q2} --depth -1",
     "seq left-cov --functor hom:{q2} --b {q2} --depth -1",

@@ -159,6 +159,28 @@ def test_kernel_spec_examples():
     assert in_span(IntMat.column([2]), k, Zmod(4))
 
 
+def _kernel_basis_two_pass(a, ring):
+    """Reference: reduce every free column mod n, then keep the nonzero ones."""
+    _, diag, width, v = exactlin._snf_cached(a, ring)
+    free = [j for j in range(width) if j >= len(diag) or diag[j] == 0]
+    n = ring.modulus
+    if n is None:
+        return v.take_cols(free)
+    rows = [[r[j] % n for j in free] for r in v.data]
+    keep = [t for t, col in enumerate(zip(*rows)) if any(col)]
+    return IntMat(v.rows, len(keep), tuple(tuple(r[t] for t in keep) for r in rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mats(min_dim=0, max_dim=5), st.sampled_from(RINGS), st.booleans())
+def test_kernel_basis_matches_two_pass_reference(a, ring, reduce_first):
+    # the unreduced lift exercises the Z/n path through [A | n*I] as well
+    a = a.mod(ring) if reduce_first else a
+    k = kernel_basis(a, ring)
+    ref = _kernel_basis_two_pass(a, ring)
+    assert (k.rows, k.cols, k.data) == (ref.rows, ref.cols, ref.data)
+
+
 @settings(max_examples=120, deadline=None)
 @given(mats(), st.sampled_from(RINGS))
 def test_kernel_columns_annihilate(a, ring):
