@@ -53,6 +53,7 @@ Every map between constructed modules is built one of two ways:
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
 from .exactlin import (
@@ -236,12 +237,13 @@ def is_free(m: FPModule) -> bool:
 
 def is_projective_module(m: FPModule) -> bool:
     """Over Z projective = free; over Z/n projective iff every cyclic factor
-    is a unitary divisor (per prime, each component is the full p-part)."""
+    Z/d (d | n) is a unitary divisor, gcd(d, n/d) = 1: per prime, each
+    component is the full p-part.  No factoring of n."""
     divs, _ = canonical_invariants(m)
     if m.ring.modulus is None:
         return not divs
     n = m.ring.modulus
-    return all(all(v == _vp(n, p) for p, v in _prime_components(d, n)) for d in divs)
+    return all(gcd(d, n // d) == 1 for d in divs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,10 @@ class Morphism:
 
 def make_morphism(source: FPModule, target: FPModule, mat) -> Morphism:
     """Morphism from a generator matrix; raises NotWellDefined unless
-    G @ P_source = P_target @ X is solvable."""
+    G @ P_source = P_target @ X is solvable.
+
+    The check always runs: ``in_span`` decides whether the columns of
+    G @ P_source lie in the span of P_target, and builds no X."""
     if source.ring != target.ring:
         raise DimensionMismatch("morphism across different rings")
     g = mat if isinstance(mat, IntMat) else IntMat.from_rows(mat)
@@ -296,7 +301,7 @@ def make_morphism(source: FPModule, target: FPModule, mat) -> Morphism:
             f"generator matrix must be {target.gens}x{source.gens}, got {g.rows}x{g.cols}")
     ring = source.ring
     g = g.mod(ring)
-    if solve_matrix(target.rel, g @ source.rel, ring) is None:
+    if not in_span(target.rel, g @ source.rel, ring):
         raise NotWellDefined("generator matrix does not respect the relations")
     return Morphism(source, target, g)
 

@@ -68,6 +68,11 @@ def is_exact_at(f: Morphism, g: Morphism) -> bool:
     """True iff im f = ker g inside the middle object; requires g.f = 0."""
     if not g.compose(f).is_zero():
         raise NotAComplex("composite is nonzero")
+    return _ker_in_im(f, g)
+
+
+def _ker_in_im(f: Morphism, g: Morphism) -> bool:
+    """ker g within im f; given g.f = 0, that is im f = ker g."""
     mid = f.target
     return in_span(f.mat.hstack(mid.rel), kernel_generators(g), mid.ring)
 
@@ -93,10 +98,8 @@ def build_report(nodes, maps, metadata=None) -> SequenceReport:
         composite.append(g.compose(f).is_zero())
     exact: list[bool | None] = [None] * len(seq)
     for i in range(1, len(seq) - 1):
-        if composite[i - 1]:
-            exact[i] = is_exact_at(maps[i - 1], maps[i])
-        else:
-            exact[i] = False
+        # a nonzero composite fails exactness; a zero one is not retested
+        exact[i] = composite[i - 1] and _ker_in_im(maps[i - 1], maps[i])
     return SequenceReport(seq, list(maps), composite, exact, metadata or {})
 
 

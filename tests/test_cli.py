@@ -344,6 +344,23 @@ def test_console_entry_point_runs():
     assert "circular-exactness" in proc.stdout
 
 
+def test_uct_classical_on_a_large_composite_modulus(tmp_path):
+    # Z/n with n the product of two primes near 10^9: projectivity of the
+    # boundaries is decided without factoring n
+    ring = {"kind": "ZmodN", "n": str(1000000007 * 998244353)}
+    free = {"ring": ring, "gens": 1, "relations": [[]]}
+    c, b = tmp_path / "c.json", tmp_path / "b.json"
+    c.write_text(json.dumps({"ring": ring, "terms": [free, free],
+                             "differentials": [[["1000000007"]]]}))
+    b.write_text(json.dumps(free))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homstab.cli", "uct", "classical", "--C", str(c),
+         "--B", str(b), "--n", "1", "--which", "cohomology"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    assert "verdict: exact" in proc.stdout
+
+
 def test_import_footprint():
     # the modules a fresh interpreter has before the import (whatever
     # ``site`` preloads here) are the baseline; homstab may add none of the

@@ -17,7 +17,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homstab import exactlin, fpmod, resolve
 from homstab.errors import DimensionMismatch
@@ -218,6 +218,56 @@ def test_solve_finds_planted_solutions(a, ring, xs):
     if k.cols:
         shifted = got + k.col(0)
         assert ((a @ shifted) - b).is_zero_mod(ring)
+
+
+@st.composite
+def span_systems(draw):
+    """(A, B, ring) with A possibly 0 x k, k x 0 or taller than wide; B is
+    A.X, A.X with one entry perturbed, or arbitrary, unreduced over Z/n, and
+    the entries of A and B may sit near 10^30."""
+    ring = draw(st.sampled_from(RINGS))
+    m, k, t = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    small = st.integers(-9, 9)
+    entry = st.one_of(small, st.just(0), small.map(lambda x: 10**30 + x))
+
+    def matrix(rows, cols, elt):
+        data = draw(st.lists(st.lists(elt, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return IntMat(rows, cols, tuple(map(tuple, data)))
+
+    a = matrix(m, k, entry)
+    kind = draw(st.sampled_from(["image", "perturbed", "any"]))
+    if kind == "any":
+        b = matrix(m, t, entry)
+    else:
+        b = a @ matrix(k, t, small)
+        if kind == "perturbed" and m and t:
+            rows = [list(r) for r in b.data]
+            rows[draw(st.integers(0, m - 1))][draw(st.integers(0, t - 1))] += \
+                draw(st.integers(1, 12))
+            b = IntMat(m, t, tuple(map(tuple, rows)))
+    if ring.modulus is not None:  # an unreduced lift of B
+        b = b + matrix(m, t, st.integers(-3, 3)).scale(ring.modulus)
+    return a, b, ring
+
+
+TALL = IntMat.from_rows([[1], [2], [3]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_systems())
+# no rows; no columns, where only zero (mod n) is in the span; taller than
+# wide, where (2, 4, 6) is twice the column and (2, 4, 7) is no multiple;
+# a divisor 0 past a unit one
+@example((IntMat.zeros(0, 3), IntMat.zeros(0, 2), ZZ))
+@example((IntMat.zeros(2, 0), IntMat.from_rows([[0], [4]]), Zmod(4)))
+@example((IntMat.zeros(2, 0), IntMat.from_rows([[0], [1]]), Zmod(12)))
+@example((TALL, IntMat.column([2, 4, 6 + 9]), Zmod(9)))
+@example((TALL, IntMat.column([2, 4, 7]), ZZ))
+@example((IntMat.from_rows([[1], [1]]), IntMat.column([1, 0]), ZZ))
+def test_in_span_agrees_with_solve_matrix(system):
+    a, b, ring = system
+    assert in_span(a, b, ring) == (solve_matrix(a, b, ring) is not None)
 
 
 def test_invariant_divisors_spec_examples():
@@ -632,3 +682,5 @@ def test_public_edge_rejects_bad_shapes():
                        (IntMat.hstack, (3, 2)), (IntMat.vstack, (3, 2))):
         with pytest.raises(DimensionMismatch):
             op(IntMat.zeros(2, 3), IntMat.zeros(m, n))
+    with pytest.raises(DimensionMismatch):
+        in_span(IntMat.zeros(2, 1), IntMat.zeros(3, 1), ZZ)

@@ -14,6 +14,7 @@ from homstab.fpmod import (
     tensor_module, tensor_mor, transpose, zero_module, is_projective_module,
     kernel_realization,
 )
+from homstab.fpmod import _prime_components, _vp
 from homstab.instances import random_module, random_morphism
 from homstab.resolve import homology_at
 
@@ -46,6 +47,16 @@ def test_make_morphism_witness():
         make_morphism(Z2_mod4, Z4_mod4, [[1]])
     f = make_morphism(Z2_mod4, Z4_mod4, [[2]])
     assert in_span(Z4_mod4.rel, (f.mat @ Z2_mod4.rel).mod(R4), R4)
+    # the generator of order 2 (order 6 over Z/12) may only go to an
+    # element it annihilates, over Z and over Z/n
+    for src, tgt, good, bad in [
+            (Z2, Z, [[0]], [[1]]),
+            (Z2, cyclic(ZZ, 4), [[2]], [[1]]),
+            (cyclic(Zmod(12), 6), cyclic(Zmod(12), 4), [[2]], [[1]]),
+            (make_module(R4, [[2], [0]]), Z4_mod4, [[2, 1]], [[1, 1]])]:
+        make_morphism(src, tgt, good)
+        with pytest.raises(NotWellDefined):
+            make_morphism(src, tgt, bad)
 
 
 def test_kernel_cokernel_spec_examples():
@@ -98,6 +109,16 @@ def test_projectivity_over_zmods():
     assert not is_projective_module(Z2_mod4)
     # Z/2 is a unitary factor of Z/6, hence projective over Z/6
     assert is_projective_module(cyclic(Zmod(6), 2))
+
+
+def test_projectivity_gcd_rule_matches_per_prime_rule():
+    # over Z/n, Z/d (d | n) is projective iff for each prime p | d the
+    # p-part of d is the p-part of n; the gcd rule needs no factoring
+    for n in range(2, 201):
+        ring = Zmod(n)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            per_prime = all(v == _vp(n, p) for p, v in _prime_components(d, n))
+            assert is_projective_module(cyclic(ring, d)) == per_prime, (n, d)
 
 
 def test_hom_module_spec_examples():
