@@ -48,6 +48,17 @@ Every map between constructed modules is built one of two ways:
   target's relations, plus the well-definedness of h), which serves
   factoring through monos, extending into injectives, the comparison theorem
   and retraction search.
+
+Caching.  ``present_with_iso`` and ``subquotient`` are ``lru_cache``s of
+1024 entries each, keyed by their arguments: (ring, gens, rel) and
+(ambient, sub, den), all immutable values that hash once.  Equal inputs
+built as separate objects share one result, so one trimmed presentation
+and one ``SubquotientRealization`` (with its cached ``decode`` and
+``_span``) serve every caller; nothing may write to them.  Exceptions are
+not cached: a ``den`` outside ``sub`` raises ``MembershipError`` on every
+call.  ``make_morphism`` and ``induced`` are not cached, and neither are
+the kernel, cokernel and image constructions that call the two cached
+functions, so every morphism they emit is checked for well-definedness.
 """
 
 from __future__ import annotations
@@ -57,7 +68,7 @@ from math import gcd
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
 from .exactlin import (
-    IntMat, RingDesc, _snf_u, invariant_divisors, in_span, kernel_basis,
+    ZZ, IntMat, RingDesc, _snf_u, invariant_divisors, in_span, kernel_basis,
     solve_matrix,
 )
 # not called here; bound because perfbench/test_smoke.py asserts that the
@@ -120,6 +131,7 @@ class FPModule:
         return " + ".join(parts) if parts else "0"
 
 
+@lru_cache(maxsize=1024)
 def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     """Trim a raw presentation; returns (module, fwd, bwd).
 
@@ -173,52 +185,26 @@ def iso_test(m: FPModule, n: FPModule) -> bool:
     return m.ring == n.ring and canonical_invariants(m) == canonical_invariants(n)
 
 
-def _prime_components(d: int, n: int):
-    comps = []
-    for p in _prime_factors(n):
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        if v:
-            comps.append((p, v))
-    return comps
-
-
-def _prime_factors(n: int):
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def stable_invariants(m: FPModule) -> tuple:
     """Classification modulo projectives: over Z drop the free rank; over Z/n
-    drop, per prime, cyclic components equal to the full local component."""
+    drop, per prime, cyclic components equal to the full local component,
+    and return the invariant factors of what is left.
+
+    No factoring of n: for a cyclic factor Z/d (d | n) the primes p with
+    0 < v_p(d) < v_p(n) are those dividing g = gcd(d, n/d).  Stripping them
+    from d leaves c, the product of d's full components, and d // c is the
+    stable part."""
     divs, free = canonical_invariants(m)
     if m.ring.modulus is None:
         return tuple(sorted(divs))
     n = m.ring.modulus
-    comps = []
+    parts = []
     for d in list(divs) + [n] * free:
-        for p, v in _prime_components(d, n):
-            if v < _vp(n, p):
-                comps.append(p ** v)
-    return tuple(sorted(comps))
+        g, c = gcd(d, n // d), d
+        while (h := gcd(c, g)) > 1:
+            c //= h
+        parts.append(d // c)
+    return invariant_divisors(IntMat.diag(parts), ZZ)[0]
 
 
 def stably_iso_test(m: FPModule, n: FPModule, mod: str = "projectives") -> bool:
@@ -357,8 +343,10 @@ class SubquotientRealization:
 
     @cached_property
     def _span(self) -> IntMat:
-        """sub | den | ambient relations, built once: every encode solves
-        against this one matrix, so the SNF cache hashes it once."""
+        """sub | den | ambient relations, built once per distinct
+        subquotient: ``subquotient`` hands every caller the same
+        realization, so every encode of it solves against this one matrix
+        and the SNF cache hashes it once."""
         sq = self.subq
         return sq.sub.hstack(sq.den).hstack(sq.ambient.rel)
 
@@ -373,6 +361,7 @@ class SubquotientRealization:
         return (self.fwd @ u).mod(ring)
 
 
+@lru_cache(maxsize=1024)
 def subquotient(ambient: FPModule, sub: IntMat, den: IntMat | None = None) -> SubquotientRealization:
     if den is None:
         den = IntMat.zeros(ambient.gens, 0)

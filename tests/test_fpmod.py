@@ -1,10 +1,17 @@
 """Finitely presented modules: constructions and canonical invariants."""
 
+import importlib
+import pkgutil
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homstab.errors import NotWellDefined
-from homstab.exactlin import IntMat, ZZ, Zmod, in_span
+import homstab
+from homstab.errors import MembershipError, NotWellDefined
+from homstab.exactlin import IntMat, ZZ, Zmod, in_span, invariant_divisors
 from homstab.fpmod import (
     Own, Within, canonical_invariants, cokernel, cokernel_realization, cyclic,
     direct_sum, direct_sum_morphism, dual, epi_mono_factor, evaluation_map,
@@ -12,9 +19,8 @@ from homstab.fpmod import (
     identity_morphism, image, induced, is_identity, iso_test, kernel,
     make_module, make_morphism, morphisms_equal, stably_iso_test,
     tensor_module, tensor_mor, transpose, zero_module, is_projective_module,
-    kernel_realization,
+    kernel_realization, present_with_iso, stable_invariants, subquotient,
 )
-from homstab.fpmod import _prime_components, _vp
 from homstab.instances import random_module, random_morphism
 from homstab.resolve import homology_at
 
@@ -29,6 +35,44 @@ Z4_mod4 = free_module(R4, 1)
 
 def invs(m):
     return canonical_invariants(m)
+
+
+# per-prime reference for the gcd rules of fpmod, which never factor n
+
+
+def _prime_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _vp(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _prime_components(d, n):
+    """(p, v_p(d)) for the primes p of n that divide d."""
+    return [(p, _vp(d, p)) for p in _prime_factors(n) if d % p == 0]
+
+
+def _stable_parts_per_prime(m):
+    """The prime-power components of m over Z/n that are not the full
+    p-part of n, sorted."""
+    divs, free = canonical_invariants(m)
+    n = m.ring.modulus
+    return sorted(p ** v for d in list(divs) + [n] * free
+                  for p, v in _prime_components(d, n) if v < _vp(n, p))
 
 
 def test_make_module_normalizes():
@@ -119,6 +163,111 @@ def test_projectivity_gcd_rule_matches_per_prime_rule():
         for d in (d for d in range(1, n + 1) if n % d == 0):
             per_prime = all(v == _vp(n, p) for p, v in _prime_components(d, n))
             assert is_projective_module(cyclic(ring, d)) == per_prime, (n, d)
+
+
+def test_stable_invariants_gcd_rule_matches_per_prime_rule():
+    # the stable parts are the invariant factors of the per-prime
+    # components, so both rules decide stable isomorphism alike
+    rng = random.Random(12)
+    for n in range(2, 201):
+        ring = Zmod(n)
+        mods = [random_module(rng, ring, 4, 3, n) for _ in range(12)]
+        ref = [_stable_parts_per_prime(m) for m in mods]
+        for m, parts in zip(mods, ref):
+            assert stable_invariants(m) == \
+                invariant_divisors(IntMat.diag(parts), ZZ)[0], (n, m)
+        for i, (a, pa) in enumerate(zip(mods, ref)):
+            for b, pb in zip(mods[i:], ref[i:]):
+                assert stably_iso_test(a, b) == (pa == pb), (n, a, b)
+
+
+def test_stable_invariants_on_a_large_composite_modulus():
+    # two primes near 10^9: trial division of n would not end in time
+    code = (
+        "from homstab.exactlin import Zmod\n"
+        "from homstab.fpmod import cyclic, stable_invariants\n"
+        "p, q = 1000000007, 998244353\n"
+        "print(stable_invariants(cyclic(Zmod(p * q), p)))\n"
+        "print(stable_invariants(cyclic(Zmod(p * p * q), p)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["()", "(1000000007,)"]
+
+
+def _clear_homstab_caches():
+    for info in pkgutil.iter_modules(homstab.__path__):
+        mod = importlib.import_module(f"homstab.{info.name}")
+        for obj in vars(mod).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def test_cached_constructions_share_equal_inputs():
+    ring = Zmod(12)
+    rows = [[4, 2], [0, 6]]
+    sub, den = [[1, 0], [0, 2]], [[4, 0], [0, 0]]
+    amb, amb2 = free_module(ring, 2), free_module(Zmod(12), 2)
+    first = present_with_iso(ring, 2, IntMat.from_rows(rows))
+    assert present_with_iso(Zmod(12), 2, IntMat.from_rows(rows)) == first
+    sq = subquotient(amb, IntMat.from_rows(sub), IntMat.from_rows(den))
+    again = subquotient(amb2, IntMat.from_rows(sub), IntMat.from_rows(den))
+    assert again is sq  # one realization, shared
+    _clear_homstab_caches()
+    cold = subquotient(amb2, IntMat.from_rows(sub), IntMat.from_rows(den))
+    assert cold is not sq
+    assert (cold.module, cold.fwd, cold.bwd, cold.decode) == \
+        (sq.module, sq.fwd, sq.bwd, sq.decode)
+
+
+def test_cache_key_holds_the_ring():
+    # 4 is 0 over Z/4 and a relation of order 2 over Z/8
+    rel = IntMat.from_rows([[4]])
+    m4, _, _ = present_with_iso(Zmod(4), 1, rel)
+    m8, _, _ = present_with_iso(Zmod(8), 1, rel)
+    assert (m4.ring, m4.rel) == (Zmod(4), IntMat.zeros(1, 0))
+    assert (m8.ring, m8.rel) == (Zmod(8), IntMat.from_rows([[4]]))
+
+
+def test_verdicts_are_not_cached():
+    # exceptions are never cached: a bad denominator and a bad generator
+    # matrix raise on every call
+    amb = free_module(R4, 1)
+    sub, den = IntMat.from_rows([[2]]), IntMat.from_rows([[1]])
+    for _ in range(2):
+        with pytest.raises(MembershipError):
+            subquotient(amb, sub, den)
+        with pytest.raises(NotWellDefined):
+            make_morphism(Z2_mod4, Z4_mod4, [[1]])
+
+
+CACHE_RINGS = (ZZ, R4, Zmod(8), Zmod(12))
+
+
+def _constructions(ring):
+    """Matrices of a fixed set of Hom, kernel, homology and cokernel
+    constructions over ``ring``; every ring starts from the same raw
+    presentations."""
+    a = make_module(ring, [[4, 2], [0, 6]])
+    b = make_module(ring, [[4, 0], [0, 0]])
+    h = hom_module(a, b)
+    f = h.morphism(IntMat.column([1] * h.module.gens).mod(ring))
+    kr, cr = kernel_realization(f), cokernel_realization(f)
+    hom2 = homology_at(f.scale(2), cr.project)
+    out = [(r.module.ring, r.module.rel, r.decode) for r in (h, kr, cr, hom2)]
+    return out + [f.mat, kr.include.mat, cr.project.mat, induced(hom2, hom2).mat]
+
+
+def test_constructions_cold_and_warm_agree():
+    # cold: every lru_cache in homstab cleared before each ring; warm: the
+    # rings one after another on shared caches, twice
+    cold = []
+    for ring in CACHE_RINGS:
+        _clear_homstab_caches()
+        cold.append(_constructions(ring))
+    _clear_homstab_caches()
+    for _ in range(2):
+        assert [_constructions(ring) for ring in CACHE_RINGS] == cold
 
 
 def test_hom_module_spec_examples():
