@@ -26,6 +26,19 @@ public edge only: ``IntMat.from_rows``, JSON parsing, ``FPModule`` and
 check that they fit; the constructor itself trusts its arguments, and a
 matrix hashes its entries once.
 
+A matrix with no rows or no columns has no entries, so what the primitives
+return for it is fixed by its shape, and they return that directly after
+their shape checks: a product with an empty operand is the rows x n zero
+matrix; ``mod`` and ``scale`` return an empty matrix unchanged, and
+``hstack`` with a side of no columns returns the other side; an empty B
+lies in every span, and its particular solution is the a.cols x b.cols
+zero matrix; and the kernel of a 0-row A is the identity the SNF cache
+keeps for it.  Each value is the one the general path computes, and no
+check is skipped: the shape checks still run, ``solve_matrix`` and
+``kernel_basis`` still go through the SNF cache, and ``make_morphism``
+still tests every morphism with ``in_span``.  The paper's sequences are
+mostly zero modules, so most matrices built downstream have this shape.
+
 Kernels and solutions over a matrix A are read from one cache keyed by
 (A, ring).  An entry keeps only what they read of the SNF of A's lift:
 U, the diagonal, the width of the lift and the rows of V over A's columns.
@@ -166,7 +179,7 @@ class IntMat:
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMat":
-        return IntMat(m, n, tuple((0,) * n for _ in range(m)))
+        return IntMat(m, n, ((0,) * n,) * m)
 
     @staticmethod
     def identity(n: int) -> "IntMat":
@@ -206,15 +219,19 @@ class IntMat:
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "IntMat":
+        if not (self.rows and self.cols):
+            return self
         return IntMat(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"mul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        n = other.cols
+        if not (self.rows and self.cols and n):
+            return IntMat.zeros(self.rows, n)
         # row_i(A @ B) = sum_k a[i][k] * row_k(B), over nonzero a[i][k] and
         # the nonzero entries of row_k(B) only
-        n = other.cols
         cols = range(n)
         sparse = []
         for r in other.data:
@@ -238,6 +255,10 @@ class IntMat:
     def hstack(self, other: "IntMat") -> "IntMat":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack: row mismatch")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         return IntMat(self.rows, self.cols + other.cols, tuple(
             ra + rb for ra, rb in zip(self.data, other.data)))
 
@@ -283,7 +304,7 @@ class IntMat:
             tuple(map(r.__getitem__, idx)) for r in self.data))
 
     def mod(self, ring: RingDesc) -> "IntMat":
-        if ring.modulus is None:
+        if ring.modulus is None or not (self.rows and self.cols):
             return self
         n = ring.modulus
         return IntMat(self.rows, self.cols, tuple(tuple(map(n.__rmod__, r)) for r in self.data))
@@ -554,6 +575,8 @@ def kernel_basis(a: IntMat, ring: RingDesc) -> IntMat:
     zero columns dropped).
     """
     _, diag, width, v = _snf_cached(a, ring)
+    if not a.rows:  # every vector is in the kernel
+        return v
     free = [j for j in range(width) if j >= len(diag) or diag[j] == 0]
     n = ring.modulus
     if n is None:
@@ -573,6 +596,8 @@ def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
     if a.rows != b.rows:
         raise DimensionMismatch(f"solve: {a.rows} rows vs rhs {b.rows}")
     u, diag, width, v = _snf_cached(a, ring)
+    if not (b.rows and b.cols):
+        return IntMat.zeros(a.cols, b.cols)
     c = u @ b.mod(ring)
     y = [(0,) * b.cols] * width
     for i, row in enumerate(c.data):
@@ -643,6 +668,8 @@ def in_span(a: IntMat, b: IntMat, ring: RingDesc) -> bool:
     """
     if a.rows != b.rows:
         raise DimensionMismatch(f"in_span: {a.rows} rows vs rhs {b.rows}")
+    if not (b.rows and b.cols):  # the zero matrix is in every span
+        return True
     data = b.data
     for ks, vs, d in _span_rows(a, ring):
         acc = [0] * b.cols

@@ -79,11 +79,9 @@ def parse_module(doc, where="module") -> FPModule:
     if not isinstance(gens, int) or isinstance(gens, bool) or gens < 0:
         raise SchemaError(f"{where}.gens: expected a nonnegative integer")
     rel_doc = doc.get("relations", [])
-    if gens == 0:
-        rel = IntMat.zeros(0, 0)
-    else:
-        rel = parse_matrix(rel_doc, rows=gens, where=f"{where}.relations") \
-            if rel_doc else IntMat.zeros(gens, 0)
+    # [] is the free module: a gens x 0 matrix has no rows to write
+    rel = IntMat.zeros(gens, 0) if rel_doc == [] else parse_matrix(
+        rel_doc, rows=gens, where=f"{where}.relations")
     return make_module(ring, rel, gens=gens)
 
 

@@ -205,6 +205,11 @@ def test_cli_negative_degree_is_usage_error(tmp_path, capsys, action):
     {"ring": {"kind": "ZmodN", "n": 8.9}, "gens": 1, "relations": [[2]]},
     {"ring": {"kind": "ZmodN", "n": True}, "gens": 1, "relations": [[2]]},
     {"ring": {"kind": "Z"}, "gens": True, "relations": [[2]]},
+    {"ring": {"kind": "Z"}, "gens": 0, "relations": [["5"]]},
+    {"ring": {"kind": "Z"}, "gens": 0, "relations": "abc"},
+    {"ring": {"kind": "Z"}, "gens": 2, "relations": {}},
+    {"ring": {"kind": "Z"}, "gens": 2, "relations": ""},
+    {"ring": {"kind": "Z"}, "gens": 2, "relations": 0},
 ])
 def test_cli_rejects_coercible_non_integers(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"

@@ -315,6 +315,66 @@ def test_matmul_empty_and_zero_operands():
         IntMat.zeros(2, 3) @ IntMat.zeros(2, 3)
 
 
+@st.composite
+def empty_shape_systems(draw):
+    """(A, B, ring): A is m x k and B is k x n with at least one of m, k, n
+    zero, so A @ B, A or B has no entries."""
+    ring = draw(st.sampled_from(RINGS))
+    dims = [draw(st.integers(0, 4)) for _ in range(3)]
+    for i in draw(st.sets(st.integers(0, 2), min_size=1)):
+        dims[i] = 0
+    m, k, n = dims
+    return draw(sparse_mats(m, k)), draw(sparse_mats(k, n)), ring
+
+
+def _shape(x):
+    return x.rows, x.cols, x.data
+
+
+def _entrywise(x, f):
+    return x.rows, x.cols, tuple(tuple(map(f, r)) for r in x.data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(empty_shape_systems(), st.integers(-3, 3))
+@example((IntMat.zeros(0, 3), IntMat.zeros(3, 2), ZZ), 2)
+@example((IntMat.zeros(2, 0), IntMat.zeros(0, 3), Zmod(4)), -1)
+@example((IntMat.zeros(3, 2), IntMat.zeros(2, 0), Zmod(12)), 0)
+@example((IntMat.zeros(0, 0), IntMat.zeros(0, 0), Zmod(9)), 3)
+def test_empty_shape_base_cases_match_general_references(system, c):
+    a, b, ring = system
+    n = ring.modulus
+    prod = a @ b
+    ref_prod = (a.rows, b.cols, tuple(map(tuple, naive_matmul(a, b))))
+    assert _shape(prod) == ref_prod
+    wide = IntMat(*ref_prod)
+    assert _shape(a.hstack(wide)) == (a.rows, a.cols + b.cols, tuple(
+        ra + rw for ra, rw in zip(a.data, wide.data)))
+    assert _shape(wide.hstack(a)) == (a.rows, a.cols + b.cols, tuple(
+        rw + ra for ra, rw in zip(a.data, wide.data)))
+    for x in (a, b, prod):
+        assert _shape(x.scale(c)) == _entrywise(x, lambda v: c * v)
+        assert _shape(x.mod(ring)) == (_shape(x) if n is None
+                                       else _entrywise(x, lambda v: v % n))
+        assert _shape(kernel_basis(x, ring)) == _shape(_reference_kernel(x, ring))
+    # A.X = A @ B is solvable; X = B is one solution
+    solved = solve_matrix(a, prod, ring)
+    assert solved is not None
+    assert _shape(solved) == _shape(_reference_solve(a, prod, ring))
+    assert in_span(a, prod, ring)
+    empty = IntMat(a.rows, 0, ((),) * a.rows)
+    assert in_span(a, empty, ring) and in_span(b, IntMat(b.rows, 0, ((),) * b.rows), ring)
+    assert _shape(solve_matrix(a, empty, ring)) == _shape(_reference_solve(a, empty, ring))
+    # an empty operand with the wrong row count is still refused
+    wrong = IntMat(a.rows + 1, 0, ((),) * (a.rows + 1))
+    with pytest.raises(DimensionMismatch):
+        in_span(a, wrong, ring)
+    with pytest.raises(DimensionMismatch):
+        solve_matrix(a, wrong, ring)
+    with pytest.raises(DimensionMismatch):
+        make_morphism(free_module(ring, 0), free_module(ring, a.rows), wrong)
+
+
 @settings(max_examples=150, deadline=None)
 @given(mats(max_dim=6, max_entry=12), st.sampled_from(RINGS))
 def test_invariant_divisors_match_snf_diagonal(a, ring):
