@@ -34,7 +34,9 @@ def parse_ring_flag(text: str) -> RingDesc:
     raise SchemaError(f"cannot parse ring {text!r}; use Z or Z/n")
 
 
-def load_doc(path: str):
+def load_doc(path: str | None):
+    if path is None:
+        raise SchemaError("a required input file is missing")
     with open(path) as handle:
         return json.load(handle)
 
@@ -52,9 +54,11 @@ def format_invariants(m: FPModule) -> str:
     return body
 
 
-def parse_functor_spec(spec: str, half_exact: bool = False):
+def parse_functor_spec(spec: str | None, half_exact: bool = False):
     """hom:M.json | homcontra:M.json | tensor:M.json | fp:f.json | tc:f.json
     | ext:M.json:i | tor:M.json:i"""
+    if spec is None:
+        raise SchemaError("a functor spec is missing; pass --functor")
     parts = spec.split(":")
     kind = parts[0]
     if kind in ("hom", "homcontra", "tensor") and len(parts) == 2:

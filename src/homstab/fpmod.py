@@ -28,13 +28,21 @@ coordinate system, with one contract:
   representative of each class);
 * ``encode(cols)``: ambient columns -> module coordinates.
 
-The ambient of a subquotient, homology or kernel is the module it sits in, of
-a cokernel the target, of Hom(M, N) the free module on vec(G), of M (x) N the
-raw generator pairs.  ``Own(m)`` realizes m in its own coordinates.
-``Within(outer, inner)`` carries a realization whose ambient is
-``outer.module`` (a cokernel or homology inside a Hom module) over to outer's
-ambient: decode is ``outer.decode @ inner.decode``, encode runs outer's encode
-and then inner's.
+There are two shapes.  A ``SubquotientRealization`` is a subquotient,
+homology or kernel of the module it sits in, or Hom(M, N) (held by a
+``HomRealization``) inside the free module on vec(G).  A
+``CokernelRealization`` is a trimmed presentation of a quotient of its
+ambient: a cokernel of the target, or M (x) N, the cokernel of its relation
+matrix on the raw generator pairs; its encode is ``fwd @ cols``.
+``Own(m)`` realizes m in its own coordinates.  ``Within(outer, inner)``
+carries a realization whose ambient is ``outer.module`` (a cokernel or
+homology inside a Hom module) over to outer's ambient: decode is
+``outer.decode @ inner.decode``, encode runs outer's encode and then
+inner's.
+
+A realization carries no maps.  An inclusion or projection is induced where
+it is read: ``kernel(f)`` returns ``induced(k, Own(f.source))`` and
+``cokernel(f)`` returns ``induced(Own(f.target), c)``.
 
 Every map between constructed modules is built one of two ways:
 
@@ -418,22 +426,6 @@ def induced(src, tgt, arrow: IntMat | None = None) -> Morphism:
 # kernels, cokernels, images
 
 
-class KernelRealization:
-    __slots__ = ("module", "include", "_sq")
-
-    def __init__(self, module: FPModule, include: Morphism, _sq: SubquotientRealization):
-        self.module = module
-        self.include = include
-        self._sq = _sq
-
-    @property
-    def decode(self) -> IntMat:
-        return self.include.mat
-
-    def encode(self, cols: IntMat) -> IntMat:
-        return self._sq.encode(cols)
-
-
 def kernel_generators(f: Morphism) -> IntMat:
     """Generators of ker f in source coordinates: the v with f.mat @ v in the
     column span of the target's relations."""
@@ -443,38 +435,37 @@ def kernel_generators(f: Morphism) -> IntMat:
     return IntMat(gens, raw.cols, raw.data[:gens])
 
 
-def kernel_realization(f: Morphism) -> KernelRealization:
-    sq = subquotient(f.source, kernel_generators(f))
-    include = make_morphism(sq.module, f.source, sq.decode)
-    return KernelRealization(sq.module, include, sq)
+def kernel_realization(f: Morphism) -> SubquotientRealization:
+    return subquotient(f.source, kernel_generators(f))
 
 
 def kernel(f: Morphism) -> tuple[FPModule, Morphism]:
     k = kernel_realization(f)
-    return k.module, k.include
+    return k.module, induced(k, Own(f.source))
 
 
 class CokernelRealization:
-    __slots__ = ("module", "project", "decode")
+    """A trimmed presentation of a quotient of its ambient."""
 
-    def __init__(self, module: FPModule, project: Morphism, decode: IntMat):
+    __slots__ = ("module", "fwd", "decode")
+
+    def __init__(self, module: FPModule, fwd: IntMat, decode: IntMat):
         self.module = module
-        self.project = project
-        self.decode = decode  # module coordinates -> target coordinates (a section)
+        self.fwd = fwd  # ambient coordinates -> module coordinates
+        self.decode = decode  # module coordinates -> ambient coordinates (a section)
 
     def encode(self, cols: IntMat) -> IntMat:
-        return self.project.mat @ cols
+        return self.fwd @ cols
 
 
 def cokernel_realization(f: Morphism) -> CokernelRealization:
-    module, fwd, bwd = present_with_iso(
-        f.target.ring, f.target.gens, f.target.rel.hstack(f.mat))
-    return CokernelRealization(module, make_morphism(f.target, module, fwd), bwd)
+    return CokernelRealization(*present_with_iso(
+        f.target.ring, f.target.gens, f.target.rel.hstack(f.mat)))
 
 
 def cokernel(f: Morphism) -> tuple[FPModule, Morphism]:
     c = cokernel_realization(f)
-    return c.module, c.project
+    return c.module, induced(Own(f.target), c)
 
 
 def epi_mono_factor(f: Morphism) -> tuple[Morphism, Morphism]:
@@ -486,7 +477,7 @@ def epi_mono_factor(f: Morphism) -> tuple[Morphism, Morphism]:
 
 
 def image(f: Morphism) -> FPModule:
-    return epi_mono_factor(f)[0].target
+    return subquotient(f.target, f.mat).module
 
 
 # ---------------------------------------------------------------------------
@@ -650,29 +641,17 @@ def extend_along(g: Morphism, m: Morphism) -> Morphism | None:
                   g.mat, g.target.rel)
 
 
-class TensorRealization:
-    __slots__ = ("module", "fwd", "decode")
-
-    def __init__(self, module: FPModule, fwd: IntMat, decode: IntMat):
-        self.module = module
-        self.fwd = fwd  # raw (g_left*g_right) coordinates -> module coordinates
-        self.decode = decode  # module coordinates -> raw coordinates (a section)
-
-    def encode(self, cols: IntMat) -> IntMat:
-        return self.fwd @ cols
-
-
 @lru_cache(maxsize=4096)
-def tensor_module(m: FPModule, n: FPModule) -> TensorRealization:
-    """M (x) N presented on generator pairs with relations P_M (x) 1, 1 (x) P_N."""
+def tensor_module(m: FPModule, n: FPModule) -> CokernelRealization:
+    """M (x) N presented on generator pairs with relations P_M (x) 1, 1 (x) P_N:
+    the cokernel of that relation matrix."""
     if m.ring != n.ring:
         raise DimensionMismatch("tensor across different rings")
     ring = m.ring
     gens = m.gens * n.gens
     rel = m.rel.kron(IntMat.identity(n.gens)).hstack(
         IntMat.identity(m.gens).kron(n.rel))
-    module, fwd, bwd = present_with_iso(ring, gens, rel)
-    return TensorRealization(module, fwd, bwd)
+    return CokernelRealization(*present_with_iso(ring, gens, rel))
 
 
 def tensor_mor(f: Morphism, g: Morphism) -> Morphism:

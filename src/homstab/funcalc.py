@@ -38,11 +38,12 @@ from __future__ import annotations
 from .errors import UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
-    CokernelRealization, FPModule, KernelRealization, Morphism, Own, Within,
-    cokernel_realization, epi_mono_factor, evaluation_map, extend_along,
-    factor_through, free_module, hom_module, hom_pull, hom_push,
-    identity_morphism, induced, is_identity, kernel_realization,
-    make_morphism, tensor_module, tensor_mor, zero_morphism,
+    CokernelRealization, FPModule, Morphism, Own, SubquotientRealization,
+    Within, cokernel, cokernel_realization, epi_mono_factor, evaluation_map,
+    extend_along, factor_through, free_module, hom_module, hom_pull,
+    hom_push, identity_morphism, induced, is_identity, kernel,
+    kernel_realization, make_morphism, subquotient, tensor_module,
+    tensor_mor, zero_morphism,
 )
 from .resolve import (
     _require_nonnegative, cosyzygy, ext as resolve_ext, homology_at,
@@ -185,9 +186,9 @@ class TC(FunctorExpr):
     def __init__(self, f: Morphism, half_exact: bool = False):
         self.f = f
         self.half_exact = half_exact
-        self._cache: dict[FPModule, KernelRealization] = {}
+        self._cache: dict[FPModule, SubquotientRealization] = {}
 
-    def _at(self, x: FPModule) -> KernelRealization:
+    def _at(self, x: FPModule) -> SubquotientRealization:
         """F(X) as the kernel of f (x) X: A(x)X -> B(x)X."""
         got = self._cache.get(x)
         if got is None:
@@ -389,9 +390,8 @@ def sub_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     """
     if _fp_right(f, x) is not None:
         return sub_stabilize_fp(f, x)
-    kr = _Thread(f, "right", x, 0,
-                 "sub-stabilization of a covariant functor").stab(0)
-    return kr.module, kr.include
+    t = _Thread(f, "right", x, 0, "sub-stabilization of a covariant functor")
+    return kernel(t.applied("a", 0))
 
 
 def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
@@ -399,9 +399,9 @@ def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     of the left thread (a free cover of X when covariant; an injective
     container, quasi-Frobenius only, when contravariant).
     """
-    c = _Thread(f, "left", x, 0,
-                "quot-stabilization of a contravariant functor").stab(0)
-    return c.module, c.project
+    t = _Thread(f, "left", x, 0,
+                "quot-stabilization of a contravariant functor")
+    return cokernel(t.applied("a", 0))
 
 
 def _fp_value(f: FunctorExpr, pres: Morphism, x: FPModule) -> CokernelRealization:
@@ -424,14 +424,14 @@ def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     return bar.module, k
 
 
-def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> KernelRealization:
-    """F-under(X) of a tensor-copresented F with its inclusion into D(x)X,
-    from the evaluated copresentation 0 -> F-under(X) -> D(x)X -> B(x)X ->
-    C(x)X -> 0 (D = Im f)."""
+def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> SubquotientRealization:
+    """F-under(X) of a tensor-copresented F, realized inside D(x)X (its
+    decode is the inclusion), from the evaluated copresentation
+    0 -> F-under(X) -> D(x)X -> B(x)X -> C(x)X -> 0 (D = Im f)."""
     pres = f.tc_copresentation()
     if pres is None:
         raise WrongShape("functor has no tensor-copresented shape")
-    _, m = epi_mono_factor(pres)
+    m = induced(subquotient(pres.target, pres.mat), Own(pres.target))
     return kernel_realization(tensor_mor(m, identity_morphism(x)))
 
 
@@ -539,8 +539,10 @@ def derived(f: FunctorExpr, i: int, side: str) -> FunctorExpr:
 
 
 def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
-    """Lift phi to the projective or injective resolutions of its ends
-    (comparison theorem)."""
+    """h_0 .. h_{depth-1}: phi lifted to the projective or injective
+    resolutions of its ends (comparison theorem).  The resolutions are the
+    depth-``depth`` ones the derived nodes thread, and no square past
+    h_{depth-1} is solved."""
     resolve = inj_resolution if injective else proj_resolution
     rx, ry = resolve(phi.source, depth), resolve(phi.target, depth)
     if injective:
@@ -549,7 +551,7 @@ def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
             raise WrongShape("map does not extend along the given mono")
     else:
         hs = [make_morphism(rx.terms[0], ry.terms[0], phi.mat)]
-    for dx, dy in zip(rx.diffs, ry.diffs):
+    for dx, dy in zip(rx.diffs[:depth - 1], ry.diffs):
         if injective:  # h_k . dx = dy . h_k-1
             hs.append(extend_along(dy.compose(hs[-1]), dx))
         else:          # dy . h_k = h_k-1 . dx
@@ -626,9 +628,9 @@ def rho(f: FunctorExpr, x: FPModule) -> Morphism:
     """F(X) -> R0 F(X), the zeroth right-derived comparison."""
     pres = _fp_right(f, x)
     if pres is not None:
-        kr = kernel_realization(pres)
-        hom_w = hom_module(kr.module, x)
-        restrict = hom_pull(hom_module(pres.source, x), hom_w, kr.include)
+        w, include = kernel(pres)
+        hom_w = hom_module(w, x)
+        restrict = hom_pull(hom_module(pres.source, x), hom_w, include)
         return induced(_fp_value(f, pres, x), Own(hom_w.module), restrict.mat)
     t = _Thread(f, "right", x, 1, "rho of a covariant functor")
     return induced(Own(f.eval_obj(x)), t.der(0), t.applied("a", 0).mat)
@@ -708,8 +710,7 @@ def torsion_radical(a: FPModule) -> tuple[FPModule, Morphism]:
     """The largest submodule killed by the zeroth right-derived comparison of
     a (x) -, computed as the kernel of the evaluation map a -> a**.  Over Z
     this is the torsion submodule."""
-    kr = kernel_realization(evaluation_map(a))
-    return kr.module, kr.include
+    return kernel(evaluation_map(a))
 
 
 # ---------------------------------------------------------------------------

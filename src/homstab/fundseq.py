@@ -75,10 +75,11 @@ def _row(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
     right: 0 -> F-bar(b) -> F(b) -> R0 -> F-bar(shift b) -> S^1 -> R1 -> ...
     left:  ... -> L1 -> S_1 -> F-under(shift b) -> L0 -> F(b) -> F-under(b) -> 0
 
-    Both run through the chain F(b) -A_0-> D0 -C_0-> stab 1 -id-> sat 1
-    -A_1-> D1 -> ... -> stab depth+1 (D the derived nodes), the left row
-    with every link reversed, read from the other end, and led by one more
-    satellite.
+    Both run through the chain stab b -> F(b) -A_0-> D0 -C_0-> stab 1 -id->
+    sat 1 -A_1-> D1 -> ... -> stab depth+1 (D the derived nodes), the left
+    row with every link reversed, read from the other end, and led by one
+    more satellite.  The first link, the inclusion of F-bar(b) or the
+    projection onto F-under(b), is induced like every other.
     """
     t = _Thread(f, side, b, depth + 1, f"the {side} fundamental sequence")
     right = side == "right"
@@ -86,7 +87,8 @@ def _row(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
     stab, sat, der = ("Fbar", "S^", f"R{script}") if right \
         else ("Funder", "S_", f"L{script}")
     # (label, kind, node, applied arrow from the node before; None: identity)
-    chain = [("F(b)", "plain", Own(f.eval_obj(b)), None)]
+    chain = [(f"{stab}(b)", "stab", t.stab(0), None),
+             ("F(b)", "plain", Own(f.eval_obj(b)), None)]
     for i in range(depth + 1):
         if i:
             chain.append((f"{sat}{i}F(b)", "satellite", t.sat(i), None))
@@ -99,17 +101,15 @@ def _row(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceReport:
     steps = [(src, tgt, arrow)
              for (_, _, src, _), (_, _, tgt, arrow) in zip(chain, chain[1:])]
     body = [(label, node.module, kind) for label, kind, node, _ in chain]
-    base = t.stab(0)
-    zero = free_module(b.ring, 0)
-    ends = [("0", zero, "zero"), (f"{stab}(b)", base.module, "stab")]
+    zero, base = free_module(b.ring, 0), body[0][1]
     if right:
-        nodes = ends + body
-        maps = [zero_morphism(zero, base.module), base.include]
+        nodes = [("0", zero, "zero")] + body
+        maps = [zero_morphism(zero, base)]
         maps += [induced(src, tgt, arrow) for src, tgt, arrow in steps]
     else:
-        nodes = body[::-1] + ends[::-1]
+        nodes = body[::-1] + [("0", zero, "zero")]
         maps = [induced(tgt, src, arrow) for src, tgt, arrow in reversed(steps)]
-        maps += [base.project, zero_morphism(base.module, zero)]
+        maps += [zero_morphism(base, zero)]
     variance = "co" if f.variance == COVARIANT else "contra"
     display = f"{'rfs' if right else 'lfs'}-{variance}-fun"
     return build_report(nodes, maps, {

@@ -13,7 +13,9 @@ import random
 
 from .errors import WrongShape
 from .exactlin import IntMat, RingDesc
-from .fpmod import FPModule, Morphism, free_module, hom_module, make_module
+from .fpmod import (
+    FPModule, Morphism, free_module, hom_module, kernel, make_module,
+)
 
 
 class InstanceSpec:
@@ -98,7 +100,6 @@ def random_complex(rng: random.Random, ring: RingDesc, length=4, max_gens=3,
                    max_rels=3, max_entry=4, free=False, lo=0):
     """Chain complex with d.d = 0 by construction: each differential factors
     through the kernel of the previous one."""
-    from .fpmod import kernel_realization
     from .uct import make_complex
 
     def pick():
@@ -113,9 +114,8 @@ def random_complex(rng: random.Random, ring: RingDesc, length=4, max_gens=3,
         if not diffs:
             d = random_morphism(rng, nxt, terms[-1], max_entry)
         else:
-            ker = kernel_realization(diffs[-1])
-            h = random_morphism(rng, nxt, ker.module, max_entry)
-            d = ker.include.compose(h)
+            ker, include = kernel(diffs[-1])
+            d = include.compose(random_morphism(rng, nxt, ker, max_entry))
         terms.append(nxt)
         diffs.append(d)
     return make_complex(ring, terms, diffs, lo=lo)

@@ -23,10 +23,10 @@ from math import gcd
 from .errors import NotAComplex, UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
-    FPModule, Morphism, SubquotientRealization, canonical_invariants,
+    FPModule, Morphism, Own, SubquotientRealization, canonical_invariants,
     cokernel_realization, epi_mono_factor, free_module, hom_module, hom_pull,
-    identity_morphism, kernel, kernel_generators, make_module, make_morphism,
-    subquotient, tensor_module, tensor_mor,
+    identity_morphism, induced, kernel_generators, kernel_realization,
+    make_module, make_morphism, subquotient, tensor_module, tensor_mor,
 )
 
 
@@ -57,14 +57,6 @@ class ProjResolution:
         self.syzygies = syzygies
         self.covers = covers
         self.includes = includes
-
-    @property
-    def depth(self) -> int:
-        return len(self.terms) - 1
-
-    @property
-    def differentials(self) -> tuple[Morphism, ...]:
-        return self.diffs
 
     @property
     def augmentation(self) -> Morphism:
@@ -120,7 +112,7 @@ def injective_container(m: FPModule) -> Morphism:
     emb = make_morphism(m, container, star.decode.transpose())
     # the double-dual embedding is injective precisely because Z/n is
     # self-injective; verify rather than trust
-    if not kernel(emb)[0].is_zero():
+    if not kernel_realization(emb).module.is_zero():
         raise UnsupportedRing("double-dual embedding failed to be injective")
     return emb
 
@@ -148,14 +140,6 @@ class InjResolution:
         self.sections = sections  # coordinate sections of the projs
 
     @property
-    def depth(self) -> int:
-        return len(self.terms) - 1
-
-    @property
-    def differentials(self) -> tuple[Morphism, ...]:
-        return self.diffs
-
-    @property
     def augmentation(self) -> Morphism:
         return self.embeds[0]
 
@@ -172,13 +156,14 @@ def inj_resolution(m: FPModule, depth: int) -> InjResolution:
     diffs: list[Morphism] = []
     for _ in range(depth):
         c = cokernel_realization(embeds[-1])
-        projs.append(c.project)
+        proj = induced(Own(embeds[-1].target), c)
+        projs.append(proj)
         sections.append(c.decode)
         cosyzygies.append(c.module)
         nxt = injective_container(c.module)
         embeds.append(nxt)
         terms.append(nxt.target)
-        diffs.append(nxt.compose(c.project))
+        diffs.append(nxt.compose(proj))
     return InjResolution(m, tuple(terms), tuple(diffs), tuple(cosyzygies),
                          tuple(embeds), tuple(projs), tuple(sections))
 
@@ -220,7 +205,7 @@ def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
     _require_nonnegative(i, "Ext and Tor degrees")
     maps = _hom_complex(m, n, i + 1)
     if i == 0:
-        return kernel(maps[0])[0]
+        return kernel_realization(maps[0]).module
     return homology_at(maps[i - 1], maps[i]).module
 
 
@@ -299,7 +284,7 @@ def verify_injective(res: InjResolution) -> bool:
             return False
     if res.diffs and not res.diffs[0].compose(res.augmentation).is_zero():
         return False
-    if not kernel(res.augmentation)[0].is_zero():
+    if not kernel_realization(res.augmentation).module.is_zero():
         return False
     for k in range(1, len(res.terms) - 1):
         if not homology_at(res.diffs[k - 1], res.diffs[k]).module.is_zero():

@@ -23,8 +23,9 @@ from .archeck import (
 )
 from .errors import UnknownSuite, WrongShape
 from .fpmod import (
-    canonical_invariants, cokernel, direct_sum_morphism, free_module,
-    hom_module, iso_test, kernel, transpose, zero_morphism,
+    canonical_invariants, cokernel_realization, direct_sum_morphism,
+    free_module, hom_module, iso_test, kernel_realization, transpose,
+    zero_morphism,
 )
 from .funcalc import (
     FP, ExtFixedFirst, HomContra, HomCov, TensorLeft, auslander_four_term,
@@ -58,7 +59,8 @@ def _mod(rng, spec, **kw):
 
 
 def _iso_mor(f) -> bool:
-    return kernel(f)[0].is_zero() and cokernel(f)[0].is_zero()
+    return (kernel_realization(f).module.is_zero()
+            and cokernel_realization(f).module.is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +176,7 @@ def suite_fp_identifications(spec, index, inputs, coeffs=5, depth=3):
     b = _mod(rng, spec)
     f = random_morphism(rng, a, b, spec.max_entry)
     expr = FP(f)
-    w = kernel(f)[0]
+    w = kernel_realization(f).module
     inputs.update(f=serialize_morphism(f))
     for _ in range(coeffs):
         x = _mod(rng, spec)

@@ -29,10 +29,10 @@ from __future__ import annotations
 from .errors import HypothesisViolated, NotAComplex
 from .exactlin import IntMat, RingDesc
 from .fpmod import (
-    FPModule, Morphism, Own, Within, cokernel_realization, epi_mono_factor,
-    free_module, hom_module, hom_pull, identity_morphism, induced,
-    is_projective_module, iso_test, kernel_realization, tensor_module,
-    tensor_mor, zero_morphism,
+    FPModule, Morphism, Own, Within, cokernel, cokernel_realization,
+    epi_mono_factor, free_module, hom_module, hom_pull, identity_morphism,
+    image, induced, is_projective_module, iso_test, kernel_realization,
+    tensor_module, tensor_mor, zero_morphism,
 )
 from .funcalc import (
     FP, TC, FunctorExpr, defect, satellite, sub_stabilize, sub_stabilize_fp,
@@ -107,11 +107,12 @@ def homology(c: Complex, n: int):
 
 def boundaries(c: Complex, n: int) -> FPModule:
     """B_n = im d_{n+1}."""
-    return epi_mono_factor(c.differential(n + 1))[0].target
+    return image(c.differential(n + 1))
 
 
 def chains_mod_boundaries(c: Complex, n: int):
-    """C_n / B_n with its projection (a cokernel realization)."""
+    """C_n / B_n as a cokernel realization of C_n; its projection is
+    ``fpmod.cokernel(c.differential(n + 1))[1]``."""
     return cokernel_realization(c.differential(n + 1))
 
 
@@ -258,7 +259,7 @@ def hom_copresentation(c: Complex, n: int, x: FPModule) -> SequenceReport:
     kr = expr._at(x)
     idx = identity_morphism(x)
     copresented_by = tensor_mor(expr.f, idx)
-    tail_proj = tensor_mor(chains_mod_boundaries(c, n - 1).project, idx)
+    tail_proj = tensor_mor(cokernel(c.differential(n))[1], idx)
     zero = free_module(c.ring, 0)
     nodes = [("0", zero, "zero"),
              ("H_n(C(x)X)", kr.module, "plain"),
@@ -266,7 +267,8 @@ def hom_copresentation(c: Complex, n: int, x: FPModule) -> SequenceReport:
              ("C_{n-1}(x)X", copresented_by.target, "plain"),
              ("(C_{n-1}/B_{n-1})(x)X", tail_proj.target, "plain"),
              ("0", zero, "zero")]
-    maps = [zero_morphism(zero, kr.module), kr.include, copresented_by,
+    maps = [zero_morphism(zero, kr.module),
+            induced(kr, Own(copresented_by.source)), copresented_by,
             tail_proj, zero_morphism(tail_proj.target, zero)]
     return build_report(nodes, maps, {"display": "hom-copres"})
 

@@ -467,3 +467,38 @@ def test_cli_directory_path_is_usage_error(tmp_path, capsys, argv):
     # the report is written before anything is printed, so a report path
     # that cannot be written leaves stdout empty
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "resolve proj",
+    "resolve syzygy",
+    "resolve ext --A {z2}",
+    "resolve tor --B {z2}",
+    "module hom {z2}",
+    "module tensor {z2}",
+    "functor eval --functor hom:{z2}",
+    "functor eval --at {z2}",
+    "functor fourterm --A {z2}",
+    "functor torsionradical",
+    "functor defect",
+    "seq circular --f {f}",
+    "seq split --g {f}",
+    "seq right-cov --functor hom:{z2}",
+    "seq hereditary",
+    "ar formula --A {z2}",
+    "ar adjunction --A {z2}",
+])
+def test_cli_missing_input_is_usage_error(tmp_path, capsys, argv):
+    # a missing input file or functor spec is an input error (exit 2), not
+    # a traceback (exit 1 is kept for a failed verdict)
+    z2 = tmp_path / "z2.json"
+    z2.write_text(json.dumps({"ring": {"kind": "Z"}, "gens": 1,
+                              "relations": [["2"]]}))
+    zdoc = {"ring": {"kind": "Z"}, "gens": 1, "relations": []}
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"source": zdoc, "target": zdoc,
+                             "matrix": [["2"]]}))
+    assert main(argv.format(z2=z2, f=f).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -253,9 +253,10 @@ def _constructions(ring):
     h = hom_module(a, b)
     f = h.morphism(IntMat.column([1] * h.module.gens).mod(ring))
     kr, cr = kernel_realization(f), cokernel_realization(f)
-    hom2 = homology_at(f.scale(2), cr.project)
+    include, project = kernel(f)[1], cokernel(f)[1]
+    hom2 = homology_at(f.scale(2), project)
     out = [(r.module.ring, r.module.rel, r.decode) for r in (h, kr, cr, hom2)]
-    return out + [f.mat, kr.include.mat, cr.project.mat, induced(hom2, hom2).mat]
+    return out + [f.mat, include.mat, project.mat, induced(hom2, hom2).mat]
 
 
 def test_constructions_cold_and_warm_agree():
@@ -354,9 +355,8 @@ def test_direct_sum_morphism():
 
 def test_kernel_encode():
     f = make_morphism(Z4_mod4, Z4_mod4, [[2]])
-    kr = kernel_realization(f)
-    coords = kr.encode(IntMat.column([2]))
-    assert (kr.include.mat @ coords - IntMat.column([2])).is_zero_mod(R4)
+    coords = kernel_realization(f).encode(IntMat.column([2]))
+    assert (kernel(f)[1].mat @ coords - IntMat.column([2])).is_zero_mod(R4)
 
 
 def test_hom_push_pull_match_per_generator_composition():
@@ -390,15 +390,15 @@ def test_hom_push_pull_match_per_generator_composition():
 @given(st.integers(0, 2**32), st.sampled_from(RINGS), st.integers(2, 3))
 def test_realization_decode_encode_contract(seed, ring, d):
     # every realization: encode undoes decode, so the map it induces on
-    # itself is the identity; the kernel's decode is its inclusion and the
-    # cokernel's encode its projection
+    # itself is the identity; the kernel's inclusion is induced by its decode
+    # and the cokernel's projection by its encode
     import random
     rng = random.Random(seed)
     a, b = (random_module(rng, ring, 3, 3, 6) for _ in range(2))
     f = random_morphism(rng, a, b)
     kr, cr = kernel_realization(f), cokernel_realization(f)
     # homology with a denominator: im f / im(d f) inside b
-    homology = homology_at(f.scale(d), cr.project)
+    homology = homology_at(f.scale(d), cokernel(f)[1])
     # a coprime torsion pair trims a generator of the tensor presentation, so
     # its decode and encode differ (over Z, Z/6 and Z/12)
     trimmed = tensor_module(direct_sum([a, cyclic(ring, 2)]).module,
@@ -409,8 +409,33 @@ def test_realization_decode_encode_contract(seed, ring, d):
     for r in (kr, cr, homology, hom_module(a, b), tensor_module(a, b),
               trimmed, Own(a), within):
         assert is_identity(induced(r, r))
-    assert morphisms_equal(induced(kr, Own(f.source)), kr.include)
-    assert morphisms_equal(induced(Own(f.target), cr), cr.project)
+    assert morphisms_equal(induced(kr, Own(f.source)), kernel(f)[1])
+    assert morphisms_equal(induced(Own(f.target), cr), cokernel(f)[1])
+
+
+def test_realizations_build_no_maps(monkeypatch):
+    # a kernel or cokernel realization carries no inclusion or projection:
+    # constructing one calls make_morphism zero times, and kernel(f) and
+    # cokernel(f) build exactly their one map each
+    import homstab.fpmod as fpmod
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return make_morphism(*args)
+
+    rng = random.Random(14)
+    for ring in (ZZ, R4, Zmod(12)):
+        for _ in range(5):
+            a, b = (random_module(rng, ring, 3, 3, 6) for _ in range(2))
+            f = random_morphism(rng, a, b)
+            monkeypatch.setattr(fpmod, "make_morphism", counting)
+            kernel_realization(f), cokernel_realization(f)
+            assert calls == []
+            kernel(f), cokernel(f)
+            assert len(calls) == 2
+            monkeypatch.undo()
+            calls.clear()
 
 
 @settings(max_examples=40, deadline=None)

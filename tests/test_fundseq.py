@@ -10,9 +10,9 @@ from homstab.archeck import bidual_check
 from homstab.errors import NotAComplex, UnsupportedRing, WrongShape
 from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
-    KernelRealization, canonical_invariants, cyclic, direct_sum, free_module,
-    identity_morphism, is_projective_module, iso_test, make_morphism,
-    morphisms_equal, zero_morphism,
+    Own, SubquotientRealization, canonical_invariants, cyclic, direct_sum,
+    free_module, identity_morphism, induced, is_projective_module, iso_test,
+    make_morphism, morphisms_equal, zero_morphism,
 )
 from homstab.funcalc import (
     COVARIANT, FP, Derived, ExtFixedFirst, HomContra, HomCov, QuotStab, Satellite,
@@ -360,8 +360,8 @@ def _second_pin_payload():
             for stab in (sub_stabilize, quot_stabilize, sub_stabilize_fp,
                          tc_quot_stabilize):
                 got = _pin_try(stab, f, x)
-                if isinstance(got, KernelRealization):
-                    got = (got.module, got.include)
+                if isinstance(got, SubquotientRealization):
+                    got = (got.module, induced(got, Own(got.subq.ambient)))
                 out.append(_pin_value(got))
             for cls in (SubStab, QuotStab):
                 out.append(_pin_value(_pin_try(cls(f).eval_mor, phi)))

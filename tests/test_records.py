@@ -15,9 +15,9 @@ import pytest
 from homstab.errors import DimensionMismatch, MembershipError, WrongShape
 from homstab.exactlin import IntMat, RingDesc, SNFResult, ZZ, Zmod
 from homstab.fpmod import (
-    CokernelRealization, DirectSum, FPModule, HomRealization,
-    KernelRealization, Morphism, Own, Subquotient, SubquotientRealization,
-    TensorRealization, Within, cyclic, free_module, identity_morphism,
+    CokernelRealization, DirectSum, FPModule, HomRealization, Morphism, Own,
+    Subquotient, SubquotientRealization, Within, cyclic, free_module,
+    identity_morphism,
 )
 from homstab.funcalc import NatTransSample
 from homstab.fundseq import HereditaryDecomposition
@@ -48,13 +48,11 @@ def _fields(cls):
                                  ("bwd", I1)],
         Own: [("module", M)],
         Within: [("outer", Own(F)), ("inner", SQR)],
-        KernelRealization: [("module", F), ("include", MOR), ("_sq", SQR)],
-        CokernelRealization: [("module", M), ("project", MOR), ("decode", I1)],
+        CokernelRealization: [("module", M), ("fwd", I1), ("decode", I1)],
         DirectSum: [("module", M), ("injections", (MOR,)),
                     ("projections", (MOR,))],
         HomRealization: [("source", M), ("target", M), ("module", M),
                          ("_sq", SQR)],
-        TensorRealization: [("module", M), ("fwd", I1), ("decode", I1)],
         ProjResolution: [("base", M), ("terms", (F,)), ("diffs", ()),
                          ("syzygies", (M,)), ("covers", (MOR,)),
                          ("includes", ())],
@@ -77,9 +75,8 @@ def _fields(cls):
 
 
 RECORDS = [RingDesc, SNFResult, FPModule, Morphism, Subquotient,
-           SubquotientRealization, Own, Within, KernelRealization,
-           CokernelRealization, DirectSum, HomRealization, TensorRealization,
-           ProjResolution, InjResolution, NatTransSample,
+           SubquotientRealization, Own, Within, CokernelRealization, DirectSum,
+           HomRealization, ProjResolution, InjResolution, NatTransSample,
            HereditaryDecomposition, SequenceNode, SequenceReport, Complex,
            InstanceSpec, SuiteReport]
 BY_VALUE = [RingDesc, SNFResult, FPModule, InstanceSpec]
