@@ -28,8 +28,9 @@ matrix hashes its entries once.
 
 A matrix with no rows or no columns has no entries, so what the primitives
 return for it is fixed by its shape, and they return that directly after
-their shape checks: a product with an empty operand is the rows x n zero
-matrix; ``mod`` and ``scale`` return an empty matrix unchanged, and
+their shape checks: a product, or a Kronecker product, with an empty
+operand is the zero matrix of its shape, and ``identity(0)`` is one shared
+0 x 0 matrix; ``mod`` and ``scale`` return an empty matrix unchanged, and
 ``hstack`` with a side of no columns returns the other side; an empty B
 lies in every span, and its particular solution is the a.cols x b.cols
 zero matrix; and the kernel of a 0-row A is the identity the SNF cache
@@ -47,23 +48,40 @@ Membership has a smaller cache of its own, also keyed by (A, ring): the
 rows of U whose divisor is not 1, with their divisors, from an SNF of A
 (of A mod n, not its lift) that builds no V, Vinv or Uinv.  A warm
 ``in_span`` multiplies B by those rows only; rows with divisor 1 impose
-nothing and are dropped.
+nothing and are dropped.  Both caches file an unreduced A under its
+reduction mod n, and test whether A is reduced without copying it.
 
-The matrices built downstream (Kronecker products for Hom and tensor) are
-mostly zeros, so the kernels pay for nonzero entries only: a product adds
-a[i][k] * row_k(B) over the nonzero a[i][k] and the nonzero entries of
-row_k(B), and the SNF row and column operations touch the nonzero entries
-of their source row.  The SNF keeps a zero pattern: at the top of pivot
-step t, rows t and below are zero left of column t, and the rows above are
-zero from column t on.  So a row's pivot candidate and its divisibility
-gcd are functions of the whole row, cached per row and recomputed only for
-the rows an operation wrote to, and column swaps and column eliminations
-visit rows t and below only; the pivot sequence, and so every transform,
-is that of rescanning every row at every step.  ``invariant_divisors``
-runs the elimination without transforms and reads the diagonal only; it
-neither builds nor caches U, V and their inverses.  ``fpmod``'s
-``present_with_iso`` reads U, Uinv and the diagonal, and ``_snf_u`` gives
-it those without building V and Vinv.
+The matrices built downstream (Kronecker products for Hom and tensor, and
+their lifts) are mostly zeros, so the kernels pay for nonzero entries
+only.  A product adds a[i][k] * row_k(B) over the nonzero a[i][k] and the
+nonzero entries of row_k(B).  The SNF elimination keeps S, U, Uinv^T, V^T
+and Vinv as lists of {column: nonzero} rows, and an index of the rows of
+S that are nonzero in each column; so a row or column operation, a column
+swap and the list of rows below the pivot that are nonzero in its column
+all cost the nonzero entries they touch, not rows x columns.  The SNF
+keeps a zero pattern: at the top of pivot step t, rows t and below are
+zero left of column t, and the rows above are zero from column t on.  So
+a row's pivot candidate and its divisibility gcd are functions of the
+whole row, cached per row and recomputed only for the rows an operation
+wrote to.  The pivot rule and the order of operations are fixed: the
+pivot is the least |entry| over rows t and below, in the first such row
+and then its first such column; the rows below are cleared in ascending
+order, then the columns of row t in ascending order; the divisibility
+fix-up adds the first stuck row.  So the pivot sequence, and every
+transform, is that of a dense elimination that rescans every row at every
+step, which the tests keep as the reference.
+
+``snf`` returns an ``SNFResult`` over those rows, and each of U, Uinv, S,
+V and Vinv becomes a matrix, reduced mod n over Z/n, the first time it is
+read; a caller pays only for the transforms it reads.  The kernel cache
+still calls ``snf`` once per cold matrix, so a wrapper of ``snf`` sees
+every SNF the cache computes, and reads U, the diagonal and the rows of V
+over A's columns: k of the k + m rows of V over the Z/n lift, built from
+V^T without the others.  ``fpmod``'s ``present_with_iso`` reads U, Uinv
+and the diagonal, and ``_snf_u`` eliminates without V and Vinv and builds
+those two.  ``in_span``'s cache reads U's sparse rows as they are, and
+``invariant_divisors`` eliminates without transforms and reads the
+diagonal only.
 """
 
 from __future__ import annotations
@@ -183,6 +201,8 @@ class IntMat:
 
     @staticmethod
     def identity(n: int) -> "IntMat":
+        if not n:
+            return _EMPTY
         return IntMat(n, n, tuple(map(tuple, _identity_rows(n))))
 
     @staticmethod
@@ -190,10 +210,13 @@ class IntMat:
         entries = list(entries)
         m = rows if rows is not None else len(entries)
         n = cols if cols is not None else len(entries)
-        out = [[0] * n for _ in range(m)]
+        out = [(0,) * n] * m  # the zero rows share one tuple, as in zeros
         for i in range(min(m, n, len(entries))):
-            out[i][i] = entries[i]
-        return IntMat(m, n, tuple(map(tuple, out)))
+            if entries[i]:
+                row = [0] * n
+                row[i] = entries[i]
+                out[i] = tuple(row)
+        return IntMat(m, n, tuple(out))
 
     @staticmethod
     def column(entries) -> "IntMat":
@@ -283,6 +306,8 @@ class IntMat:
 
     def kron(self, other: "IntMat") -> "IntMat":
         m, n = self.rows * other.rows, self.cols * other.cols
+        if not (m and n):
+            return IntMat.zeros(m, n)
         out = [[0] * n for _ in range(m)]
         for i in range(self.rows):
             for j in range(self.cols):
@@ -322,24 +347,85 @@ class IntMat:
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.data) + "]"
 
 
+_EMPTY = IntMat(0, 0, ())  # the 0 x 0 matrix; IntMat.identity(0) returns it
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
+
+
+def _dense(rows, nr: int, nc: int, n: int | None) -> IntMat:
+    """The nr x nc matrix whose row i is the {column: nonzero} row rows[i],
+    reduced mod n unless n is None."""
+    zero = (0,) * nc
+    out = []
+    for row in rows:
+        if not row:
+            out.append(zero)
+            continue
+        r = [0] * nc
+        if n is None:
+            for k, x in row.items():
+                r[k] = x
+        else:
+            for k, x in row.items():
+                r[k] = x % n
+        out.append(tuple(r))
+    return IntMat(nr, nc, tuple(out))
+
+
+def _dense_t(rows, nr: int, nc: int, n: int | None) -> IntMat:
+    """The nr x nc matrix whose column i is the {row: nonzero} row rows[i],
+    cut to its first nr entries and reduced mod n unless n is None."""
+    out = [[0] * nc for _ in range(nr)]
+    for i, row in enumerate(rows):
+        for k, x in row.items():
+            if k < nr:
+                out[k][i] = x if n is None else x % n
+    return IntMat(nr, nc, tuple(map(tuple, out)))
 
 
 class SNFResult:
     """U @ A @ V == S exactly (mod n over Z/n); U, V invertible over the ring.
 
-    Immutable by convention; compared and hashed by its five matrices.
+    Immutable by convention; compared and hashed by its five matrices.  A
+    result of ``snf`` keeps the elimination's {column: nonzero} rows and
+    builds each matrix the first time it is read, then stores it.
     """
 
-    __slots__ = ("U", "Uinv", "S", "V", "Vinv")
+    __slots__ = ("_mats", "_src", "_diag")
+    _FIELDS = ("U", "Uinv", "S", "V", "Vinv")
 
     def __init__(self, U: IntMat, Uinv: IntMat, S: IntMat, V: IntMat, Vinv: IntMat):
-        self.U = U
-        self.Uinv = Uinv
-        self.S = S
-        self.V = V
-        self.Vinv = Vinv
+        self._mats = [U, Uinv, S, V, Vinv]
+        self._src = None
+        self._diag = None
+
+    @classmethod
+    def _from_rows(cls, m: int, k: int, n: int | None, rows, diag) -> "SNFResult":
+        """A result over the rows U, Uinv^T, S, V^T, Vinv of an m x k matrix,
+        each reduced mod n when it is built."""
+        res = cls.__new__(cls)
+        res._mats = [None] * 5
+        res._src = (m, k, n, rows)
+        res._diag = diag
+        return res
+
+    def _build(self, i: int) -> IntMat:
+        m, k, n, rows = self._src
+        shape = ((m, m), (m, m), (m, k), (k, k), (k, k))[i]
+        # Uinv and V are kept transposed
+        mat = self._mats[i] = (_dense_t if i in (1, 3) else _dense)(rows[i], *shape, n)
+        return mat
+
+    def _field(i):
+        def get(self):
+            mat = self._mats[i]
+            return self._build(i) if mat is None else mat
+        return property(get)
+
+    U, Uinv, S, V, Vinv = map(_field, range(5))
+    del _field
 
     def _fields(self) -> tuple:
         return (self.U, self.Uinv, self.S, self.V, self.Vinv)
@@ -354,11 +440,22 @@ class SNFResult:
 
     def __repr__(self):
         return "SNFResult(" + ", ".join(
-            f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields())) + ")"
+            f"{k}={v!r}" for k, v in zip(self._FIELDS, self._fields())) + ")"
+
+    def __reduce__(self):
+        return SNFResult, self._fields()
 
     def diagonal(self) -> list[int]:
+        if self._diag is not None:
+            return list(self._diag)
         k = min(self.S.rows, self.S.cols)
         return [self.S.data[i][i] for i in range(k)]
+
+    def _v_rows(self, count: int) -> IntMat:
+        """The first ``count`` rows of V, built from V^T's rows without the
+        others; for a result of ``snf`` only."""
+        _, k, n, rows = self._src
+        return _dense_t(rows[3], count, k, n)
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -374,8 +471,24 @@ def _axpy(x: list[int], c: int, y: list[int]) -> None:
         x[k] += c * y[k]
 
 
+def _add_row(x: dict, c: int, y: dict) -> None:
+    """x += c * y in place over {column: nonzero} rows, for c != 0: an entry
+    that cancels is deleted, so every stored entry stays nonzero."""
+    for k, v in y.items():
+        s = x.get(k)
+        if s is None:
+            x[k] = c * v
+        else:
+            s += c * v
+            if s:
+                x[k] = s
+            else:
+                del x[k]
+
+
 def _snf_integer(a: IntMat, u: bool = True, v: bool = True, uinv: bool = True):
-    """Integer SNF core; returns mutable U, Uinv^T, S, V^T, Vinv row lists.
+    """Integer SNF core; returns U, Uinv^T, S, V^T, Vinv as lists of
+    {column: nonzero} rows, which the caller owns.
 
     Uinv and V only ever see column operations, so they are kept transposed
     and every operation on a transform is a whole-row one.  With ``u`` (or
@@ -383,59 +496,107 @@ def _snf_integer(a: IntMat, u: bool = True, v: bool = True, uinv: bool = True):
     on them is O(1), and they are not meaningful; with ``uinv`` False only
     Uinv is.
 
-    The elimination keeps a zero pattern: at the top of step t every row
-    i >= t is zero in the columns before t, and every row before t is zero
-    in the columns from t on.  So a row's pivot candidate, the least
-    nonzero |S[i][j]| over j >= t, is the least over the whole row; the
-    divisibility test gcd(S[i][t+1:]) of a row i > t is the gcd of the
-    whole row; and a column swap, or an elimination along row t, changes
-    rows t and below only.  Each row's candidate and gcd are cached (None
-    marks a stale entry) and recomputed only after an operation wrote to
-    that row.  The pivot sequence, and so every transform, is that of
-    rescanning every row at every step.
+    Every row of S, U, Uinv^T, V^T and Vinv stores its nonzero entries only,
+    and ``cols[j]`` is the set of rows of S with a nonzero in column j; so
+    each operation, and the list of rows below t that are nonzero in column
+    t, costs the nonzero entries it reads.  The elimination keeps a zero
+    pattern: at the top of step t every row i >= t is zero in the columns
+    before t, and every row before t is zero in the columns from t on.  So
+    a row's pivot candidate, the least nonzero |S[i][j]| over j >= t, is
+    the least over the whole row; the divisibility test gcd(S[i][t+1:]) of
+    a row i > t is the gcd of the whole row; and a column swap, or an
+    elimination along row t, changes rows t and below only.  Each row's
+    candidate and gcd are cached (None marks a stale entry) and recomputed
+    only after an operation wrote to that row.  The pivot sequence, and so
+    every transform, is that of rescanning every row at every step.
     """
     m, n = a.rows, a.cols
-    S = [list(r) for r in a.data]
-    U = _identity_rows(m) if u else [[]] * m
-    UiT = _identity_rows(m) if u and uinv else [[]] * m
-    VT, Vi = (_identity_rows(n), _identity_rows(n)) if v else ([[]] * n, [[]] * n)
+    span = range(n)
+    S = [dict(zip(compress(span, r), filter(None, r))) for r in a.data]
+    cols = [set() for _ in span]  # rows of S with a nonzero in each column
+    for i, row in enumerate(S):
+        for j in row:
+            cols[j].add(i)
+    U = [{i: 1} for i in range(m)] if u else [{}] * m
+    UiT = [{i: 1} for i in range(m)] if u and uinv else [{}] * m
+    VT = [{j: 1} for j in span] if v else [{}] * n
+    Vi = [{j: 1} for j in span] if v else [{}] * n
     rmin = [None] * m  # least nonzero |entry| of each row, 0 if none
     rgcd = [None] * m  # gcd of each row's entries
 
-    def row_add(i, j, c):  # row_i += c * row_j
-        _axpy(S[i], c, S[j])
-        _axpy(U[i], c, U[j])
-        _axpy(UiT[j], -c, UiT[i])
+    def row_add(i, j, c):  # row_i += c * row_j, c != 0
+        si = S[i]
+        for k, y in S[j].items():
+            x = si.get(k)
+            if x is None:
+                si[k] = c * y
+                cols[k].add(i)
+            else:
+                x += c * y
+                if x:
+                    si[k] = x
+                else:
+                    del si[k]
+                    cols[k].discard(i)
+        _add_row(U[i], c, U[j])
+        _add_row(UiT[j], -c, UiT[i])
         rmin[i] = rgcd[i] = None
 
     def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
+        si, sj = S[i], S[j]
+        for k in si.keys() - sj.keys():
+            c = cols[k]
+            c.discard(i)
+            c.add(j)
+        for k in sj.keys() - si.keys():
+            c = cols[k]
+            c.discard(j)
+            c.add(i)
+        S[i], S[j] = sj, si
         U[i], U[j] = U[j], U[i]
         UiT[i], UiT[j] = UiT[j], UiT[i]
         rmin[i], rmin[j] = rmin[j], rmin[i]
         rgcd[i], rgcd[j] = rgcd[j], rgcd[i]
 
     def row_neg(i):  # keeps |entries| and the gcd
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
-        UiT[i] = [-x for x in UiT[i]]
+        S[i] = {k: -x for k, x in S[i].items()}
+        U[i] = {k: -x for k, x in U[i].items()}
+        UiT[i] = {k: -x for k, x in UiT[i].items()}
 
     def col_add(j, i, c, rows):  # col_j += c * col_i; rows: where col_i != 0
+        cj = cols[j]
         for r in rows:
-            S[r][j] += c * S[r][i]
+            row = S[r]
+            x = row.get(j)
+            if x is None:
+                row[j] = c * row[i]
+                cj.add(r)
+            else:
+                x += c * row[i]
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    cj.discard(r)
             rmin[r] = rgcd[r] = None
-        _axpy(VT[j], c, VT[i])
-        _axpy(Vi[i], -c, Vi[j])
+        _add_row(VT[j], c, VT[i])
+        _add_row(Vi[i], -c, Vi[j])
 
     def row_gcd(i):
         if rgcd[i] is None:
-            rgcd[i] = gcd(*S[i])
+            rgcd[i] = gcd(*S[i].values())
         return rgcd[i]
 
     def col_swap(i, j):  # i = t: the rows above t are zero in both columns
-        for r in range(i, m):
+        ci, cj = cols[i], cols[j]
+        for r in ci | cj:
             row = S[r]
-            row[i], row[j] = row[j], row[i]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        cols[i], cols[j] = cj, ci
         VT[i], VT[j] = VT[j], VT[i]
         Vi[i], Vi[j] = Vi[j], Vi[i]
 
@@ -443,14 +604,15 @@ def _snf_integer(a: IntMat, u: bool = True, v: bool = True, uinv: bool = True):
     while t < min(m, n):
         for i in range(t, m):
             if rmin[i] is None:
-                rmin[i] = min(map(abs, filter(None, S[i])), default=0)
+                row = S[i]
+                rmin[i] = min(map(abs, row.values())) if row else 0
         # minimal-absolute-value pivot bounds entry growth in practice; the
         # first minimum in row-major order
         best = min(filter(None, rmin[t:]), default=0)
         if not best:
             break
         pi = rmin.index(best, t)
-        pj = t + list(map(abs, S[pi][t:])).index(best)
+        pj = min(j for j, x in S[pi].items() if x == best or x == -best)
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -458,15 +620,17 @@ def _snf_integer(a: IntMat, u: bool = True, v: bool = True, uinv: bool = True):
         d = S[t][t]
         dirty = False
         # row_add(i, t) changes row i only and col_add(j, t) column j only,
-        # so the nonzero positions can be listed up front
-        for i in [i for i in range(t + 1, m) if S[i][t]]:
+        # so the nonzero positions can be listed up front; every row in
+        # column t is t or below it
+        for i in sorted(cols[t])[1:]:
             row_add(i, t, -(S[i][t] // d))
-            if S[i][t]:
+            if t in S[i]:
                 dirty = True
-        rows = [r for r in range(t, m) if S[r][t]]
-        for j in list(compress(range(t + 1, n), S[t][t + 1:])):
-            col_add(j, t, -(S[t][j] // d), rows)
-            if S[t][j]:
+        rows = list(cols[t])
+        row = S[t]
+        for j in sorted(row)[1:]:
+            col_add(j, t, -(row[j] // d), rows)
+            if j in row:
                 dirty = True
         if dirty:
             continue
@@ -493,25 +657,38 @@ def _associate_unit(d: int, n: int) -> tuple[int, int]:
     return g, u
 
 
+def _reduced(a: IntMat, ring: RingDesc) -> IntMat:
+    """A mod n; A itself, with no copy, when its entries already lie in
+    [0, n), and over Z."""
+    n = ring.modulus
+    if n is None or not (a.rows and a.cols):
+        return a
+    data = a.data
+    if min(map(min, data)) >= 0 and max(map(max, data)) < n:
+        return a
+    return a.mod(ring)
+
+
 def _snf_rows(a: IntMat, ring: RingDesc, v: bool = True):
-    """``_snf_integer`` of A's canonical lift, normalized as ``snf`` states;
-    returns a function wrapping a row list as a matrix over the ring, and
-    the row lists U, Uinv^T, S, V^T, Vinv."""
-    if ring.modulus is None:
-        U, UiT, S, VT, Vi = _snf_integer(a, v=v)
-        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(map(tuple, rows)))
-    else:
-        n = ring.modulus
-        U, UiT, S, VT, Vi = _snf_integer(a.mod(ring), v=v)
-        for t in range(min(a.rows, a.cols)):
-            g, u = _associate_unit(S[t][t], n)
+    """``_snf_integer`` of A's canonical lift, normalized as ``snf`` states
+    up to the reduction mod n its matrices get when built: the row lists
+    U, Uinv^T, S, V^T, Vinv, and the diagonal."""
+    n = ring.modulus
+    U, UiT, S, VT, Vi = _snf_integer(_reduced(a, ring), v=v)
+    top = range(min(a.rows, a.cols))
+    if n is None:
+        return U, UiT, S, VT, Vi, [S[t].get(t, 0) for t in top]
+    diag = []
+    for t in top:
+        g, u = _associate_unit(S[t].get(t, 0), n)
+        if u != 1:
             uinv = pow(u, -1, n)
-            U[t] = [x * uinv % n for x in U[t]]
-            UiT[t] = [x * u % n for x in UiT[t]]
-            S[t][t] = g % n
-        wrap = lambda rows, nr, nc: IntMat(nr, nc, tuple(
-            tuple(map(n.__rmod__, r)) for r in rows))
-    return wrap, U, UiT, S, VT, Vi
+            U[t] = {k: x * uinv for k, x in U[t].items()}
+            UiT[t] = {k: x * u for k, x in UiT[t].items()}
+        g %= n
+        S[t] = {t: g} if g else {}  # S is diagonal
+        diag.append(g)
+    return U, UiT, S, VT, Vi, diag
 
 
 def snf(a: IntMat, ring: RingDesc) -> SNFResult:
@@ -519,21 +696,18 @@ def snf(a: IntMat, ring: RingDesc) -> SNFResult:
 
     Over Z/n the integer normal form of the canonical lift is normalized
     entrywise to gcd(d, n); the divisibility chain is preserved and zeros
-    (entries gcd-equal to n) mark free Z/n summands.
+    (entries gcd-equal to n) mark free Z/n summands.  Each of the five
+    matrices is built, reduced mod n, the first time it is read.
     """
-    m, k = a.rows, a.cols
-    wrap, U, UiT, S, VT, Vi = _snf_rows(a, ring)
-    Ui, V = list(zip(*UiT)), list(zip(*VT))
-    return SNFResult(wrap(U, m, m), wrap(Ui, m, m), wrap(S, m, k), wrap(V, k, k),
-                     wrap(Vi, k, k))
+    *rows, diag = _snf_rows(a, ring)
+    return SNFResult._from_rows(a.rows, a.cols, ring.modulus, rows, diag)
 
 
 def _snf_u(a: IntMat, ring: RingDesc) -> tuple[IntMat, IntMat, list[int]]:
     """(U, Uinv, diagonal) of ``snf(a, ring)``, without building V and Vinv."""
-    m = a.rows
-    wrap, U, UiT, S, _, _ = _snf_rows(a, ring, v=False)
-    diag = [S[t][t] for t in range(min(m, a.cols))]
-    return wrap(U, m, m), wrap(list(zip(*UiT)), m, m), diag
+    m, n = a.rows, ring.modulus
+    U, UiT, _, _, _, diag = _snf_rows(a, ring, v=False)
+    return _dense(U, m, m, n), _dense_t(UiT, m, m, n), diag
 
 
 @lru_cache(maxsize=4096)
@@ -543,24 +717,24 @@ def _snf_cached(a: IntMat, ring: RingDesc):
     The lift is A over Z and [A mod n | n*I] over Z/n, whose integer kernel
     and solutions carry those of A over Z/n in their first ``a.cols``
     coordinates.  Returns (U, diagonal, width of the lift, the rows of V
-    over A's columns); Uinv, S, Vinv and the rows of V over the n*I
-    columns are never read.
+    over A's columns).  Those are all that is read of the SNF, so Uinv, S,
+    Vinv and the rows of V over the n*I columns are never built.
     """
     n, m, k = ring.modulus, a.rows, a.cols
     # an empty lift, or n*I, is in normal form already
     if not m:
-        return IntMat(0, 0, ()), (), k, IntMat.identity(k)
+        return _EMPTY, (), k, IntMat.identity(k)
     if not k:
         diag = () if n is None else (n,) * m
         return IntMat.identity(m), diag, len(diag), IntMat(0, len(diag), ())
     if n is None:
         res = snf(a, ZZ)
         return res.U, tuple(res.diagonal()), k, res.V
-    reduced = a.mod(ring)
-    if reduced != a:  # one SNF per matrix over Z/n, whatever its lift
+    reduced = _reduced(a, ring)
+    if reduced is not a:  # one SNF per matrix over Z/n, whatever its lift
         return _snf_cached(reduced, ring)
     res = snf(a.hstack(IntMat.diag([n] * m, rows=m, cols=m)), ZZ)
-    return res.U, tuple(res.diagonal()), k + m, IntMat(k, k + m, res.V.data[:k])
+    return res.U, tuple(res.diagonal()), k + m, res._v_rows(k)
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +751,14 @@ def kernel_basis(a: IntMat, ring: RingDesc) -> IntMat:
     _, diag, width, v = _snf_cached(a, ring)
     if not a.rows:  # every vector is in the kernel
         return v
-    free = [j for j in range(width) if j >= len(diag) or diag[j] == 0]
+    free = [j >= len(diag) or diag[j] == 0 for j in range(width)]
     n = ring.modulus
     if n is None:
-        return v.take_cols(free)
-    data = v.data
-    keep = [j for j in free if any(r[j] % n for r in data)]
-    return IntMat(v.rows, len(keep), tuple(tuple([r[j] % n for j in keep]) for r in data))
+        return v.take_cols(compress(range(width), free))
+    # reduce one free column at a time; keep it if it is not zero mod n
+    reduced = (tuple(map(n.__rmod__, c)) for c in compress(zip(*v.data), free))
+    keep = [c for c in reduced if any(c)]
+    return IntMat(v.rows, len(keep), tuple(zip(*keep)) if keep else ((),) * v.rows)
 
 
 def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
@@ -638,21 +813,24 @@ def _span_rows(a: IntMat, ring: RingDesc) -> tuple:
     nonzero entries, reduced mod n over Z/n.
     """
     n = ring.modulus
-    if n is not None:
-        reduced = a.mod(ring)
-        if reduced != a:  # one entry per matrix over Z/n, whatever its lift
-            return _span_rows(reduced, ring)
+    reduced = _reduced(a, ring)
+    if reduced is not a:  # one entry per matrix over Z/n, whatever its lift
+        return _span_rows(reduced, ring)
     U, _, S, _, _ = _snf_integer(a, v=False, uinv=False)
-    diag = [S[i][i] if i < a.cols else 0 for i in range(a.rows)]
     out = []
-    for i, d in enumerate(diag):
+    for i, row in enumerate(U):
+        d = S[i].get(i, 0)
         if n is not None:
             d = gcd(d, n)
         if d == 1:
             continue
-        row = U[i] if n is None else [x % n for x in U[i]]
-        ks = tuple(compress(range(len(row)), row))
-        out.append((ks, tuple(map(row.__getitem__, ks)), d))
+        ks = sorted(row)
+        vs = [row[k] for k in ks]
+        if n is not None:
+            vs = [x % n for x in vs]
+            ks = list(compress(ks, vs))
+            vs = list(filter(None, vs))
+        out.append((tuple(ks), tuple(vs), d))
     return tuple(out)
 
 
@@ -685,8 +863,8 @@ def invariant_divisors(a: IntMat, ring: RingDesc) -> tuple[tuple[int, ...], int]
 
     Over Z/n "free" counts Z/n-summands (diagonal entries gcd-equal to n).
     """
-    S = _snf_integer(a.mod(ring), u=False, v=False)[2]
-    diag = [S[t][t] for t in range(min(a.rows, a.cols))]
+    S = _snf_integer(_reduced(a, ring), u=False, v=False)[2]
+    diag = [S[t].get(t, 0) for t in range(min(a.rows, a.cols))]
     if ring.modulus is not None:  # the entrywise normalization of snf
         diag = [gcd(d, ring.modulus) % ring.modulus for d in diag]
     divisors = tuple(d for d in diag if d not in (0, 1))

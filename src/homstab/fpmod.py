@@ -149,12 +149,9 @@ def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     """
     U, Uinv, diag = _snf_u(rel, ring)
     keep = [i for i in range(gens) if i >= len(diag) or diag[i] != 1]
-    torsion = [(pos, diag[i]) for pos, i in enumerate(keep)
-               if i < len(diag) and diag[i] not in (0, 1)]
-    rows = [[0] * len(torsion) for _ in keep]
-    for c, (pos, d) in enumerate(torsion):
-        rows[pos][c] = d
-    module = FPModule(ring, len(keep), IntMat(len(keep), len(torsion), tuple(map(tuple, rows))))
+    # the kept divisors run nonunit, then 0 (free), so torsion leads
+    torsion = [diag[i] for i in keep if i < len(diag) and diag[i] != 0]
+    module = FPModule(ring, len(keep), IntMat.diag(torsion, rows=len(keep), cols=len(torsion)))
     fwd = U.take_rows(keep)  # _snf_u reduces U and Uinv mod n
     bwd = Uinv.take_cols(keep)
     return module, fwd, bwd

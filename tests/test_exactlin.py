@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from homstab import exactlin, fpmod, resolve
 from homstab.errors import DimensionMismatch
 from homstab.exactlin import (
-    IntMat, ZZ, Zmod, snf, kernel_basis, solve, solve_matrix,
+    IntMat, SNFResult, ZZ, Zmod, snf, kernel_basis, solve, solve_matrix,
     invariant_divisors, in_span,
 )
 from homstab.fpmod import FPModule, cyclic, free_module, make_morphism, present_with_iso
@@ -331,6 +331,13 @@ def _shape(x):
     return x.rows, x.cols, x.data
 
 
+def _naive_kron(a, b):
+    """A (x) B entry by entry, as a (rows, cols, data) triple."""
+    rows = [[a.data[i][j] * b.data[k][l] for j in range(a.cols) for l in range(b.cols)]
+            for i in range(a.rows) for k in range(b.rows)]
+    return a.rows * b.rows, a.cols * b.cols, tuple(map(tuple, rows))
+
+
 def _entrywise(x, f):
     return x.rows, x.cols, tuple(tuple(map(f, r)) for r in x.data)
 
@@ -352,6 +359,9 @@ def test_empty_shape_base_cases_match_general_references(system, c):
         ra + rw for ra, rw in zip(a.data, wide.data)))
     assert _shape(wide.hstack(a)) == (a.rows, a.cols + b.cols, tuple(
         rw + ra for ra, rw in zip(a.data, wide.data)))
+    for x, y in ((a, b), (b, a), (a, prod), (prod, b)):
+        assert _shape(x.kron(y)) == _naive_kron(x, y)
+    assert _shape(IntMat.identity(0)) == (0, 0, ())
     for x in (a, b, prod):
         assert _shape(x.scale(c)) == _entrywise(x, lambda v: c * v)
         assert _shape(x.mod(ring)) == (_shape(x) if n is None
@@ -513,13 +523,27 @@ def _rescanning_snf_integer(a):
     return U, UiT, S, VT, Vi
 
 
+def _densify(rows, width):
+    """{column: nonzero} rows as dense lists of ``width`` entries."""
+    out = [[0] * width for _ in rows]
+    for dense, row in zip(out, rows):
+        for k, x in row.items():
+            dense[k] = x
+    return out
+
+
 def _assert_same_elimination(a):
     """Every transform byte-identical to the rescanning oracle's, and the
-    partial modes agree on what they track."""
-    U, UiT, S, VT, Vi = exactlin._snf_integer(a)
+    partial modes agree on what they track.  _snf_integer keeps its rows
+    sparse: they store nonzero entries only and are densified here."""
+    widths = (a.rows, a.rows, a.cols, a.cols, a.cols)
+    sparse = exactlin._snf_integer(a)
+    assert all(x for rows in sparse for row in rows for x in row.values())
+    U, UiT, S, VT, Vi = (_densify(rows, w) for rows, w in zip(sparse, widths))
     assert (U, UiT, S, VT, Vi) == _rescanning_snf_integer(a)
-    assert exactlin._snf_integer(a, v=False)[:3] == (U, UiT, S)
-    assert exactlin._snf_integer(a, u=False, v=False)[2] == S
+    partial = exactlin._snf_integer(a, v=False)[:3]
+    assert tuple(_densify(rows, w) for rows, w in zip(partial, widths)) == (U, UiT, S)
+    assert _densify(exactlin._snf_integer(a, u=False, v=False)[2], a.cols) == S
 
 
 def _kronecker_systems():
@@ -573,6 +597,31 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_cached_scans_match_rescanning_on_sparse_matrices(a):
     _assert_same_elimination(a)
+
+
+FIELDS = ("U", "Uinv", "S", "V", "Vinv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mats(), sparse_systems()), st.sampled_from(RINGS),
+       st.permutations(range(5)))
+@example(IntMat.zeros(0, 3), Zmod(4), [0, 1, 2, 3, 4])
+@example(IntMat.zeros(3, 0), ZZ, [4, 3, 2, 1, 0])
+@example(IntMat.zeros(0, 0), Zmod(12), [2, 0, 4, 1, 3])
+def test_snf_result_built_on_read_equals_its_materialized_fields(a, ring, order):
+    # snf builds each matrix when it is first read, in any order; the result
+    # is the eager record of the same five matrices in value, hash and repr
+    res = snf(a, ring)
+    first = [getattr(res, FIELDS[i]) for i in order]
+    assert all(getattr(res, FIELDS[i]) is m for i, m in zip(order, first))
+    eager = SNFResult(*(getattr(res, f) for f in FIELDS))
+    for got in (res, snf(a, ring)):
+        assert got == eager and eager == got
+        assert hash(got) == hash(eager) and repr(got) == repr(eager)
+    assert res.diagonal() == eager.diagonal()
+    again = pickle.loads(pickle.dumps(snf(a, ring)))
+    assert type(again) is SNFResult
+    assert again == eager and hash(again) == hash(eager) and repr(again) == repr(eager)
 
 
 @settings(max_examples=120, deadline=None)
@@ -667,6 +716,52 @@ def test_one_cache_entry_per_matrix_and_ring(system):
         warm = kernel_basis(a, ring), solve_matrix(a, b, ring)
     assert len(calls) <= 1
     assert cold == warm == (_reference_kernel(a, ring), _reference_solve(a, b, ring))
+
+
+def _cold_cells(fn):
+    """IntMat cells allocated by fn() with every cache of exactlin, fpmod
+    and resolve cleared first."""
+    for mod in (exactlin, fpmod, resolve):
+        for f in vars(mod).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    cells = [0]
+    real = IntMat.__init__
+
+    def counting(self, rows, cols, data):
+        real(self, rows, cols, data)
+        cells[0] += rows * cols
+    with mock.patch.object(IntMat, "__init__", counting):
+        fn()
+    return cells[0]
+
+
+def test_large_systems_build_only_the_transforms_they_read():
+    # two sums of eight cyclic modules over Z/8: Hom, Ext^1 and Tor_1 reduce
+    # Kronecker systems that are almost all zeros.  Building every SNF
+    # transform, and every row of V, allocated 398,360, 868,864 and 528,476
+    # cells; reading only what is used allocates about half
+    ring = Zmod(8)
+    ma = fpmod.make_module(ring, IntMat.diag([8, 8, 2, 4, 4, 2, 4, 2]))
+    mb = fpmod.make_module(ring, IntMat.diag([8, 8, 4, 2, 2, 4, 2, 4]))
+    assert _cold_cells(lambda: fpmod.hom_module(ma, mb)) < 300_000
+    assert _cold_cells(lambda: resolve.ext(ma, mb, 1)) < 670_000
+    assert _cold_cells(lambda: resolve.tor(ma, mb, 1)) < 410_000
+    # a cold kernel_basis reads U, the diagonal and V's rows over A's
+    # columns, which it builds from V^T's rows: no other SNF matrix is built
+    results = []
+    real = exactlin.snf
+
+    def keeping(a, r):
+        results.append(real(a, r))
+        return results[-1]
+    a = ma.rel.kron(IntMat.identity(8)).hstack(IntMat.identity(8).kron(mb.rel))
+    exactlin._snf_cached.cache_clear()
+    with mock.patch.object(exactlin, "snf", keeping):
+        k = kernel_basis(a, ring)
+    assert len(results) == 1 and k == _reference_kernel(a, ring)
+    built = [mat is not None for mat in results[0]._mats]
+    assert built == [True, False, False, False, False]  # U only
 
 
 @settings(max_examples=60, deadline=None)
