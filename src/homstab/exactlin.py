@@ -1,23 +1,23 @@
 """Exact matrix algebra over Z and Z/n.
 
 Everything downstream (presentations, morphisms, resolutions, functor
-evaluation, verdicts) reduces to five primitives implemented here:
+evaluation, verdicts) reduces to four primitives implemented here:
 
 * ``snf``             -- Smith normal form with invertible transforms,
 * ``kernel_basis``    -- generators of { x : A.x = 0 } over the base ring,
 * ``solve_matrix``    -- particular solutions of A.X = B,
-* ``in_span``         -- image membership: is A.X = B solvable?  Decided
-                         without building X,
 * ``invariant_divisors`` -- classification data of a cokernel.
+
+Image membership (is A.X = B solvable?) is ``fpmod.in_span``: B is in the
+span of A iff B is zero in coker(A), which it reads from the trimmed
+presentation of coker(A).
 
 Arithmetic is exact throughout: entries are Python integers, never floats.
 Z/n is handled by lifting to Z.  For kernels and solving, the lift appends
 n*I relation columns so multiples of n are available; for the normal form
 itself, the integer SNF of the lifted matrix is normalized entrywise to
 gcd(d, n) by a unit row scaling (every element of Z/n is an associate of
-gcd(d, n), and the chain d_1 | d_2 | ... survives the gcd).  Membership
-needs no n*I columns: with S = U.(A mod n).V over Z, A.X = B is solvable
-mod n iff each row i of U.B is divisible by gcd(S[i][i], n).
+gcd(d, n), and the chain d_1 | d_2 | ... survives the gcd).
 
 Matrices are immutable by convention; rows and columns may be zero (a
 0 x k or k x 0 matrix is a legal zero map).  Shapes are validated at the
@@ -32,8 +32,8 @@ their shape checks: a product, or a Kronecker product, with an empty
 operand is the zero matrix of its shape, and ``identity(0)`` is one shared
 0 x 0 matrix; ``mod`` and ``scale`` return an empty matrix unchanged, and
 ``hstack`` with a side of no columns returns the other side; an empty B
-lies in every span, and its particular solution is the a.cols x b.cols
-zero matrix; and the kernel of a 0-row A is the identity the SNF cache
+lies in every span (``fpmod.in_span``), and its particular solution is the
+a.cols x b.cols zero matrix; and the kernel of a 0-row A is the identity the SNF cache
 keeps for it.  Each value is the one the general path computes, and no
 check is skipped: the shape checks still run, ``solve_matrix`` and
 ``kernel_basis`` still go through the SNF cache, and ``make_morphism``
@@ -44,12 +44,9 @@ Kernels and solutions over a matrix A are read from one cache keyed by
 (A, ring).  An entry keeps only what they read of the SNF of A's lift:
 U, the diagonal, the width of the lift and the rows of V over A's columns.
 A warm ``kernel_basis`` or ``solve_matrix`` is one lookup plus its products.
-Membership has a smaller cache of its own, also keyed by (A, ring): the
-rows of U whose divisor is not 1, with their divisors, from an SNF of A
-(of A mod n, not its lift) that builds no V, Vinv or Uinv.  A warm
-``in_span`` multiplies B by those rows only; rows with divisor 1 impose
-nothing and are dropped.  Both caches file an unreduced A under its
-reduction mod n, and test whether A is reduced without copying it.
+The cache files an unreduced A under its reduction mod n, and tests whether
+A is reduced without copying it; ``IntMat.negate`` negates and reduces in
+one pass, so a block -P of a kernel system stays reduced.
 
 The matrices built downstream (Kronecker products for Hom and tensor, and
 their lifts) are mostly zeros, so the kernels pay for nonzero entries
@@ -77,11 +74,11 @@ read; a caller pays only for the transforms it reads.  The kernel cache
 still calls ``snf`` once per cold matrix, so a wrapper of ``snf`` sees
 every SNF the cache computes, and reads U, the diagonal and the rows of V
 over A's columns: k of the k + m rows of V over the Z/n lift, built from
-V^T without the others.  ``fpmod``'s ``present_with_iso`` reads U, Uinv
-and the diagonal, and ``_snf_u`` eliminates without V and Vinv and builds
-those two.  ``in_span``'s cache reads U's sparse rows as they are, and
-``invariant_divisors`` eliminates without transforms and reads the
-diagonal only.
+V^T without the others.  ``fpmod``'s ``present_with_iso`` reads the rows
+of U and the columns of Uinv whose divisor is not 1, and the divisors:
+``_snf_u`` eliminates without V and Vinv and builds only those rows and
+columns.  ``invariant_divisors`` eliminates without transforms and reads
+the diagonal only.
 """
 
 from __future__ import annotations
@@ -245,6 +242,15 @@ class IntMat:
         if not (self.rows and self.cols):
             return self
         return IntMat(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
+
+    def negate(self, ring: RingDesc) -> "IntMat":
+        """-A, reduced mod n in the same pass over Z/n."""
+        n = ring.modulus
+        if n is None:
+            return self.scale(-1)
+        if not (self.rows and self.cols):
+            return self
+        return IntMat(self.rows, self.cols, tuple(tuple(-x % n for x in r) for r in self.data))
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
@@ -486,15 +492,14 @@ def _add_row(x: dict, c: int, y: dict) -> None:
                 del x[k]
 
 
-def _snf_integer(a: IntMat, u: bool = True, v: bool = True, uinv: bool = True):
+def _snf_integer(a: IntMat, u: bool = True, v: bool = True):
     """Integer SNF core; returns U, Uinv^T, S, V^T, Vinv as lists of
     {column: nonzero} rows, which the caller owns.
 
     Uinv and V only ever see column operations, so they are kept transposed
     and every operation on a transform is a whole-row one.  With ``u`` (or
     ``v``) False, U and Uinv (or V and Vinv) are empty rows, every operation
-    on them is O(1), and they are not meaningful; with ``uinv`` False only
-    Uinv is.
+    on them is O(1), and they are not meaningful.
 
     Every row of S, U, Uinv^T, V^T and Vinv stores its nonzero entries only,
     and ``cols[j]`` is the set of rows of S with a nonzero in column j; so
@@ -518,7 +523,7 @@ def _snf_integer(a: IntMat, u: bool = True, v: bool = True, uinv: bool = True):
         for j in row:
             cols[j].add(i)
     U = [{i: 1} for i in range(m)] if u else [{}] * m
-    UiT = [{i: 1} for i in range(m)] if u and uinv else [{}] * m
+    UiT = [{i: 1} for i in range(m)] if u else [{}] * m
     VT = [{j: 1} for j in span] if v else [{}] * n
     Vi = [{j: 1} for j in span] if v else [{}] * n
     rmin = [None] * m  # least nonzero |entry| of each row, 0 if none
@@ -704,10 +709,15 @@ def snf(a: IntMat, ring: RingDesc) -> SNFResult:
 
 
 def _snf_u(a: IntMat, ring: RingDesc) -> tuple[IntMat, IntMat, list[int]]:
-    """(U, Uinv, diagonal) of ``snf(a, ring)``, without building V and Vinv."""
+    """The rows of U and the columns of Uinv of ``snf(a, ring)`` whose
+    divisor is not 1, and those divisors (0 for the rows past the diagonal),
+    without building V and Vinv or the other rows and columns."""
     m, n = a.rows, ring.modulus
     U, UiT, _, _, _, diag = _snf_rows(a, ring, v=False)
-    return _dense(U, m, m, n), _dense_t(UiT, m, m, n), diag
+    keep = [i for i in range(m) if i >= len(diag) or diag[i] != 1]
+    divisors = [diag[i] if i < len(diag) else 0 for i in keep]
+    return (_dense([U[i] for i in keep], len(keep), m, n),
+            _dense_t([UiT[i] for i in keep], m, len(keep), n), divisors)
 
 
 @lru_cache(maxsize=4096)
@@ -765,7 +775,7 @@ def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
     """A particular X with A.X = B over the ring, or None if unsolvable.
 
     B's columns lie in the column span of A over the ring iff the system is
-    solvable; ``in_span`` decides that alone, without building X.  B is
+    solvable; ``fpmod.in_span`` decides that alone, without building X.  B is
     reduced mod n here; callers need not reduce it.
     """
     if a.rows != b.rows:
@@ -795,67 +805,6 @@ def solve(a: IntMat, b, ring: RingDesc) -> IntMat | None:
     """Single-column convenience wrapper around :func:`solve_matrix`."""
     col = b if isinstance(b, IntMat) else IntMat.column(b)
     return solve_matrix(a, col, ring)
-
-
-# a quarter of _snf_cached's size: a membership test rarely meets a matrix
-# again outside the construction that built it, and the keys hold every
-# tested matrix alive (over 5580 suite-mix ops, 1024 entries held 0.7 MB
-# and missed 19% less often than 512)
-@lru_cache(maxsize=1024)
-def _span_rows(a: IntMat, ring: RingDesc) -> tuple:
-    """What ``in_span`` reads of A: the rows of U whose divisor is not 1.
-
-    U is the left transform of the integer SNF S = U.A.V of A (of A mod n
-    over Z/n), run without V, Vinv and Uinv.  Row i's divisor is S[i][i]
-    over Z and gcd(S[i][i], n) over Z/n, with S[i][i] = 0 for the rows past
-    the diagonal; so over Z/n a divisor is never 0, and n means "zero mod
-    n".  Each entry is (columns, coefficients, divisor) over the row's
-    nonzero entries, reduced mod n over Z/n.
-    """
-    n = ring.modulus
-    reduced = _reduced(a, ring)
-    if reduced is not a:  # one entry per matrix over Z/n, whatever its lift
-        return _span_rows(reduced, ring)
-    U, _, S, _, _ = _snf_integer(a, v=False, uinv=False)
-    out = []
-    for i, row in enumerate(U):
-        d = S[i].get(i, 0)
-        if n is not None:
-            d = gcd(d, n)
-        if d == 1:
-            continue
-        ks = sorted(row)
-        vs = [row[k] for k in ks]
-        if n is not None:
-            vs = [x % n for x in vs]
-            ks = list(compress(ks, vs))
-            vs = list(filter(None, vs))
-        out.append((tuple(ks), tuple(vs), d))
-    return tuple(out)
-
-
-def in_span(a: IntMat, b: IntMat, ring: RingDesc) -> bool:
-    """Whether B's columns lie in the column span of A over the ring.
-
-    Decides what ``solve_matrix(a, b, ring) is not None`` decides, without
-    building a solution.  A.X = B is solvable iff S.Y = U.B is (U and V are
-    invertible), that is iff row i of U.B is divisible by row i's divisor,
-    where divisibility by 0 means equal to 0.  Rows with divisor 1 always
-    pass and are never multiplied.  Over Z/n every divisor divides n, so B
-    need not be reduced.
-    """
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"in_span: {a.rows} rows vs rhs {b.rows}")
-    if not (b.rows and b.cols):  # the zero matrix is in every span
-        return True
-    data = b.data
-    for ks, vs, d in _span_rows(a, ring):
-        acc = [0] * b.cols
-        for k, v in zip(ks, vs):
-            _axpy(acc, v, data[k])
-        if any(x % d for x in acc) if d else any(acc):
-            return False
-    return True
 
 
 def invariant_divisors(a: IntMat, ring: RingDesc) -> tuple[tuple[int, ...], int]:

@@ -57,9 +57,21 @@ Every map between constructed modules is built one of two ways:
   factoring through monos, extending into injectives, the comparison theorem
   and retraction search.
 
-Caching.  ``present_with_iso`` and ``subquotient`` are ``lru_cache``s of
-1024 entries each, keyed by their arguments: (ring, gens, rel) and
-(ambient, sub, den), all immutable values that hash once.  Equal inputs
+Membership.  Every verdict (a map is well defined, a composite is zero, a
+sequence is exact at a node) asks whether the columns of B lie in the
+column span of A, and ``in_span`` decides it as "B is zero in coker(A)".
+The trimmed presentation of coker(A) keeps the rows of the SNF transform U
+whose divisor is not 1 as ``fwd``, and B is zero there iff each row i of
+fwd @ B is divisible by the i-th kept divisor: the i-th diagonal entry of
+the relations for a torsion row, 0 over Z (equal to zero) and n over Z/n
+for a free row.  No solution is built, and the elimination of A is the one
+``present_with_iso`` keeps for the cokernel.
+
+Caching.  ``present_with_iso`` is an ``lru_cache`` of 2048 entries and
+``subquotient`` one of 1024, keyed by their arguments: (ring, gens, rel)
+and (ambient, sub, den), all immutable values that hash once.
+``present_with_iso`` also serves ``in_span``, so a matrix that is both
+presented and tested for membership is eliminated once.  Equal inputs
 built as separate objects share one result, so one trimmed presentation
 and one ``SubquotientRealization`` (with its cached ``decode`` and
 ``_span``) serve every caller; nothing may write to them.  Exceptions are
@@ -72,11 +84,12 @@ functions, so every morphism they emit is checked for well-definedness.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import gcd
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
 from .exactlin import (
-    ZZ, IntMat, RingDesc, _snf_u, invariant_divisors, in_span, kernel_basis,
+    ZZ, IntMat, RingDesc, _axpy, _snf_u, invariant_divisors, kernel_basis,
     solve_matrix,
 )
 # not called here; bound because perfbench/test_smoke.py asserts that the
@@ -139,7 +152,7 @@ class FPModule:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=2048)
 def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     """Trim a raw presentation; returns (module, fwd, bwd).
 
@@ -147,14 +160,37 @@ def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     section; fwd @ bwd is the identity and both induce mutually inverse
     module isomorphisms.
     """
-    U, Uinv, diag = _snf_u(rel, ring)
-    keep = [i for i in range(gens) if i >= len(diag) or diag[i] != 1]
+    fwd, bwd, divisors = _snf_u(rel, ring)  # reduced mod n
     # the kept divisors run nonunit, then 0 (free), so torsion leads
-    torsion = [diag[i] for i in keep if i < len(diag) and diag[i] != 0]
-    module = FPModule(ring, len(keep), IntMat.diag(torsion, rows=len(keep), cols=len(torsion)))
-    fwd = U.take_rows(keep)  # _snf_u reduces U and Uinv mod n
-    bwd = Uinv.take_cols(keep)
+    torsion = [d for d in divisors if d]
+    module = FPModule(ring, len(divisors),
+                      IntMat.diag(torsion, rows=len(divisors), cols=len(torsion)))
     return module, fwd, bwd
+
+
+def in_span(a: IntMat, b: IntMat, ring: RingDesc) -> bool:
+    """Whether B's columns lie in the column span of A over the ring.
+
+    Decides what ``solve_matrix(a, b, ring) is not None`` decides, from the
+    trimmed presentation of coker(A) and without building a solution (see
+    "Membership" above).  Every divisor divides n over Z/n, so B need not
+    be reduced.
+    """
+    if a.rows != b.rows:
+        raise DimensionMismatch(f"in_span: {a.rows} rows vs rhs {b.rows}")
+    if not (b.rows and b.cols):  # the zero matrix is in every span
+        return True
+    module, fwd, _ = present_with_iso(ring, a.rows, a)
+    rel, data = module.rel, b.data
+    free = ring.modulus or 0
+    for i, row in enumerate(fwd.data):
+        acc = [0] * b.cols  # row i of fwd @ B
+        for k in compress(range(len(row)), row):
+            _axpy(acc, row[k], data[k])
+        d = rel.data[i][i] if i < rel.cols else free
+        if any(x % d for x in acc) if d else any(acc):
+            return False
+    return True
 
 
 def make_module(ring: RingDesc, rel, gens: int | None = None) -> FPModule:
@@ -373,7 +409,7 @@ def subquotient(ambient: FPModule, sub: IntMat, den: IntMat | None = None) -> Su
     sq = Subquotient(ambient, sub, den)
     ring = ambient.ring
     combined = den.hstack(ambient.rel)
-    ker = kernel_basis(sub.hstack(combined.scale(-1)), ring)
+    ker = kernel_basis(sub.hstack(combined.negate(ring)), ring)
     rel = IntMat(sub.cols, ker.cols, ker.data[:sub.cols])
     module, fwd, bwd = present_with_iso(ring, sub.cols, rel)
     return SubquotientRealization(sq, module, fwd, bwd)
@@ -428,7 +464,7 @@ def kernel_generators(f: Morphism) -> IntMat:
     column span of the target's relations."""
     ring = f.source.ring
     gens = f.source.gens
-    raw = kernel_basis(f.mat.hstack(f.target.rel.scale(-1)), ring)
+    raw = kernel_basis(f.mat.hstack(f.target.rel.negate(ring)), ring)
     return IntMat(gens, raw.cols, raw.data[:gens])
 
 
@@ -582,7 +618,7 @@ def hom_module(m: FPModule, n: FPModule) -> HomRealization:
     amb = free_module(ring, n.gens * m.gens)
     constraint = m.rel.transpose().kron(IntMat.identity(n.gens))
     slack = IntMat.identity(m.rel.cols).kron(n.rel)
-    raw = kernel_basis(constraint.hstack(slack.scale(-1)), ring)
+    raw = kernel_basis(constraint.hstack(slack.negate(ring)), ring)
     sub = IntMat(amb.gens, raw.cols, raw.data[:amb.gens])
     den = IntMat.identity(m.gens).kron(n.rel)
     sq = subquotient(amb, sub, den)

@@ -9,8 +9,7 @@ Verdicts are computed at build time, never assumed.
 from __future__ import annotations
 
 from .errors import NotAComplex
-from .exactlin import in_span
-from .fpmod import FPModule, Morphism, kernel_generators
+from .fpmod import FPModule, Morphism, in_span, kernel_generators
 
 
 class SequenceNode:

@@ -23,9 +23,11 @@ from homstab import exactlin, fpmod, resolve
 from homstab.errors import DimensionMismatch
 from homstab.exactlin import (
     IntMat, SNFResult, ZZ, Zmod, snf, kernel_basis, solve, solve_matrix,
-    invariant_divisors, in_span,
+    invariant_divisors,
 )
-from homstab.fpmod import FPModule, cyclic, free_module, make_morphism, present_with_iso
+from homstab.fpmod import (
+    FPModule, cyclic, free_module, in_span, make_morphism, present_with_iso,
+)
 
 RINGS = [ZZ, Zmod(2), Zmod(4), Zmod(5), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]
 

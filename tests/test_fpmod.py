@@ -10,16 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homstab
+from homstab import exactlin
 from homstab.errors import MembershipError, NotWellDefined
-from homstab.exactlin import IntMat, ZZ, Zmod, in_span, invariant_divisors
+from homstab.exactlin import IntMat, ZZ, Zmod, invariant_divisors
 from homstab.fpmod import (
     Own, Within, canonical_invariants, cokernel, cokernel_realization, cyclic,
     direct_sum, direct_sum_morphism, dual, epi_mono_factor, evaluation_map,
     extend_along, factor_through, free_module, hom_module, hom_push,
-    identity_morphism, image, induced, is_identity, iso_test, kernel,
-    make_module, make_morphism, morphisms_equal, stably_iso_test,
-    tensor_module, tensor_mor, transpose, zero_module, is_projective_module,
-    kernel_realization, present_with_iso, stable_invariants, subquotient,
+    identity_morphism, image, in_span, induced, is_identity, iso_test, kernel,
+    kernel_generators, make_module, make_morphism, morphisms_equal,
+    stably_iso_test, tensor_module, tensor_mor, transpose, zero_module,
+    is_projective_module, kernel_realization, present_with_iso,
+    stable_invariants, subquotient,
 )
 from homstab.instances import random_module, random_morphism
 from homstab.resolve import homology_at
@@ -227,6 +229,44 @@ def test_cache_key_holds_the_ring():
     m8, _, _ = present_with_iso(Zmod(8), 1, rel)
     assert (m4.ring, m4.rel) == (Zmod(4), IntMat.zeros(1, 0))
     assert (m8.ring, m8.rel) == (Zmod(8), IntMat.from_rows([[4]]))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(12)])
+@pytest.mark.parametrize("present_first", [True, False])
+def test_membership_reads_the_trimmed_presentation(monkeypatch, ring, present_first):
+    # B is in span(A) iff B is zero in coker(A): in_span and
+    # present_with_iso share one elimination of A, in either order
+    a = IntMat.from_rows([[2, 4], [6, 3], [0, 0]])
+    b = IntMat.from_rows([[2, 1], [0, 1], [5, 0]])
+    _clear_homstab_caches()
+    calls = []
+    real = exactlin._snf_integer
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(exactlin, "_snf_integer", counting)
+    if present_first:
+        present_with_iso(ring, a.rows, a)
+        assert len(calls) == 1
+        member = in_span(a, b, ring)
+    else:
+        member = in_span(a, b, ring)
+        assert len(calls) == 1
+        present_with_iso(ring, a.rows, a)
+    assert len(calls) == 1
+    assert member == (exactlin.solve_matrix(a, b, ring) is not None)
+
+
+def test_kernel_generators_file_one_reduced_matrix():
+    # -rel is negated mod n, so [f.mat | -rel] is reduced and the SNF cache
+    # keeps no second, unreduced key for it
+    ring = Zmod(8)
+    f = make_morphism(cyclic(ring, 2), cyclic(ring, 4), [[2]])
+    _clear_homstab_caches()
+    k = kernel_generators(f)
+    assert exactlin._snf_cached.cache_info().currsize == 1
+    assert not any(x % 2 for x in k.data[0])  # f is injective
 
 
 def test_verdicts_are_not_cached():

@@ -3,9 +3,9 @@
 import random
 
 from homstab.errors import NotWellDefined
-from homstab.exactlin import ZZ, Zmod, in_span
+from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
-    FPModule, canonical_invariants, cokernel, image, is_free, iso_test,
+    FPModule, canonical_invariants, cokernel, image, in_span, is_free, iso_test,
     kernel, stably_iso_test, transpose,
 )
 from homstab.instances import (
