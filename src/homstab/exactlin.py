@@ -41,12 +41,15 @@ still tests every morphism with ``in_span``.  The paper's sequences are
 mostly zero modules, so most matrices built downstream have this shape.
 
 Kernels and solutions over a matrix A are read from one cache keyed by
-(A, ring).  An entry keeps only what they read of the SNF of A's lift:
-U, the diagonal, the width of the lift and the rows of V over A's columns.
-A warm ``kernel_basis`` or ``solve_matrix`` is one lookup plus its products.
-The cache files an unreduced A under its reduction mod n, and tests whether
-A is reduced without copying it; ``IntMat.negate`` negates and reduces in
-one pass, so a block -P of a kernel system stays reduced.
+(A, ring).  An entry keeps what they read of the SNF of A's lift, and the
+finished kernel: U, the diagonal, the width of the lift, the rows of V
+over A's columns (for solves), and the kernel basis, built on the miss
+from V^T's rows (the free columns of V, cut to A's coordinates, reduced
+mod n, zero columns dropped).  A warm ``kernel_basis`` is one lookup, and
+a warm ``solve_matrix`` one lookup plus its products.  The cache files an
+unreduced A under its reduction mod n, and tests whether A is reduced
+without copying it; ``IntMat.negate`` negates and reduces in one pass, so
+a block -P of a kernel system stays reduced.
 
 The matrices built downstream (Kronecker products for Hom and tensor, and
 their lifts) are mostly zeros, so the kernels pay for nonzero entries
@@ -59,26 +62,31 @@ all cost the nonzero entries they touch, not rows x columns.  The SNF
 keeps a zero pattern: at the top of pivot step t, rows t and below are
 zero left of column t, and the rows above are zero from column t on.  So
 a row's pivot candidate and its divisibility gcd are functions of the
-whole row, cached per row and recomputed only for the rows an operation
-wrote to.  The pivot rule and the order of operations are fixed: the
-pivot is the least |entry| over rows t and below, in the first such row
-and then its first such column; the rows below are cleared in ascending
-order, then the columns of row t in ascending order; the divisibility
-fix-up adds the first stuck row.  So the pivot sequence, and every
-transform, is that of a dense elimination that rescans every row at every
-step, which the tests keep as the reference.
+whole row, cached per row.  Every operation that writes a row queues it,
+and a step recomputes the candidates of the queued rows only; a gcd is
+recomputed when the divisibility fix-up reads it after a write.  The
+pivot rule and the order of operations are fixed: the pivot is the least
+|entry| over rows t and below, in the first such row and then its first
+such column; the rows below are cleared in ascending order, then the
+columns of row t in ascending order; the divisibility fix-up adds the
+first stuck row.  So the pivot sequence, and every transform, is that of
+a dense elimination that rescans every row at every step, which the tests
+keep as the reference.
 
-``snf`` returns an ``SNFResult`` over those rows, and each of U, Uinv, S,
-V and Vinv becomes a matrix, reduced mod n over Z/n, the first time it is
-read; a caller pays only for the transforms it reads.  The kernel cache
+The elimination tracks each of U, Uinv, V and Vinv only when its caller
+reads it, and an untracked one costs nothing: the kernel cache reads U
+and V^T, ``fpmod``'s ``present_with_iso`` (through ``_snf_u``) U and
+Uinv, and ``invariant_divisors`` no transform.  ``snf`` tracks U and V
+and returns an ``SNFResult`` over the rows, whose matrices are built,
+reduced mod n over Z/n, the first time they are read.  The first read of
+Uinv or Vinv runs the same elimination again with both tracked: the pivot
+order is fixed and inverses are unique, so they are the matrices an eager
+elimination gives.  Nothing in the library reads them.  The kernel cache
 still calls ``snf`` once per cold matrix, so a wrapper of ``snf`` sees
-every SNF the cache computes, and reads U, the diagonal and the rows of V
-over A's columns: k of the k + m rows of V over the Z/n lift, built from
-V^T without the others.  ``fpmod``'s ``present_with_iso`` reads the rows
-of U and the columns of Uinv whose divisor is not 1, and the divisors:
-``_snf_u`` eliminates without V and Vinv and builds only those rows and
-columns.  ``invariant_divisors`` eliminates without transforms and reads
-the diagonal only.
+every SNF the cache computes; it builds U, and the rows of V over A's
+columns (k of the k + m rows over the Z/n lift) straight from V^T.
+``_snf_u`` builds only the rows of U and the columns of Uinv whose
+divisor is not 1.
 """
 
 from __future__ import annotations
@@ -395,8 +403,9 @@ class SNFResult:
     """U @ A @ V == S exactly (mod n over Z/n); U, V invertible over the ring.
 
     Immutable by convention; compared and hashed by its five matrices.  A
-    result of ``snf`` keeps the elimination's {column: nonzero} rows and
-    builds each matrix the first time it is read, then stores it.
+    result of ``snf`` keeps the elimination's {column: nonzero} rows of U,
+    S and V^T and builds each matrix the first time it is read, then stores
+    it.  The first read of Uinv or Vinv eliminates again with both tracked.
     """
 
     __slots__ = ("_mats", "_src", "_diag")
@@ -408,20 +417,25 @@ class SNFResult:
         self._diag = None
 
     @classmethod
-    def _from_rows(cls, m: int, k: int, n: int | None, rows, diag) -> "SNFResult":
-        """A result over the rows U, Uinv^T, S, V^T, Vinv of an m x k matrix,
-        each reduced mod n when it is built."""
+    def _from_rows(cls, a: IntMat, ring: RingDesc, rows, diag) -> "SNFResult":
+        """A result over the rows U, Uinv^T, S, V^T, Vinv of ``_snf_rows(a,
+        ring)``, each reduced mod n when it is built; Uinv^T and Vinv may be
+        None (untracked)."""
         res = cls.__new__(cls)
         res._mats = [None] * 5
-        res._src = (m, k, n, rows)
+        res._src = (a, ring, rows)
         res._diag = diag
         return res
 
     def _build(self, i: int) -> IntMat:
-        m, k, n, rows = self._src
+        a, ring, rows = self._src
+        if rows[i] is None:  # the inverses: the same elimination, tracking them
+            _, rows[1], _, _, rows[4], _ = _snf_rows(a, ring, u=False, v=False)
+        m, k = a.rows, a.cols
         shape = ((m, m), (m, m), (m, k), (k, k), (k, k))[i]
         # Uinv and V are kept transposed
-        mat = self._mats[i] = (_dense_t if i in (1, 3) else _dense)(rows[i], *shape, n)
+        mat = self._mats[i] = (_dense_t if i in (1, 3) else _dense)(
+            rows[i], *shape, ring.modulus)
         return mat
 
     def _field(i):
@@ -460,8 +474,23 @@ class SNFResult:
     def _v_rows(self, count: int) -> IntMat:
         """The first ``count`` rows of V, built from V^T's rows without the
         others; for a result of ``snf`` only."""
-        _, k, n, rows = self._src
-        return _dense_t(rows[3], count, k, n)
+        a, ring, rows = self._src
+        return _dense_t(rows[3], count, a.cols, ring.modulus)
+
+    def _v_cols(self, idx, count: int, n: int | None) -> IntMat:
+        """The columns ``idx`` of V cut to their first ``count`` entries; for
+        n not None, reduced mod n with the zero columns dropped.  Built from
+        V^T's rows; for a result of ``snf`` over Z only."""
+        vt = self._src[2][3]
+        cols = []
+        for j in idx:
+            col = vt[j]
+            if n is not None:
+                col = {r: y for r, x in col.items() if r < count and (y := x % n)}
+                if not col:
+                    continue
+            cols.append(col)
+        return _dense_t(cols, count, len(cols), None)
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -492,16 +521,18 @@ def _add_row(x: dict, c: int, y: dict) -> None:
                 del x[k]
 
 
-def _snf_integer(a: IntMat, u: bool = True, v: bool = True):
+def _snf_integer(a: IntMat, u: bool = True, uinv: bool = True, v: bool = True,
+                 vinv: bool = True, pivots: list | None = None):
     """Integer SNF core; returns U, Uinv^T, S, V^T, Vinv as lists of
     {column: nonzero} rows, which the caller owns.
 
-    Uinv and V only ever see column operations, so they are kept transposed
-    and every operation on a transform is a whole-row one.  With ``u`` (or
-    ``v``) False, U and Uinv (or V and Vinv) are empty rows, every operation
-    on them is O(1), and they are not meaningful.
+    Each transform is tracked only when its flag is set; an untracked one is
+    returned as None, and no operation touches it.  Uinv and V only ever see
+    column operations, so they are kept transposed and every operation on a
+    transform is a whole-row one.  ``pivots``, if given, receives the
+    (row, column) of each pivot in the order they are taken.
 
-    Every row of S, U, Uinv^T, V^T and Vinv stores its nonzero entries only,
+    Every row of S and of the transforms stores its nonzero entries only,
     and ``cols[j]`` is the set of rows of S with a nonzero in column j; so
     each operation, and the list of rows below t that are nonzero in column
     t, costs the nonzero entries it reads.  The elimination keeps a zero
@@ -511,9 +542,12 @@ def _snf_integer(a: IntMat, u: bool = True, v: bool = True):
     the least over the whole row; the divisibility test gcd(S[i][t+1:]) of
     a row i > t is the gcd of the whole row; and a column swap, or an
     elimination along row t, changes rows t and below only.  Each row's
-    candidate and gcd are cached (None marks a stale entry) and recomputed
-    only after an operation wrote to that row.  The pivot sequence, and so
-    every transform, is that of rescanning every row at every step.
+    candidate is cached in ``rmin``, and every operation that writes a row
+    adds it to ``stale``, whose rows alone are recomputed at the top of a
+    step.  Each row's gcd is cached in ``rgcd`` (None when a write made it
+    stale) and computed when the divisibility fix-up reads it.  The pivot
+    sequence, and so every transform, is that of rescanning every row at
+    every step.
     """
     m, n = a.rows, a.cols
     span = range(n)
@@ -522,12 +556,13 @@ def _snf_integer(a: IntMat, u: bool = True, v: bool = True):
     for i, row in enumerate(S):
         for j in row:
             cols[j].add(i)
-    U = [{i: 1} for i in range(m)] if u else [{}] * m
-    UiT = [{i: 1} for i in range(m)] if u else [{}] * m
-    VT = [{j: 1} for j in span] if v else [{}] * n
-    Vi = [{j: 1} for j in span] if v else [{}] * n
-    rmin = [None] * m  # least nonzero |entry| of each row, 0 if none
+    U = [{i: 1} for i in range(m)] if u else None
+    UiT = [{i: 1} for i in range(m)] if uinv else None
+    VT = [{j: 1} for j in span] if v else None
+    Vi = [{j: 1} for j in span] if vinv else None
+    rmin = [0] * m  # least nonzero |entry| of each row, 0 if none
     rgcd = [None] * m  # gcd of each row's entries
+    stale = set(range(m))  # rows written since their rmin was computed
 
     def row_add(i, j, c):  # row_i += c * row_j, c != 0
         si = S[i]
@@ -543,110 +578,122 @@ def _snf_integer(a: IntMat, u: bool = True, v: bool = True):
                 else:
                     del si[k]
                     cols[k].discard(i)
-        _add_row(U[i], c, U[j])
-        _add_row(UiT[j], -c, UiT[i])
-        rmin[i] = rgcd[i] = None
-
-    def row_swap(i, j):
-        si, sj = S[i], S[j]
-        for k in si.keys() - sj.keys():
-            c = cols[k]
-            c.discard(i)
-            c.add(j)
-        for k in sj.keys() - si.keys():
-            c = cols[k]
-            c.discard(j)
-            c.add(i)
-        S[i], S[j] = sj, si
-        U[i], U[j] = U[j], U[i]
-        UiT[i], UiT[j] = UiT[j], UiT[i]
-        rmin[i], rmin[j] = rmin[j], rmin[i]
-        rgcd[i], rgcd[j] = rgcd[j], rgcd[i]
-
-    def row_neg(i):  # keeps |entries| and the gcd
-        S[i] = {k: -x for k, x in S[i].items()}
-        U[i] = {k: -x for k, x in U[i].items()}
-        UiT[i] = {k: -x for k, x in UiT[i].items()}
-
-    def col_add(j, i, c, rows):  # col_j += c * col_i; rows: where col_i != 0
-        cj = cols[j]
-        for r in rows:
-            row = S[r]
-            x = row.get(j)
-            if x is None:
-                row[j] = c * row[i]
-                cj.add(r)
-            else:
-                x += c * row[i]
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-                    cj.discard(r)
-            rmin[r] = rgcd[r] = None
-        _add_row(VT[j], c, VT[i])
-        _add_row(Vi[i], -c, Vi[j])
-
-    def row_gcd(i):
-        if rgcd[i] is None:
-            rgcd[i] = gcd(*S[i].values())
-        return rgcd[i]
-
-    def col_swap(i, j):  # i = t: the rows above t are zero in both columns
-        ci, cj = cols[i], cols[j]
-        for r in ci | cj:
-            row = S[r]
-            x, y = row.pop(i, 0), row.pop(j, 0)
-            if y:
-                row[i] = y
-            if x:
-                row[j] = x
-        cols[i], cols[j] = cj, ci
-        VT[i], VT[j] = VT[j], VT[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
+        if u:
+            _add_row(U[i], c, U[j])
+        if uinv:
+            _add_row(UiT[j], -c, UiT[i])
+        rgcd[i] = None
+        stale.add(i)
 
     t = 0
     while t < min(m, n):
-        for i in range(t, m):
-            if rmin[i] is None:
-                row = S[i]
-                rmin[i] = min(map(abs, row.values())) if row else 0
+        for i in stale:
+            row = S[i]
+            rmin[i] = min(map(abs, row.values())) if row else 0
+        stale.clear()
         # minimal-absolute-value pivot bounds entry growth in practice; the
         # first minimum in row-major order
         best = min(filter(None, rmin[t:]), default=0)
         if not best:
             break
         pi = rmin.index(best, t)
-        pj = min(j for j, x in S[pi].items() if x == best or x == -best)
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        d = S[t][t]
-        dirty = False
-        # row_add(i, t) changes row i only and col_add(j, t) column j only,
-        # so the nonzero positions can be listed up front; every row in
-        # column t is t or below it
-        for i in sorted(cols[t])[1:]:
-            row_add(i, t, -(S[i][t] // d))
-            if t in S[i]:
-                dirty = True
-        rows = list(cols[t])
+        row = S[pi]
+        pj = min(compress(row, map(best.__eq__, map(abs, row.values()))))
+        if pivots is not None:
+            pivots.append((pi, pj))
+        if pi != t:  # swap rows t and pi with their caches
+            st, sp = S[t], S[pi]
+            for k in st.keys() - sp.keys():
+                c = cols[k]
+                c.discard(t)
+                c.add(pi)
+            for k in sp.keys() - st.keys():
+                c = cols[k]
+                c.discard(pi)
+                c.add(t)
+            S[t], S[pi] = sp, st
+            if u:
+                U[t], U[pi] = U[pi], U[t]
+            if uinv:
+                UiT[t], UiT[pi] = UiT[pi], UiT[t]
+            rmin[t], rmin[pi] = rmin[pi], rmin[t]
+            rgcd[t], rgcd[pi] = rgcd[pi], rgcd[t]
+        if pj != t:  # swap columns t and pj; the rows above t are zero in both
+            ct, cp = cols[t], cols[pj]
+            for r in ct:
+                row = S[r]
+                x, y = row.pop(t), row.pop(pj, 0)
+                if y:
+                    row[t] = y
+                row[pj] = x
+            for r in cp - ct:
+                row = S[r]
+                row[t] = row.pop(pj)
+            cols[t], cols[pj] = cp, ct
+            if v:
+                VT[t], VT[pj] = VT[pj], VT[t]
+            if vinv:
+                Vi[t], Vi[pj] = Vi[pj], Vi[t]
         row = S[t]
-        for j in sorted(row)[1:]:
-            col_add(j, t, -(row[j] // d), rows)
+        d = row[t]
+        dirty = False
+        # clearing row i changes row i only, and clearing column j column j
+        # only, so the nonzero positions can be listed up front; every row
+        # in column t is t or below it
+        ct = cols[t]
+        if len(ct) > 1:
+            for i in sorted(ct)[1:]:
+                row_add(i, t, -(S[i][t] // d))
+                if t in S[i]:
+                    dirty = True
+        rows = list(ct)
+        clear = sorted(row)[1:] if len(row) > 1 else ()
+        for j in clear:  # col_j += c * col_t over the rows in column t
+            c = -(row[j] // d)
+            cj = cols[j]
+            for r in rows:
+                sr = S[r]
+                x = sr.get(j)
+                if x is None:
+                    sr[j] = c * sr[t]
+                    cj.add(r)
+                else:
+                    x += c * sr[t]
+                    if x:
+                        sr[j] = x
+                    else:
+                        del sr[j]
+                        cj.discard(r)
+            if v:
+                _add_row(VT[j], c, VT[t])
+            if vinv:
+                _add_row(Vi[t], -c, Vi[j])
             if j in row:
                 dirty = True
+        if clear:  # the column additions wrote to every row in column t
+            stale.update(rows)
+            for r in rows:
+                rgcd[r] = None
         if dirty:
             continue
-        if d < 0:
-            row_neg(t)
+        if d < 0:  # negation keeps |entries| and the gcd
+            S[t] = {k: -x for k, x in row.items()}
+            if u:
+                U[t] = {k: -x for k, x in U[t].items()}
+            if uinv:
+                UiT[t] = {k: -x for k, x in UiT[t].items()}
             d = -d
         if d != 1:
-            stuck = next((i for i in range(t + 1, m) if row_gcd(i) % d), None)
-            if stuck is not None:
-                row_add(t, stuck, 1)
-                continue
+            for i in range(t + 1, m):
+                g = rgcd[i]
+                if g is None:
+                    g = rgcd[i] = gcd(*S[i].values())
+                if g % d:
+                    row_add(t, i, 1)
+                    break
+            else:
+                t += 1
+            continue
         t += 1
     return U, UiT, S, VT, Vi
 
@@ -674,12 +721,13 @@ def _reduced(a: IntMat, ring: RingDesc) -> IntMat:
     return a.mod(ring)
 
 
-def _snf_rows(a: IntMat, ring: RingDesc, v: bool = True):
-    """``_snf_integer`` of A's canonical lift, normalized as ``snf`` states
-    up to the reduction mod n its matrices get when built: the row lists
-    U, Uinv^T, S, V^T, Vinv, and the diagonal."""
+def _snf_rows(a: IntMat, ring: RingDesc, **track):
+    """``_snf_integer`` of A's canonical lift, tracking the transforms that
+    ``track`` does not turn off, normalized as ``snf`` states up to the
+    reduction mod n its matrices get when built: the row lists U, Uinv^T,
+    S, V^T, Vinv (None where untracked), and the diagonal."""
     n = ring.modulus
-    U, UiT, S, VT, Vi = _snf_integer(_reduced(a, ring), v=v)
+    U, UiT, S, VT, Vi = _snf_integer(_reduced(a, ring), **track)
     top = range(min(a.rows, a.cols))
     if n is None:
         return U, UiT, S, VT, Vi, [S[t].get(t, 0) for t in top]
@@ -687,9 +735,11 @@ def _snf_rows(a: IntMat, ring: RingDesc, v: bool = True):
     for t in top:
         g, u = _associate_unit(S[t].get(t, 0), n)
         if u != 1:
-            uinv = pow(u, -1, n)
-            U[t] = {k: x * uinv for k, x in U[t].items()}
-            UiT[t] = {k: x * u for k, x in UiT[t].items()}
+            if U is not None:
+                uinv = pow(u, -1, n)
+                U[t] = {k: x * uinv for k, x in U[t].items()}
+            if UiT is not None:
+                UiT[t] = {k: x * u for k, x in UiT[t].items()}
         g %= n
         S[t] = {t: g} if g else {}  # S is diagonal
         diag.append(g)
@@ -702,18 +752,20 @@ def snf(a: IntMat, ring: RingDesc) -> SNFResult:
     Over Z/n the integer normal form of the canonical lift is normalized
     entrywise to gcd(d, n); the divisibility chain is preserved and zeros
     (entries gcd-equal to n) mark free Z/n summands.  Each of the five
-    matrices is built, reduced mod n, the first time it is read.
+    matrices is built, reduced mod n, the first time it is read; the
+    elimination tracks U and V, and the first read of Uinv or Vinv repeats
+    it with those two tracked.
     """
-    *rows, diag = _snf_rows(a, ring)
-    return SNFResult._from_rows(a.rows, a.cols, ring.modulus, rows, diag)
+    *rows, diag = _snf_rows(a, ring, uinv=False, vinv=False)
+    return SNFResult._from_rows(a, ring, rows, diag)
 
 
 def _snf_u(a: IntMat, ring: RingDesc) -> tuple[IntMat, IntMat, list[int]]:
     """The rows of U and the columns of Uinv of ``snf(a, ring)`` whose
     divisor is not 1, and those divisors (0 for the rows past the diagonal),
-    without building V and Vinv or the other rows and columns."""
+    without tracking V and Vinv or building the other rows and columns."""
     m, n = a.rows, ring.modulus
-    U, UiT, _, _, _, diag = _snf_rows(a, ring, v=False)
+    U, UiT, _, _, _, diag = _snf_rows(a, ring, v=False, vinv=False)
     keep = [i for i in range(m) if i >= len(diag) or diag[i] != 1]
     divisors = [diag[i] if i < len(diag) else 0 for i in keep]
     return (_dense([U[i] for i in keep], len(keep), m, n),
@@ -727,24 +779,32 @@ def _snf_cached(a: IntMat, ring: RingDesc):
     The lift is A over Z and [A mod n | n*I] over Z/n, whose integer kernel
     and solutions carry those of A over Z/n in their first ``a.cols``
     coordinates.  Returns (U, diagonal, width of the lift, the rows of V
-    over A's columns).  Those are all that is read of the SNF, so Uinv, S,
-    Vinv and the rows of V over the n*I columns are never built.
+    over A's columns, the kernel basis).  The kernel is built here, once,
+    from V^T's rows: the columns of V past the nonzero diagonal, cut to A's
+    coordinates and, over Z/n, reduced mod n with the zero columns dropped.
+    Nothing else of the SNF is read, so Uinv, S, Vinv and the rows of V
+    over the n*I columns are never built.
     """
     n, m, k = ring.modulus, a.rows, a.cols
     # an empty lift, or n*I, is in normal form already
-    if not m:
-        return _EMPTY, (), k, IntMat.identity(k)
+    if not m:  # every vector is in the kernel
+        ident = IntMat.identity(k)
+        return _EMPTY, (), k, ident, ident
     if not k:
         diag = () if n is None else (n,) * m
-        return IntMat.identity(m), diag, len(diag), IntMat(0, len(diag), ())
-    if n is None:
-        res = snf(a, ZZ)
-        return res.U, tuple(res.diagonal()), k, res.V
-    reduced = _reduced(a, ring)
-    if reduced is not a:  # one SNF per matrix over Z/n, whatever its lift
-        return _snf_cached(reduced, ring)
-    res = snf(a.hstack(IntMat.diag([n] * m, rows=m, cols=m)), ZZ)
-    return res.U, tuple(res.diagonal()), k + m, res._v_rows(k)
+        return IntMat.identity(m), diag, len(diag), IntMat(0, len(diag), ()), _EMPTY
+    lift = a
+    if n is not None:
+        reduced = _reduced(a, ring)
+        if reduced is not a:  # one SNF per matrix over Z/n, whatever its lift
+            return _snf_cached(reduced, ring)
+        # [A | n*I] in one pass, with no n*I matrix of its own
+        lift = IntMat(m, k + m, tuple(r + (0,) * i + (n,) + (0,) * (m - 1 - i)
+                                      for i, r in enumerate(a.data)))
+    res = snf(lift, ZZ)
+    diag = tuple(res.diagonal())
+    free = [j for j in range(lift.cols) if j >= len(diag) or not diag[j]]
+    return res.U, diag, lift.cols, res._v_rows(k), res._v_cols(free, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -756,19 +816,10 @@ def kernel_basis(a: IntMat, ring: RingDesc) -> IntMat:
 
     Over Z the columns are a lattice basis; over Z/n they generate the kernel
     submodule (the integer kernel of [A | n*I] cut to A's coordinates, mod n,
-    zero columns dropped).
+    zero columns dropped).  The basis is built once per (A, ring), when the
+    SNF cache misses.
     """
-    _, diag, width, v = _snf_cached(a, ring)
-    if not a.rows:  # every vector is in the kernel
-        return v
-    free = [j >= len(diag) or diag[j] == 0 for j in range(width)]
-    n = ring.modulus
-    if n is None:
-        return v.take_cols(compress(range(width), free))
-    # reduce one free column at a time; keep it if it is not zero mod n
-    reduced = (tuple(map(n.__rmod__, c)) for c in compress(zip(*v.data), free))
-    keep = [c for c in reduced if any(c)]
-    return IntMat(v.rows, len(keep), tuple(zip(*keep)) if keep else ((),) * v.rows)
+    return _snf_cached(a, ring)[4]
 
 
 def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
@@ -780,7 +831,7 @@ def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
     """
     if a.rows != b.rows:
         raise DimensionMismatch(f"solve: {a.rows} rows vs rhs {b.rows}")
-    u, diag, width, v = _snf_cached(a, ring)
+    u, diag, width, v, _ = _snf_cached(a, ring)
     if not (b.rows and b.cols):
         return IntMat.zeros(a.cols, b.cols)
     c = u @ b.mod(ring)
@@ -812,7 +863,7 @@ def invariant_divisors(a: IntMat, ring: RingDesc) -> tuple[tuple[int, ...], int]
 
     Over Z/n "free" counts Z/n-summands (diagonal entries gcd-equal to n).
     """
-    S = _snf_integer(_reduced(a, ring), u=False, v=False)[2]
+    S = _snf_integer(_reduced(a, ring), u=False, uinv=False, v=False, vinv=False)[2]
     diag = [S[t].get(t, 0) for t in range(min(a.rows, a.cols))]
     if ring.modulus is not None:  # the entrywise normalization of snf
         diag = [gcd(d, ring.modulus) % ring.modulus for d in diag]

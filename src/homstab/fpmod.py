@@ -71,7 +71,10 @@ Caching.  ``present_with_iso`` is an ``lru_cache`` of 2048 entries and
 ``subquotient`` one of 1024, keyed by their arguments: (ring, gens, rel)
 and (ambient, sub, den), all immutable values that hash once.
 ``present_with_iso`` also serves ``in_span``, so a matrix that is both
-presented and tested for membership is eliminated once.  Equal inputs
+presented and tested for membership is eliminated once.  ``zero_module``
+keeps one zero module per ring, which ``free_module(ring, 0)`` and every
+presentation with no generators left return, so two zero modules compare
+by identity.  Equal inputs
 built as separate objects share one result, so one trimmed presentation
 and one ``SubquotientRealization`` (with its cached ``decode`` and
 ``_span``) serve every caller; nothing may write to them.  Exceptions are
@@ -161,6 +164,8 @@ def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
     module isomorphisms.
     """
     fwd, bwd, divisors = _snf_u(rel, ring)  # reduced mod n
+    if not divisors:
+        return zero_module(ring), fwd, bwd
     # the kept divisors run nonunit, then 0 (free), so torsion leads
     torsion = [d for d in divisors if d]
     module = FPModule(ring, len(divisors),
@@ -204,11 +209,16 @@ def make_module(ring: RingDesc, rel, gens: int | None = None) -> FPModule:
 
 
 def free_module(ring: RingDesc, rank: int) -> FPModule:
+    if not rank:
+        return zero_module(ring)
     return FPModule(ring, rank, IntMat.zeros(rank, 0))
 
 
+@lru_cache(maxsize=64)
 def zero_module(ring: RingDesc) -> FPModule:
-    return free_module(ring, 0)
+    """The zero module over the ring: one shared object per ring, so that
+    comparing two zero modules is an identity test."""
+    return FPModule(ring, 0, IntMat.zeros(0, 0))
 
 
 def cyclic(ring: RingDesc, d: int) -> FPModule:

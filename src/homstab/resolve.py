@@ -13,6 +13,16 @@ injective-side constructions raise UnsupportedRing.
 
 Ext and Tor always resolve their first argument projectively.  An independent
 classification-based oracle over Z cross-checks them in the test suite.
+
+The projective resolution repeats.  Its differentials are p_0 = the
+presentation of M and p_k = kernel_basis(p_{k-1}), and d_k is fixed by
+p_{k-1}.  So once p_k equals an earlier p_j, p_{k+r} = p_{j+r} for every r,
+and the chain has period k - j from index j on.  Ext^i and Tor_i read d_i
+and d_{i+1}, and Omega^i reads d_i, so each is fixed by p_{i-1}: at a
+degree i past the first repeat, ``ext``, ``tor`` and ``syzygy`` answer at
+the equal lower degree, which gives the same module.  Over Z the chain
+reaches the 0 x 0 matrix by index 2, and over Z/n it repeats early
+(p_3 = p_1 for Z/2 + Z/4 over Z/8), so a huge degree costs a few kernels.
 """
 
 from __future__ import annotations
@@ -87,11 +97,26 @@ def proj_resolution(m: FPModule, depth: int) -> ProjResolution:
                           tuple(covers), tuple(includes))
 
 
+def _repeat_degree(m: FPModule, i: int) -> int:
+    """A degree i' <= i with p_{i'-1} = p_{i-1}, where p_0 = m.rel and
+    p_k = kernel_basis(p_{k-1}): the matrices that fix Ext^i, Tor_i and
+    Omega^i.  It is i itself unless the chain repeats by index i - 1."""
+    seen: dict[IntMat, int] = {}
+    p = m.rel
+    for k in range(i):  # p is p_k
+        j = seen.setdefault(p, k)
+        if j != k:  # p_k = p_j: period k - j from index j on
+            return j + 1 + (i - 1 - j) % (k - j)
+        p = kernel_basis(p, m.ring)
+    return i
+
+
 def syzygy(m: FPModule, k: int) -> FPModule:
     """Omega^k via iterated kernel-of-free-cover; Omega^0 is the module."""
     _require_nonnegative(k, "syzygy orders")
     if k == 0:
         return m
+    k = _repeat_degree(m, k)
     return proj_resolution(m, k).syzygies[k]
 
 
@@ -203,6 +228,7 @@ def _hom_complex(m: FPModule, n: FPModule, depth: int):
 def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Ext^i(M, N), homology of Hom(proj. resolution of M, N)."""
     _require_nonnegative(i, "Ext and Tor degrees")
+    i = _repeat_degree(m, i)
     maps = _hom_complex(m, n, i + 1)
     if i == 0:
         return kernel_realization(maps[0]).module
@@ -212,6 +238,7 @@ def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
 def tor(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Tor_i(M, N), homology of (proj. resolution of M) tensor N."""
     _require_nonnegative(i, "Ext and Tor degrees")
+    i = _repeat_degree(m, i)
     pr = proj_resolution(m, i + 1)
     tens = [tensor_module(t, n) for t in pr.terms]
     idn = identity_morphism(n)

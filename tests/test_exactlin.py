@@ -163,7 +163,7 @@ def test_kernel_spec_examples():
 
 def _kernel_basis_two_pass(a, ring):
     """Reference: reduce every free column mod n, then keep the nonzero ones."""
-    _, diag, width, v = exactlin._snf_cached(a, ring)
+    _, diag, width, v, _ = exactlin._snf_cached(a, ring)
     free = [j for j in range(width) if j >= len(diag) or diag[j] == 0]
     n = ring.modulus
     if n is None:
@@ -841,3 +841,78 @@ def test_public_edge_rejects_bad_shapes():
             op(IntMat.zeros(2, 3), IntMat.zeros(m, n))
     with pytest.raises(DimensionMismatch):
         in_span(IntMat.zeros(2, 1), IntMat.zeros(3, 1), ZZ)
+
+
+# ---------------------------------------------------------------------------
+# tracking only the transforms a caller reads
+
+
+TRACKED = ("u", "uinv", "v", "vinv")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(mats(), sparse_systems()))
+def test_every_tracked_subset_eliminates_like_the_rescanning_oracle(a):
+    # the flags change what is recorded, never the elimination: for each of
+    # the 16 subsets, S and every tracked row list equal the oracle's, an
+    # untracked one is None, and the pivots are those of the run that
+    # tracks all four (whose rows equal the oracle's too)
+    widths = (a.rows, a.rows, a.cols, a.cols, a.cols)
+    oracle = _rescanning_snf_integer(a)
+    full = []
+    exactlin._snf_integer(a, pivots=full)
+    for flags in itertools.product((False, True), repeat=4):
+        track = dict(zip(TRACKED, flags))
+        pivots = []
+        U, UiT, S, VT, Vi = exactlin._snf_integer(a, pivots=pivots, **track)
+        assert pivots == full
+        assert _densify(S, a.cols) == oracle[2]
+        for pos, rows, on in zip((0, 1, 3, 4), (U, UiT, VT, Vi), flags):
+            assert (rows is None) == (not on)
+            if on:
+                assert _densify(rows, widths[pos]) == oracle[pos]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(mats(), sparse_systems()), st.sampled_from(RINGS), st.booleans())
+def test_lazy_inverses_equal_the_eager_ones(a, ring, vinv_first):
+    # snf tracks U and V only; the first read of Uinv or Vinv eliminates
+    # once more with both tracked, and gives the matrices of one elimination
+    # that tracks all four
+    res = snf(a, ring)
+    rows = res._src[2]
+    assert rows[1] is None and rows[4] is None
+    calls, real = [], exactlin._snf_integer
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+    with mock.patch.object(exactlin, "_snf_integer", counting):
+        for name in ("Vinv", "Uinv") if vinv_first else ("Uinv", "Vinv"):
+            getattr(res, name)
+    assert len(calls) == 1
+    U, UiT, S, VT, Vi, _ = exactlin._snf_rows(a, ring)
+    m, k, n = a.rows, a.cols, ring.modulus
+    assert res.Uinv == exactlin._dense_t(UiT, m, m, n)
+    assert res.Vinv == exactlin._dense(Vi, k, k, n)
+    assert (res.U, res.V) == (exactlin._dense(U, m, m, n), exactlin._dense_t(VT, k, k, n))
+    assert (res.U @ res.Uinv).mod(ring) == IntMat.identity(m).mod(ring)
+    assert (res.V @ res.Vinv).mod(ring) == IntMat.identity(k).mod(ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_warm_kernel_basis_builds_no_matrix(system):
+    a, _, ring = system
+    exactlin._snf_cached.cache_clear()
+    cold = kernel_basis(a, ring)
+    built = []
+    real = IntMat.__init__
+
+    def counting(self, rows, cols, data):
+        built.append((rows, cols))
+        real(self, rows, cols, data)
+    with mock.patch.object(IntMat, "__init__", counting):
+        warm = kernel_basis(a, ring)
+    assert built == [] and warm is cold
+    assert cold == _reference_kernel(a, ring)

@@ -519,3 +519,17 @@ def test_solver_forms_return_none_without_a_solution():
         assert extend_along(identity_morphism(m.source), m) is None
         assert factor_through(identity_morphism(m.target), m) is None
         assert is_identity(factor_through(m, m))  # m is mono
+
+
+def test_one_zero_module_per_ring():
+    # free_module(ring, 0) and every presentation with no generators left
+    # return one shared zero module, so comparing two is an identity test
+    _clear_homstab_caches()
+    for ring in (ZZ, Zmod(4), Zmod(12)):
+        zero = zero_module(ring)
+        assert free_module(ring, 0) is zero
+        assert make_module(ring, IntMat.identity(2)) is zero
+        assert present_with_iso(ring, 1, IntMat.from_rows([[1]]))[0] is zero
+        assert zero == homstab.FPModule(ring, 0, IntMat.zeros(0, 0))
+    assert zero_module(ZZ) != zero_module(Zmod(4))
+    assert callable(zero_module.cache_clear)  # cleared with the other caches

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from homstab import resolve
 from homstab.errors import NotAComplex, UnsupportedRing
 from homstab.exactlin import IntMat, ZZ, Zmod
 from homstab.fpmod import (
@@ -141,3 +142,29 @@ def test_resolutions_exact_random():
             assert verify_projective(proj_resolution(m, 3))
             if ring.quasi_frobenius:
                 assert verify_injective(inj_resolution(m, 3))
+
+
+@pytest.mark.parametrize("ring, orders", [
+    (ZZ, [2, 4, 0]), (Zmod(4), [2]), (Zmod(8), [2, 4]), (Zmod(12), [2, 3, 4, 6])])
+def test_degrees_past_the_first_repeat_answer_at_the_equal_lower_degree(
+        monkeypatch, ring, orders):
+    # d_k is fixed by p_{k-1}, and p_k = kernel_basis(p_{k-1}), so once the
+    # chain repeats, Ext^i, Tor_i and Omega^i repeat with it
+    m = make_module(ring, IntMat.diag(orders))
+    b = make_module(ring, IntMat.diag([2, 0]))
+    degrees = range(1, 9)
+    assert any(resolve._repeat_degree(m, i) < i for i in degrees)
+    reduced = [(ext(m, b, i), tor(m, b, i), syzygy(m, i)) for i in degrees]
+    monkeypatch.setattr(resolve, "_repeat_degree", lambda m, i: i)
+    direct = [(ext(m, b, i), tor(m, b, i), syzygy(m, i)) for i in degrees]
+    assert reduced == direct
+
+
+def test_huge_degrees_cost_a_few_kernels():
+    z2 = cyclic(ZZ, 2)
+    assert resolve._repeat_degree(z2, 10**8) == 3  # p_2 = p_3 = 0 x 0
+    assert invs(ext(z2, cyclic(ZZ, 4), 10**8)) == ((), 0)
+    m8 = make_module(Zmod(8), IntMat.diag([2, 4]))
+    assert resolve._repeat_degree(m8, 10**8 + 1) == 3  # p_3 = p_1
+    assert ext(m8, m8, 10**8 + 1) == ext(m8, m8, 3)
+    assert tor(m8, m8, 10**8) == tor(m8, m8, 2)
