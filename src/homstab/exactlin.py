@@ -94,6 +94,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from math import gcd
+from operator import neg
 
 from .errors import DimensionMismatch
 
@@ -258,7 +259,8 @@ class IntMat:
             return self.scale(-1)
         if not (self.rows and self.cols):
             return self
-        return IntMat(self.rows, self.cols, tuple(tuple(-x % n for x in r) for r in self.data))
+        return IntMat(self.rows, self.cols,
+                      tuple(tuple(map(n.__rmod__, map(neg, r))) for r in self.data))
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
@@ -521,6 +523,9 @@ def _add_row(x: dict, c: int, y: dict) -> None:
                 del x[k]
 
 
+_INF = float("inf")  # the pivot candidate of a zero row
+
+
 def _snf_integer(a: IntMat, u: bool = True, uinv: bool = True, v: bool = True,
                  vinv: bool = True, pivots: list | None = None):
     """Integer SNF core; returns U, Uinv^T, S, V^T, Vinv as lists of
@@ -542,10 +547,11 @@ def _snf_integer(a: IntMat, u: bool = True, uinv: bool = True, v: bool = True,
     the least over the whole row; the divisibility test gcd(S[i][t+1:]) of
     a row i > t is the gcd of the whole row; and a column swap, or an
     elimination along row t, changes rows t and below only.  Each row's
-    candidate is cached in ``rmin``, and every operation that writes a row
-    adds it to ``stale``, whose rows alone are recomputed at the top of a
-    step.  Each row's gcd is cached in ``rgcd`` (None when a write made it
-    stale) and computed when the divisibility fix-up reads it.  The pivot
+    candidate is cached in ``rmin`` (``_INF`` for a zero row, so the pivot
+    value is a plain minimum), and every operation that writes a row adds
+    it to ``stale``, whose rows alone are recomputed at the top of a step.
+    Each row's gcd is cached in ``rgcd`` (None when a write made it stale)
+    and computed when the divisibility fix-up reads it.  The pivot
     sequence, and so every transform, is that of rescanning every row at
     every step.
     """
@@ -560,7 +566,7 @@ def _snf_integer(a: IntMat, u: bool = True, uinv: bool = True, v: bool = True,
     UiT = [{i: 1} for i in range(m)] if uinv else None
     VT = [{j: 1} for j in span] if v else None
     Vi = [{j: 1} for j in span] if vinv else None
-    rmin = [0] * m  # least nonzero |entry| of each row, 0 if none
+    rmin = [_INF] * m  # least nonzero |entry| of each row, _INF if none
     rgcd = [None] * m  # gcd of each row's entries
     stale = set(range(m))  # rows written since their rmin was computed
 
@@ -589,16 +595,15 @@ def _snf_integer(a: IntMat, u: bool = True, uinv: bool = True, v: bool = True,
     while t < min(m, n):
         for i in stale:
             row = S[i]
-            rmin[i] = min(map(abs, row.values())) if row else 0
+            rmin[i] = min(map(abs, row.values())) if row else _INF
         stale.clear()
         # minimal-absolute-value pivot bounds entry growth in practice; the
         # first minimum in row-major order
-        best = min(filter(None, rmin[t:]), default=0)
-        if not best:
+        best = min(rmin[t:])
+        if best is _INF:
             break
         pi = rmin.index(best, t)
-        row = S[pi]
-        pj = min(compress(row, map(best.__eq__, map(abs, row.values()))))
+        pj = min(j for j, x in S[pi].items() if x == best or x == -best)
         if pivots is not None:
             pivots.append((pi, pj))
         if pi != t:  # swap rows t and pi with their caches
@@ -688,10 +693,10 @@ def _snf_integer(a: IntMat, u: bool = True, uinv: bool = True, v: bool = True,
                 g = rgcd[i]
                 if g is None:
                     g = rgcd[i] = gcd(*S[i].values())
-                if g % d:
+                if g % d:  # d does not divide row i: add it to row t
                     row_add(t, i, 1)
                     break
-            else:
+            else:  # d divides every row below, so it is the t-th divisor
                 t += 1
             continue
         t += 1
@@ -733,7 +738,11 @@ def _snf_rows(a: IntMat, ring: RingDesc, **track):
         return U, UiT, S, VT, Vi, [S[t].get(t, 0) for t in top]
     diag = []
     for t in top:
-        g, u = _associate_unit(S[t].get(t, 0), n)
+        d = S[t].get(t, 0)
+        if d == 1:  # a unit pivot is its own normal form
+            diag.append(1)
+            continue
+        g, u = _associate_unit(d, n)
         if u != 1:
             if U is not None:
                 uinv = pow(u, -1, n)
