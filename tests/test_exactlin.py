@@ -850,6 +850,20 @@ def test_public_edge_rejects_bad_shapes():
 TRACKED = ("u", "uinv", "v", "vinv")
 
 
+class _PivotLog(list):
+    """The pivots of one elimination; more than ``limit`` of them fail the
+    test instead of hanging it, as an elimination that stops progressing
+    would."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def append(self, pivot):
+        assert len(self) < self.limit, "the elimination does not terminate"
+        super().append(pivot)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(mats(), sparse_systems()))
 def test_every_tracked_subset_eliminates_like_the_rescanning_oracle(a):
@@ -859,11 +873,12 @@ def test_every_tracked_subset_eliminates_like_the_rescanning_oracle(a):
     # tracks all four (whose rows equal the oracle's too)
     widths = (a.rows, a.rows, a.cols, a.cols, a.cols)
     oracle = _rescanning_snf_integer(a)
-    full = []
+    limit = 50 * (a.rows + a.cols + 1)
+    full = _PivotLog(limit)
     exactlin._snf_integer(a, pivots=full)
     for flags in itertools.product((False, True), repeat=4):
         track = dict(zip(TRACKED, flags))
-        pivots = []
+        pivots = _PivotLog(limit)
         U, UiT, S, VT, Vi = exactlin._snf_integer(a, pivots=pivots, **track)
         assert pivots == full
         assert _densify(S, a.cols) == oracle[2]
