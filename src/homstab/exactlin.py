@@ -480,9 +480,10 @@ class SNFResult:
         return _dense_t(rows[3], count, a.cols, ring.modulus)
 
     def _v_cols(self, idx, count: int, n: int | None) -> IntMat:
-        """The columns ``idx`` of V cut to their first ``count`` entries; for
-        n not None, reduced mod n with the zero columns dropped.  Built from
-        V^T's rows; for a result of ``snf`` over Z only."""
+        """The columns ``idx`` of V cut to their first ``count`` entries,
+        built from V^T's rows; for a result of ``snf`` only.  With n given
+        (the kernel of a lift over Z/n), the entries are reduced mod n and
+        the zero columns dropped."""
         vt = self._src[2][3]
         cols = []
         for j in idx:

@@ -20,9 +20,11 @@ p_{k-1}.  So once p_k equals an earlier p_j, p_{k+r} = p_{j+r} for every r,
 and the chain has period k - j from index j on.  Ext^i and Tor_i read d_i
 and d_{i+1}, and Omega^i reads d_i, so each is fixed by p_{i-1}: at a
 degree i past the first repeat, ``ext``, ``tor`` and ``syzygy`` answer at
-the equal lower degree, which gives the same module.  Over Z the chain
-reaches the 0 x 0 matrix by index 2, and over Z/n it repeats early
-(p_3 = p_1 for Z/2 + Z/4 over Z/8), so a huge degree costs a few kernels.
+the equal lower degree, which gives the same module.  Over Z a kernel
+basis has independent columns, so the chain is the 0 x 0 matrix from index
+3 on (from 2 on for a presentation ``make_module`` normalized), and over
+Z/n it repeats early (p_3 = p_1 for Z/2 + Z/4 over Z/8), so a huge degree
+costs a few kernels.
 """
 
 from __future__ import annotations
