@@ -76,11 +76,13 @@ keep as the reference.
 The elimination tracks each of U, Uinv, V and Vinv only when its caller
 reads it, and an untracked one costs nothing: the kernel cache reads U
 and V^T, ``fpmod``'s ``present_with_iso`` (through ``_snf_u``) U and
-Uinv, and ``invariant_divisors`` no transform.  ``snf`` tracks U and V
-and returns an ``SNFResult`` over the rows, whose matrices are built,
-reduced mod n over Z/n, the first time they are read.  The first read of
-Uinv or Vinv runs the same elimination again with both tracked: the pivot
-order is fixed and inverses are unique, so they are the matrices an eager
+Uinv, and ``invariant_divisors`` no transform: it reads the diagonal
+that the same ``_snf_rows`` normalizes for ``snf``, so the two never
+disagree over Z/n.  ``snf`` tracks U and V and returns
+an ``SNFResult`` over the rows, whose matrices are built, reduced mod n
+over Z/n, the first time they are read.  The first read of Uinv or Vinv
+runs the same elimination again with both tracked: the pivot order is
+fixed and inverses are unique, so they are the matrices an eager
 elimination gives.  Nothing in the library reads them.  The kernel cache
 still calls ``snf`` once per cold matrix, so a wrapper of ``snf`` sees
 every SNF the cache computes; it builds U, and the rows of V over A's
@@ -353,12 +355,6 @@ class IntMat:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
-    def is_zero_mod(self, ring: RingDesc) -> bool:
-        n = ring.modulus
-        if n is None:
-            return self.is_zero()
-        return not any(x % n for r in self.data for x in r)
-
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.data) + "]"
 
@@ -472,28 +468,6 @@ class SNFResult:
             return list(self._diag)
         k = min(self.S.rows, self.S.cols)
         return [self.S.data[i][i] for i in range(k)]
-
-    def _v_rows(self, count: int) -> IntMat:
-        """The first ``count`` rows of V, built from V^T's rows without the
-        others; for a result of ``snf`` only."""
-        a, ring, rows = self._src
-        return _dense_t(rows[3], count, a.cols, ring.modulus)
-
-    def _v_cols(self, idx, count: int, n: int | None) -> IntMat:
-        """The columns ``idx`` of V cut to their first ``count`` entries,
-        built from V^T's rows; for a result of ``snf`` only.  With n given
-        (the kernel of a lift over Z/n), the entries are reduced mod n and
-        the zero columns dropped."""
-        vt = self._src[2][3]
-        cols = []
-        for j in idx:
-            col = vt[j]
-            if n is not None:
-                col = {r: y for r, x in col.items() if r < count and (y := x % n)}
-                if not col:
-                    continue
-            cols.append(col)
-        return _dense_t(cols, count, len(cols), None)
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -813,8 +787,19 @@ def _snf_cached(a: IntMat, ring: RingDesc):
                                       for i, r in enumerate(a.data)))
     res = snf(lift, ZZ)
     diag = tuple(res.diagonal())
-    free = [j for j in range(lift.cols) if j >= len(diag) or not diag[j]]
-    return res.U, diag, lift.cols, res._v_rows(k), res._v_cols(free, k, n)
+    vt = res._src[2][3]  # the rows of V^T
+    kernel = []  # the columns of V past the nonzero diagonal
+    for j in range(lift.cols):
+        if j < len(diag) and diag[j]:
+            continue
+        col = vt[j]
+        if n is not None:
+            col = {r: y for r, x in col.items() if r < k and (y := x % n)}
+            if not col:
+                continue
+        kernel.append(col)
+    return (res.U, diag, lift.cols, _dense_t(vt, k, lift.cols, None),
+            _dense_t(kernel, k, len(kernel), None))
 
 
 # ---------------------------------------------------------------------------
@@ -871,12 +856,10 @@ def solve(a: IntMat, b, ring: RingDesc) -> IntMat | None:
 def invariant_divisors(a: IntMat, ring: RingDesc) -> tuple[tuple[int, ...], int]:
     """Nonunit, nonzero invariant factors of coker(A), plus its free rank.
 
-    Over Z/n "free" counts Z/n-summands (diagonal entries gcd-equal to n).
+    Over Z/n "free" counts Z/n-summands (diagonal entries gcd-equal to n):
+    the diagonal is ``snf``'s, normalized by ``_snf_rows``.
     """
-    S = _snf_integer(_reduced(a, ring), u=False, uinv=False, v=False, vinv=False)[2]
-    diag = [S[t].get(t, 0) for t in range(min(a.rows, a.cols))]
-    if ring.modulus is not None:  # the entrywise normalization of snf
-        diag = [gcd(d, ring.modulus) % ring.modulus for d in diag]
+    diag = _snf_rows(a, ring, u=False, uinv=False, v=False, vinv=False)[5]
     divisors = tuple(d for d in diag if d not in (0, 1))
     free = a.rows - sum(1 for d in diag if d != 0)
     return divisors, free

@@ -418,9 +418,7 @@ def subquotient(ambient: FPModule, sub: IntMat, den: IntMat | None = None) -> Su
         den = IntMat.zeros(ambient.gens, 0)
     sq = Subquotient(ambient, sub, den)
     ring = ambient.ring
-    combined = den.hstack(ambient.rel)
-    ker = kernel_basis(sub.hstack(combined.negate(ring)), ring)
-    rel = IntMat(sub.cols, ker.cols, ker.data[:sub.cols])
+    rel = _preimage(sub, den.hstack(ambient.rel), ring)
     module, fwd, bwd = present_with_iso(ring, sub.cols, rel)
     return SubquotientRealization(sq, module, fwd, bwd)
 
@@ -469,13 +467,17 @@ def induced(src, tgt, arrow: IntMat | None = None) -> Morphism:
 # kernels, cokernels, images
 
 
+def _preimage(x: IntMat, y: IntMat, ring: RingDesc) -> IntMat:
+    """Generators of the v with X @ v in the column span of Y: the kernel of
+    [X | -Y] cut to X's coordinates."""
+    ker = kernel_basis(x.hstack(y.negate(ring)), ring)
+    return IntMat(x.cols, ker.cols, ker.data[:x.cols])
+
+
 def kernel_generators(f: Morphism) -> IntMat:
     """Generators of ker f in source coordinates: the v with f.mat @ v in the
     column span of the target's relations."""
-    ring = f.source.ring
-    gens = f.source.gens
-    raw = kernel_basis(f.mat.hstack(f.target.rel.negate(ring)), ring)
-    return IntMat(gens, raw.cols, raw.data[:gens])
+    return _preimage(f.mat, f.target.rel, f.source.ring)
 
 
 def kernel_realization(f: Morphism) -> SubquotientRealization:
@@ -628,8 +630,7 @@ def hom_module(m: FPModule, n: FPModule) -> HomRealization:
     amb = free_module(ring, n.gens * m.gens)
     constraint = m.rel.transpose().kron(IntMat.identity(n.gens))
     slack = IntMat.identity(m.rel.cols).kron(n.rel)
-    raw = kernel_basis(constraint.hstack(slack.negate(ring)), ring)
-    sub = IntMat(amb.gens, raw.cols, raw.data[:amb.gens])
+    sub = _preimage(constraint, slack, ring)
     den = IntMat.identity(m.gens).kron(n.rel)
     sq = subquotient(amb, sub, den)
     return HomRealization(m, n, sq.module, sq)

@@ -43,7 +43,7 @@ from .fpmod import (
     extend_along, factor_through, free_module, hom_module, hom_pull,
     hom_push, identity_morphism, induced, is_identity, kernel,
     kernel_realization, make_morphism, subquotient, tensor_module,
-    tensor_mor, zero_morphism,
+    tensor_mor, zero_module, zero_morphism,
 )
 from .resolve import (
     _require_nonnegative, cosyzygy, ext as resolve_ext, homology_at,
@@ -667,9 +667,6 @@ class NatTransSample:
         self.components = components
         self.naturality = naturality
 
-    def all_natural(self) -> bool:
-        return all(ok for _, ok in self.naturality)
-
 
 def _shifted(stab, f: FunctorExpr, side: str) -> FunctorExpr:
     """stab(F) composed with the first shift along the side's thread."""
@@ -717,8 +714,16 @@ def torsion_radical(a: FPModule) -> tuple[FPModule, Morphism]:
 # the four-term sequences (tensor side and Hom side)
 
 
+def _presented(ring, rel: IntMat) -> FPModule:
+    """The module presented by ``rel`` as it stands, untrimmed: the shared
+    zero module when ``rel`` has no rows and no columns."""
+    if not (rel.rows or rel.cols):
+        return zero_module(ring)
+    return FPModule(ring, rel.rows, rel)
+
+
 def _power_module(x: FPModule, k: int) -> FPModule:
-    return FPModule(x.ring, k * x.gens, IntMat.identity(k).kron(x.rel))
+    return _presented(x.ring, IntMat.identity(k).kron(x.rel))
 
 
 def _power_map(x: FPModule, mat: IntMat) -> Morphism:
@@ -740,7 +745,7 @@ def auslander_four_term(a: FPModule, x: FPModule, which: str) -> SequenceReport:
     if which == "tensor":
         # X^r -> X^g -> X^q -> X^q2, then Hom(A*, X)
         mats = (d, k1.transpose(), k2.transpose())
-        hom_source = FPModule(ring, k1.cols, k2)
+        hom_source = _presented(ring, k2)
         labels = ("Ext^1(TrA, X)", "A(x)X", "(A*, X)", "Ext^2(TrA, X)")
     elif which == "hom":
         # X^q2 -> X^q -> X^g -> X^r, then Hom(A, X)

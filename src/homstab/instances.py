@@ -89,13 +89,6 @@ def random_composable_pair(rng: random.Random, ring: RingDesc, max_gens=3,
             random_morphism(rng, y, z, max_entry))
 
 
-def module_stream(spec: InstanceSpec):
-    rng = spec.rng()
-    for _ in range(spec.count):
-        yield random_module(rng, spec.ring, spec.max_gens, spec.max_rels,
-                            spec.max_entry)
-
-
 def random_complex(rng: random.Random, ring: RingDesc, length=4, max_gens=3,
                    max_rels=3, max_entry=4, free=False, lo=0):
     """Chain complex with d.d = 0 by construction: each differential factors

@@ -24,7 +24,16 @@ the equal lower degree, which gives the same module.  Over Z a kernel
 basis has independent columns, so the chain is the 0 x 0 matrix from index
 3 on (from 2 on for a presentation ``make_module`` normalized), and over
 Z/n it repeats early (p_3 = p_1 for Z/2 + Z/4 over Z/8), so a huge degree
-costs a few kernels.
+costs a few kernels.  ``ext`` and ``tor`` build the two maps of the complex
+they read, Hom(d_i, N) and Hom(d_{i+1}, N) or d_{i+1} (x) N and d_i (x) N,
+and no other.
+
+The injective side repeats by the same rule.  Sigma^{k+1} is the cokernel
+of the container of Sigma^k, a trimmed module fixed by Sigma^k, so once
+Sigma^k equals an earlier Sigma^j the cosyzygies have period k - j from
+index j on, and ``cosyzygy`` at a degree past the first repeat answers at
+the equal lower degree (Z/2 over Z/8 gives Z/2, Z/4, Z/2, ...).  One walk,
+``_first_equal``, finds the first repeat of either chain.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .fpmod import (
     FPModule, Morphism, Own, SubquotientRealization, canonical_invariants,
     cokernel_realization, epi_mono_factor, free_module, hom_module, hom_pull,
     identity_morphism, induced, kernel_generators, kernel_realization,
-    make_module, make_morphism, subquotient, tensor_module, tensor_mor,
+    make_module, make_morphism, subquotient, tensor_mor,
 )
 
 
@@ -99,18 +108,26 @@ def proj_resolution(m: FPModule, depth: int) -> ProjResolution:
                           tuple(covers), tuple(includes))
 
 
+def _first_equal(x, step, i: int) -> int:
+    """The least j with x_j = x_i in the chain x_0 = x, x_{k+1} = step(x_k),
+    found by walking the chain to its first repeat or to index i."""
+    seen = {}
+    k = 0
+    while (j := seen.setdefault(x, k)) == k:
+        if k == i:
+            return i
+        x = step(x)
+        k += 1
+    return j + (i - j) % (k - j)  # x_k = x_j: period k - j from index j on
+
+
 def _repeat_degree(m: FPModule, i: int) -> int:
     """A degree i' <= i with p_{i'-1} = p_{i-1}, where p_0 = m.rel and
     p_k = kernel_basis(p_{k-1}): the matrices that fix Ext^i, Tor_i and
     Omega^i.  It is i itself unless the chain repeats by index i - 1."""
-    seen: dict[IntMat, int] = {}
-    p = m.rel
-    for k in range(i):  # p is p_k
-        j = seen.setdefault(p, k)
-        if j != k:  # p_k = p_j: period k - j from index j on
-            return j + 1 + (i - 1 - j) % (k - j)
-        p = kernel_basis(p, m.ring)
-    return i
+    if not i:
+        return 0
+    return 1 + _first_equal(m.rel, lambda p: kernel_basis(p, m.ring), i - 1)
 
 
 def syzygy(m: FPModule, k: int) -> FPModule:
@@ -195,11 +212,16 @@ def inj_resolution(m: FPModule, depth: int) -> InjResolution:
                          tuple(embeds), tuple(projs), tuple(sections))
 
 
+def _next_cosyzygy(m: FPModule) -> FPModule:
+    return cokernel_realization(injective_container(m)).module
+
+
 def cosyzygy(m: FPModule, k: int) -> FPModule:
     """Sigma^k via iterated cokernel-of-container; Sigma^0 is the module."""
     _require_nonnegative(k, "cosyzygy orders")
     if k == 0:
         return m
+    k = _first_equal(m, _next_cosyzygy, k)
     return inj_resolution(m, k).cosyzygies[k]
 
 
@@ -220,21 +242,18 @@ def homology_at(f: Morphism, g: Morphism) -> SubquotientRealization:
 # Ext and Tor via projective resolution of the first argument
 
 
-def _hom_complex(m: FPModule, n: FPModule, depth: int):
-    pr = proj_resolution(m, depth)
-    homs = [hom_module(t, n) for t in pr.terms]
-    return [hom_pull(homs[k - 1], homs[k], pr.diffs[k - 1])
-            for k in range(1, len(pr.terms))]
-
-
 def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
     """Ext^i(M, N), homology of Hom(proj. resolution of M, N)."""
     _require_nonnegative(i, "Ext and Tor degrees")
     i = _repeat_degree(m, i)
-    maps = _hom_complex(m, n, i + 1)
+    pr = proj_resolution(m, i + 1)
+    low = max(i - 1, 0)  # Hom(d_k, N) for k = low + 1 .. i + 1
+    homs = [hom_module(t, n) for t in pr.terms[low:]]
+    maps = [hom_pull(homs[k], homs[k + 1], pr.diffs[low + k])
+            for k in range(len(homs) - 1)]
     if i == 0:
         return kernel_realization(maps[0]).module
-    return homology_at(maps[i - 1], maps[i]).module
+    return homology_at(*maps).module
 
 
 def tor(m: FPModule, n: FPModule, i: int) -> FPModule:
@@ -242,12 +261,12 @@ def tor(m: FPModule, n: FPModule, i: int) -> FPModule:
     _require_nonnegative(i, "Ext and Tor degrees")
     i = _repeat_degree(m, i)
     pr = proj_resolution(m, i + 1)
-    tens = [tensor_module(t, n) for t in pr.terms]
     idn = identity_morphism(n)
-    maps = [tensor_mor(pr.diffs[k - 1], idn) for k in range(1, len(pr.terms))]
+    # d_k (x) N for k = max(i, 1) .. i + 1
+    maps = [tensor_mor(d, idn) for d in pr.diffs[max(i - 1, 0):]]
     if i == 0:
         return cokernel_realization(maps[0]).module
-    return homology_at(maps[i], maps[i - 1]).module
+    return homology_at(maps[1], maps[0]).module
 
 
 def ext_tor_oracle_Z(m: FPModule, n: FPModule, i: int, which: str) -> FPModule:
@@ -283,42 +302,3 @@ def ext_tor_oracle_Z(m: FPModule, n: FPModule, i: int, which: str) -> FPModule:
     torsion = [t for t in torsion if t > 1]
     rel = IntMat.diag(torsion, rows=len(torsion) + free, cols=len(torsion))
     return make_module(m.ring, rel, gens=len(torsion) + free)
-
-
-# ---------------------------------------------------------------------------
-# resolution verification (used by tests and reports)
-
-
-def verify_projective(res: ProjResolution) -> bool:
-    for k in range(1, len(res.diffs)):
-        if not res.diffs[k - 1].compose(res.diffs[k]).is_zero():
-            return False
-    if res.diffs and not res.augmentation.compose(res.diffs[0]).is_zero():
-        return False
-    for k in range(1, len(res.terms) - 1):
-        if not homology_at(res.diffs[k], res.diffs[k - 1]).module.is_zero():
-            return False
-    if res.diffs:
-        aug = res.augmentation
-        if not homology_at(res.diffs[0], aug).module.is_zero():
-            return False
-        if not cokernel_realization(aug).module.is_zero():
-            return False
-    return True
-
-
-def verify_injective(res: InjResolution) -> bool:
-    for k in range(1, len(res.diffs)):
-        if not res.diffs[k].compose(res.diffs[k - 1]).is_zero():
-            return False
-    if res.diffs and not res.diffs[0].compose(res.augmentation).is_zero():
-        return False
-    if not kernel_realization(res.augmentation).module.is_zero():
-        return False
-    for k in range(1, len(res.terms) - 1):
-        if not homology_at(res.diffs[k - 1], res.diffs[k]).module.is_zero():
-            return False
-    if res.diffs:
-        if not homology_at(res.augmentation, res.diffs[0]).module.is_zero():
-            return False
-    return True

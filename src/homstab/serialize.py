@@ -142,13 +142,3 @@ def parse_complex(doc, where="complex") -> Complex:
     except NotAComplex as exc:
         raise NotAComplex(f"{where}: {exc}") from exc
 
-
-def parse_input(doc):
-    """Dispatch on document shape: module, morphism, or complex."""
-    if not isinstance(doc, dict):
-        raise SchemaError("top level: expected an object")
-    if "terms" in doc:
-        return parse_complex(doc)
-    if "matrix" in doc:
-        return parse_morphism(doc)
-    return parse_module(doc)

@@ -12,7 +12,7 @@ from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import cyclic
 from homstab.instances import InstanceSpec, random_complex, random_module, random_morphism
 from homstab.serialize import (
-    parse_complex, parse_input, parse_module, parse_morphism,
+    parse_complex, parse_module, parse_morphism,
     serialize_complex, serialize_module, serialize_morphism,
 )
 from homstab.suites import run_suite
@@ -30,7 +30,7 @@ def test_module_roundtrip_identical_presentation():
 
 
 def test_parse_module_spec_example():
-    m = parse_input({"ring": {"kind": "Z"}, "gens": 1, "relations": [[2]]})
+    m = parse_module({"ring": {"kind": "Z"}, "gens": 1, "relations": [[2]]})
     assert m == cyclic(ZZ, 2)
 
 
@@ -39,9 +39,9 @@ def test_parse_morphism_not_well_defined():
            "target": {"ring": {"kind": "Z"}, "gens": 1, "relations": [[4]]},
            "matrix": [["1"]]}
     with pytest.raises(NotWellDefined):
-        parse_input(doc)
+        parse_morphism(doc)
     doc["matrix"] = [["2"]]
-    f = parse_input(doc)
+    f = parse_morphism(doc)
     assert f.mat.data == ((2,),)
 
 
@@ -51,7 +51,7 @@ def test_parse_complex_rejects_non_complex():
            "terms": [one, one, one],
            "differentials": [[["2"]], [["3"]]]}
     with pytest.raises(NotAComplex):
-        parse_input(doc)
+        parse_complex(doc)
 
 
 def test_schema_errors_with_location():

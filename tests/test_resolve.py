@@ -8,17 +8,56 @@ from homstab import resolve
 from homstab.errors import NotAComplex, UnsupportedRing
 from homstab.exactlin import IntMat, ZZ, Zmod
 from homstab.fpmod import (
-    canonical_invariants, cyclic, direct_sum, free_module, hom_module,
-    iso_test, kernel, make_module, make_morphism, stably_iso_test,
-    tensor_module, zero_morphism,
+    canonical_invariants, cokernel_realization, cyclic, direct_sum,
+    free_module, hom_module, hom_pull, identity_morphism, iso_test, kernel,
+    kernel_realization, make_module, make_morphism, stably_iso_test,
+    tensor_module, tensor_mor, zero_morphism,
 )
 from homstab.resolve import (
-    cosyzygy, ext, ext_tor_oracle_Z, homology_at, inj_resolution,
-    injective_container, proj_resolution, syzygy, tor, verify_injective,
-    verify_projective,
+    InjResolution, ProjResolution, cosyzygy, ext, ext_tor_oracle_Z,
+    homology_at, inj_resolution, injective_container, proj_resolution, syzygy,
+    tor,
 )
 
 R4 = Zmod(4)
+
+
+# resolution verification: an oracle independent of the report builder
+
+
+def verify_projective(res: ProjResolution) -> bool:
+    for k in range(1, len(res.diffs)):
+        if not res.diffs[k - 1].compose(res.diffs[k]).is_zero():
+            return False
+    if res.diffs and not res.augmentation.compose(res.diffs[0]).is_zero():
+        return False
+    for k in range(1, len(res.terms) - 1):
+        if not homology_at(res.diffs[k], res.diffs[k - 1]).module.is_zero():
+            return False
+    if res.diffs:
+        aug = res.augmentation
+        if not homology_at(res.diffs[0], aug).module.is_zero():
+            return False
+        if not cokernel_realization(aug).module.is_zero():
+            return False
+    return True
+
+
+def verify_injective(res: InjResolution) -> bool:
+    for k in range(1, len(res.diffs)):
+        if not res.diffs[k].compose(res.diffs[k - 1]).is_zero():
+            return False
+    if res.diffs and not res.diffs[0].compose(res.augmentation).is_zero():
+        return False
+    if not kernel_realization(res.augmentation).module.is_zero():
+        return False
+    for k in range(1, len(res.terms) - 1):
+        if not homology_at(res.diffs[k - 1], res.diffs[k]).module.is_zero():
+            return False
+    if res.diffs:
+        if not homology_at(res.augmentation, res.diffs[0]).module.is_zero():
+            return False
+    return True
 
 
 def invs(m):
@@ -168,3 +207,66 @@ def test_huge_degrees_cost_a_few_kernels():
     assert resolve._repeat_degree(m8, 10**8 + 1) == 3  # p_3 = p_1
     assert ext(m8, m8, 10**8 + 1) == ext(m8, m8, 3)
     assert tor(m8, m8, 10**8) == tor(m8, m8, 2)
+
+
+def test_verifiers_reject_a_differential_scaled_by_a_zero_divisor():
+    m = cyclic(R4, 2)
+    pr = proj_resolution(m, 3)
+    assert verify_projective(pr)
+    bad = ProjResolution(pr.base, pr.terms, (pr.diffs[0].scale(2),) + pr.diffs[1:],
+                         pr.syzygies, pr.covers, pr.includes)
+    assert not verify_projective(bad)
+    ir = inj_resolution(m, 3)
+    assert verify_injective(ir)
+    bad = InjResolution(ir.base, ir.terms, (ir.diffs[0].scale(2),) + ir.diffs[1:],
+                        ir.cosyzygies, ir.embeds, ir.projs, ir.sections)
+    assert not verify_injective(bad)
+
+
+def _ext_tor_from_the_full_complexes(m, n, i):
+    # every Hom(d_k, N) and d_k (x) N up to k = i + 1, as the reference
+    pr = proj_resolution(m, i + 1)
+    homs = [hom_module(t, n) for t in pr.terms]
+    pulls = [hom_pull(homs[k - 1], homs[k], pr.diffs[k - 1])
+             for k in range(1, len(pr.terms))]
+    idn = identity_morphism(n)
+    tens = [tensor_mor(d, idn) for d in pr.diffs]
+    if i == 0:
+        return (kernel_realization(pulls[0]).module,
+                cokernel_realization(tens[0]).module)
+    return (homology_at(pulls[i - 1], pulls[i]).module,
+            homology_at(tens[i], tens[i - 1]).module)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(8), Zmod(12)])
+def test_ext_tor_equal_the_full_complex_formula(ring):
+    rng = random.Random(f"ext-tor:{ring}")
+    pairs = [(make_module(ring, IntMat.diag([2, 4])), make_module(ring, IntMat.diag([2, 0])))]
+    pairs += [(random_module(rng, ring), random_module(rng, ring)) for _ in range(3)]
+    for m, n in pairs:
+        for i in range(5):
+            assert (ext(m, n, i), tor(m, n, i)) == _ext_tor_from_the_full_complexes(m, n, i)
+
+
+@pytest.mark.parametrize("ring, orders", [
+    (Zmod(4), [2]), (Zmod(8), [2]), (Zmod(8), [2, 4]), (Zmod(12), [2, 3, 4, 6])])
+def test_cosyzygies_past_the_first_repeat_answer_at_the_equal_lower_degree(
+        monkeypatch, ring, orders):
+    # Sigma^{k+1} is the cokernel of the container of Sigma^k, so once the
+    # cosyzygies repeat, every later one repeats with them
+    m = make_module(ring, IntMat.diag(orders))
+    degrees = range(1, 9)
+    assert any(resolve._first_equal(m, resolve._next_cosyzygy, k) < k
+               for k in degrees)
+    reduced = [cosyzygy(m, k) for k in degrees]
+    monkeypatch.setattr(resolve, "_first_equal", lambda x, step, i: i)
+    direct = [cosyzygy(m, k) for k in degrees]
+    assert reduced == direct
+
+
+def test_huge_cosyzygy_degrees_cost_a_few_cokernels():
+    z2 = cyclic(Zmod(8), 2)  # Z/2, Z/4, Z/2, ...: period 2
+    assert [invs(cosyzygy(z2, k)) for k in range(4)] == [((2,), 0), ((4,), 0)] * 2
+    assert cosyzygy(z2, 10**8 + 1) == cosyzygy(z2, 1)
+    m8 = make_module(Zmod(8), IntMat.diag([2, 4]))
+    assert cosyzygy(m8, 10**8 + 1) == cosyzygy(m8, 1)
