@@ -26,6 +26,18 @@ public edge only: ``IntMat.from_rows``, JSON parsing, ``FPModule`` and
 check that they fit; the constructor itself trusts its arguments, and a
 matrix hashes its entries once.
 
+A matrix is stored as its nonzero rows, ``IntMat.nz``: per row, the
+(column, value) pairs in ascending column order, with no zero stored.
+The matrices built downstream (Kronecker products for Hom and tensor, and
+their lifts) are mostly zeros, so every op, from the products and
+Kronecker products that build a system to the SNF that reduces it and the
+transforms it returns, costs the nonzero entries it touches, not rows x
+columns.  Every op drops the entries that cancel, so the stored form is
+canonical and equality and hashing read it.  ``IntMat.data``, the dense
+tuple of rows, is a view built on each read and not stored; only
+``repr``, ``str``, pickling, ``serialize`` and tests read it, so those
+write what a dense matrix wrote.
+
 A matrix with no rows or no columns has no entries, so what the primitives
 return for it is fixed by its shape, and they return that directly after
 their shape checks: a product, or a Kronecker product, with an empty
@@ -42,51 +54,52 @@ mostly zero modules, so most matrices built downstream have this shape.
 
 Kernels and solutions over a matrix A are read from one cache keyed by
 (A, ring).  An entry keeps what they read of the SNF of A's lift, and the
-finished kernel: U, the diagonal, the width of the lift, the rows of V
-over A's columns (for solves), and the kernel basis, built on the miss
-from V^T's rows (the free columns of V, cut to A's coordinates, reduced
-mod n, zero columns dropped).  A warm ``kernel_basis`` is one lookup, and
-a warm ``solve_matrix`` one lookup plus its products.  The cache files an
-unreduced A under its reduction mod n, and tests whether A is reduced
-without copying it; ``IntMat.negate`` negates and reduces in one pass, so
-a block -P of a kernel system stays reduced.
+finished kernel: U, the diagonal, V cut to the rows over A's columns and
+the columns at the nonzero diagonal (all that a solve reads), and the
+kernel basis, built on the miss from V^T's rows (the free columns of V,
+cut to A's coordinates, reduced mod n, zero columns dropped).  A warm
+``kernel_basis`` is one lookup, and a warm ``solve_matrix`` one lookup
+plus its products.  The cache files an unreduced A under its reduction
+mod n, and tests whether A is reduced by scanning its nonzeros, without
+copying it; ``IntMat.negate`` negates and reduces in one pass, so a
+block -P of a kernel system stays reduced.
 
-The matrices built downstream (Kronecker products for Hom and tensor, and
-their lifts) are mostly zeros, so the kernels pay for nonzero entries
-only.  A product adds a[i][k] * row_k(B) over the nonzero a[i][k] and the
-nonzero entries of row_k(B).  The SNF elimination keeps S, U, Uinv^T, V^T
-and Vinv as lists of {column: nonzero} rows, and an index of the rows of
-S that are nonzero in each column; so a row or column operation, a column
-swap and the list of rows below the pivot that are nonzero in its column
-all cost the nonzero entries they touch, not rows x columns.  The SNF
-keeps a zero pattern: at the top of pivot step t, rows t and below are
-zero left of column t, and the rows above are zero from column t on.  So
-a row's pivot candidate and its divisibility gcd are functions of the
-whole row, cached per row.  Every operation that writes a row queues it,
-and a step recomputes the candidates of the queued rows only; a gcd is
-recomputed when the divisibility fix-up reads it after a write.  The
-pivot rule and the order of operations are fixed: the pivot is the least
-|entry| over rows t and below, in the first such row and then its first
-such column; the rows below are cleared in ascending order, then the
-columns of row t in ascending order; the divisibility fix-up adds the
-first stuck row.  So the pivot sequence, and every transform, is that of
-a dense elimination that rescans every row at every step, which the tests
-keep as the reference.
+A product adds a[i][k] * row_k(B) over the nonzero a[i][k].  The SNF
+elimination takes A's rows as {column: nonzero} dicts and keeps S, U,
+Uinv^T, V^T and Vinv as lists of them, with an index of the rows of S
+that are nonzero in each column; its results are built straight from
+those rows.  So a row or column operation, a column swap and the list of
+rows below the pivot that are nonzero in its column all cost the nonzero
+entries they touch.  The SNF keeps a zero pattern: at the top of pivot
+step t, rows t and below are zero left of column t, and the rows above
+are zero from column t on.  So a row's pivot candidate and its
+divisibility gcd are functions of the whole row, cached per row.  Every
+operation that writes a row queues it, and a step recomputes the
+candidates of the queued rows only; a gcd is recomputed when the
+divisibility fix-up reads it after a write.  The pivot rule and the
+order of operations are fixed: the pivot is the least |entry| over rows
+t and below, in the first such row and then its first such column; the
+rows below are cleared in ascending order, then the columns of row t in
+ascending order; the divisibility fix-up adds the first stuck row.  So
+the pivot sequence, and every transform, is that of a dense elimination
+that rescans every row at every step, which the tests keep as the
+reference.
 
 The elimination tracks each of U, Uinv, V and Vinv only when its caller
 reads it, and an untracked one costs nothing: the kernel cache reads U
 and V^T, ``fpmod``'s ``present_with_iso`` (through ``_snf_u``) U and
 Uinv, and ``invariant_divisors`` no transform: it reads the diagonal
 that the same ``_snf_rows`` normalizes for ``snf``, so the two never
-disagree over Z/n.  ``snf`` tracks U and V and returns
-an ``SNFResult`` over the rows, whose matrices are built, reduced mod n
+disagree over Z/n, and with no transform to rescale it searches for no
+associate unit.  ``snf`` tracks U and V and returns an ``SNFResult``
+over the rows, whose matrices are built, reduced mod n
 over Z/n, the first time they are read.  The first read of Uinv or Vinv
 runs the same elimination again with both tracked: the pivot order is
 fixed and inverses are unique, so they are the matrices an eager
 elimination gives.  Nothing in the library reads them.  The kernel cache
 still calls ``snf`` once per cold matrix, so a wrapper of ``snf`` sees
-every SNF the cache computes; it builds U, and the rows of V over A's
-columns (k of the k + m rows over the Z/n lift) straight from V^T.
+every SNF the cache computes; it builds U, and its cut of V straight from
+V^T.
 ``_snf_u`` builds only the rows of U and the columns of Uinv whose
 divisor is not 1.
 """
@@ -94,9 +107,7 @@ divisor is not 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 from math import gcd
-from operator import neg
 
 from .errors import DimensionMismatch
 
@@ -157,35 +168,62 @@ def Zmod(n: int) -> RingDesc:
 
 
 class IntMat:
-    """Dense integer matrix, row-major, hashable.
+    """Integer matrix stored as its nonzero rows, hashable.
 
-    ``IntMat(rows, cols, data)`` trusts its arguments: ``data`` is a tuple
-    of ``rows`` tuples of ``cols`` ints.  Shapes are checked at the public
-    edge instead (``from_rows``, ``serialize.parse_matrix``, ``FPModule``,
-    ``make_morphism``) and by the shape-changing ops.  Matrices are
-    immutable by convention: nothing writes to a built matrix, so equality
-    is by value and the hash is computed once, on first use, and stored.
+    ``nz`` holds one tuple per row: the row's (column, value) pairs in
+    ascending column order, with no zero stored.  That form is canonical,
+    so equality and the hash read ``nz``; every op builds its result in it,
+    dropping the entries that cancel.  ``IntMat(rows, cols, data)`` takes
+    dense ``data``, a tuple of ``rows`` tuples of ``cols`` ints, and keeps
+    its nonzeros; the ops pass their rows as ``IntMat(rows, cols, None,
+    nz)`` instead, so every matrix is still built by ``__init__``, which
+    trusts its arguments.  Shapes are checked at the public edge
+    (``from_rows``, ``serialize.parse_matrix``, ``FPModule``,
+    ``make_morphism``) and by the shape-changing ops.
+
+    ``data`` is the dense view: built on each read and not stored.  Only
+    ``repr``, ``str``, pickling, ``serialize`` and tests read it, so those
+    stay as they were for a dense matrix.  Matrices are immutable by
+    convention: nothing writes to a built matrix, and the hash is computed
+    once, on first use, and stored.
     """
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "nz", "_hash")
 
-    def __init__(self, rows: int, cols: int, data: tuple[tuple[int, ...], ...]):
+    def __init__(self, rows: int, cols: int, data: tuple | None = None,
+                 nz: tuple | None = None):
         self.rows = rows
         self.cols = cols
-        self.data = data
+        if nz is None:
+            nz = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in data)
+        self.nz = nz
         self._hash = None
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        zero = (0,) * self.cols  # shared by the zero rows, as in zeros
+        out = []
+        for r in self.nz:
+            if r:
+                row = [0] * self.cols
+                for j, x in r:
+                    row[j] = x
+                out.append(tuple(row))
+            else:
+                out.append(zero)
+        return tuple(out)
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, IntMat):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
+        return self.rows == other.rows and self.cols == other.cols and self.nz == other.nz
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.rows, self.cols, self.data))
+            h = self._hash = hash((self.rows, self.cols, self.nz))
         return h
 
     def __repr__(self):
@@ -205,46 +243,51 @@ class IntMat:
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMat":
-        return IntMat(m, n, ((0,) * n,) * m)
+        return IntMat(m, n, None, ((),) * m)
 
     @staticmethod
     def identity(n: int) -> "IntMat":
         if not n:
             return _EMPTY
-        return IntMat(n, n, tuple(map(tuple, _identity_rows(n))))
+        return IntMat(n, n, None, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
     def diag(entries, rows: int | None = None, cols: int | None = None) -> "IntMat":
         entries = list(entries)
         m = rows if rows is not None else len(entries)
         n = cols if cols is not None else len(entries)
-        out = [(0,) * n] * m  # the zero rows share one tuple, as in zeros
-        for i in range(min(m, n, len(entries))):
-            if entries[i]:
-                row = [0] * n
-                row[i] = entries[i]
-                out[i] = tuple(row)
-        return IntMat(m, n, tuple(out))
+        k = min(m, n, len(entries))
+        return IntMat(m, n, None, tuple(
+            ((i, entries[i]),) if i < k and entries[i] else () for i in range(m)))
 
     @staticmethod
     def column(entries) -> "IntMat":
         entries = tuple(int(x) for x in entries)
-        return IntMat(len(entries), 1, tuple((x,) for x in entries))
+        return IntMat(len(entries), 1, None, tuple(((0, x),) if x else () for x in entries))
 
     def entry(self, i: int, j: int) -> int:
-        return self.data[i][j]
+        return dict(self.nz[i]).get(j, 0)
 
     def col(self, j: int) -> "IntMat":
-        return IntMat(self.rows, 1, tuple((r[j],) for r in self.data))
+        return IntMat(self.rows, 1, None, tuple(
+            ((0, x),) if x else () for x in self.col_list(j)))
 
     def col_list(self, j: int) -> list[int]:
-        return [r[j] for r in self.data]
+        return [dict(r).get(j, 0) for r in self.nz]
 
     def __add__(self, other: "IntMat") -> "IntMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("add: shape mismatch")
-        return IntMat(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)))
+        out = []
+        for ra, rb in zip(self.nz, other.nz):
+            if not (ra and rb):
+                out.append(ra or rb)
+                continue
+            acc = dict(ra)
+            for j, x in rb:
+                acc[j] = acc.get(j, 0) + x
+            out.append(tuple([p for p in sorted(acc.items()) if p[1]]))
+        return IntMat(self.rows, self.cols, None, tuple(out))
 
     def __sub__(self, other: "IntMat") -> "IntMat":
         return self + other.scale(-1)
@@ -252,7 +295,10 @@ class IntMat:
     def scale(self, c: int) -> "IntMat":
         if not (self.rows and self.cols):
             return self
-        return IntMat(self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.data))
+        if not c:
+            return IntMat.zeros(self.rows, self.cols)
+        return IntMat(self.rows, self.cols, None, tuple(
+            tuple([(j, c * x) for j, x in r]) for r in self.nz))
 
     def negate(self, ring: RingDesc) -> "IntMat":
         """-A, reduced mod n in the same pass over Z/n."""
@@ -261,8 +307,8 @@ class IntMat:
             return self.scale(-1)
         if not (self.rows and self.cols):
             return self
-        return IntMat(self.rows, self.cols,
-                      tuple(tuple(map(n.__rmod__, map(neg, r))) for r in self.data))
+        return IntMat(self.rows, self.cols, None, tuple(
+            tuple([(j, y) for j, x in r if (y := -x % n)]) for r in self.nz))
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
@@ -271,27 +317,33 @@ class IntMat:
         n = other.cols
         if not (self.rows and self.cols and n):
             return IntMat.zeros(self.rows, n)
-        # row_i(A @ B) = sum_k a[i][k] * row_k(B), over nonzero a[i][k] and
-        # the nonzero entries of row_k(B) only
-        cols = range(n)
-        sparse = []
-        for r in other.data:
-            ks = list(compress(cols, r))
-            sparse.append((ks, [r[k] for k in ks]))
+        # row_i(A @ B) = sum_k a[i][k] * row_k(B) over the nonzero a[i][k];
+        # a row of A with one nonzero scales one row of B, already in order
+        b = other.nz
         out = []
-        for row in self.data:
-            acc = [0] * n
-            for k in compress(range(len(row)), row):
-                a = row[k]
-                ks, vs = sparse[k]
-                for j, v in zip(ks, vs):
-                    acc[j] += a * v
-            out.append(tuple(acc))
-        return IntMat(self.rows, n, tuple(out))
+        for row in self.nz:
+            if len(row) == 1:
+                (k, a), = row
+                r = b[k]
+                out.append(r if a == 1 else tuple([(j, a * v) for j, v in r]))
+                continue
+            if not row:
+                out.append(row)
+                continue
+            acc = {}
+            get = acc.get
+            for k, a in row:
+                for j, v in b[k]:
+                    acc[j] = get(j, 0) + a * v
+            out.append(tuple([p for p in sorted(acc.items()) if p[1]]))
+        return IntMat(self.rows, n, None, tuple(out))
 
     def transpose(self) -> "IntMat":
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return IntMat(self.cols, self.rows, data)
+        out = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, x in r:
+                out[j].append((i, x))
+        return IntMat(self.cols, self.rows, None, tuple(map(tuple, out)))
 
     def hstack(self, other: "IntMat") -> "IntMat":
         if self.rows != other.rows:
@@ -300,60 +352,56 @@ class IntMat:
             return self
         if not self.cols:
             return other
-        return IntMat(self.rows, self.cols + other.cols, tuple(
-            ra + rb for ra, rb in zip(self.data, other.data)))
+        k = self.cols
+        return IntMat(self.rows, k + other.cols, None, tuple(
+            ra + tuple([(j + k, x) for j, x in rb]) if rb else ra
+            for ra, rb in zip(self.nz, other.nz)))
 
     def vstack(self, other: "IntMat") -> "IntMat":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack: col mismatch")
-        return IntMat(self.rows + other.rows, self.cols, self.data + other.data)
+        return IntMat(self.rows + other.rows, self.cols, None, self.nz + other.nz)
 
     @staticmethod
     def block_diag(blocks) -> "IntMat":
         blocks = list(blocks)
-        m = sum(b.rows for b in blocks)
-        n = sum(b.cols for b in blocks)
-        out = [[0] * n for _ in range(m)]
-        i0 = j0 = 0
+        out = []
+        j0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                out[i0 + i][j0:j0 + b.cols] = list(b.data[i])
-            i0 += b.rows
+            out.extend(tuple([(j + j0, x) for j, x in r]) for r in b.nz)
             j0 += b.cols
-        return IntMat(m, n, tuple(map(tuple, out)))
+        return IntMat(len(out), j0, None, tuple(out))
 
     def kron(self, other: "IntMat") -> "IntMat":
         m, n = self.rows * other.rows, self.cols * other.cols
         if not (m and n):
             return IntMat.zeros(m, n)
-        out = [[0] * n for _ in range(m)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        out[i * other.rows + k][j * other.cols + l] = a * other.data[k][l]
-        return IntMat(m, n, tuple(tuple(r) for r in out))
+        w = other.cols
+        return IntMat(m, n, None, tuple(
+            tuple([(j * w + l, a * b) for j, a in ra for l, b in rb])
+            for ra in self.nz for rb in other.nz))
 
     def take_rows(self, idx) -> "IntMat":
         idx = tuple(idx)
-        return IntMat(len(idx), self.cols, tuple(self.data[i] for i in idx))
+        return IntMat(len(idx), self.cols, None, tuple(self.nz[i] for i in idx))
 
     def take_cols(self, idx) -> "IntMat":
         idx = tuple(idx)
-        return IntMat(self.rows, len(idx), tuple(
-            tuple(map(r.__getitem__, idx)) for r in self.data))
+        out = []
+        for r in self.nz:
+            d = dict(r)
+            out.append(tuple([(t, d[j]) for t, j in enumerate(idx) if j in d]))
+        return IntMat(self.rows, len(idx), None, tuple(out))
 
     def mod(self, ring: RingDesc) -> "IntMat":
         if ring.modulus is None or not (self.rows and self.cols):
             return self
         n = ring.modulus
-        return IntMat(self.rows, self.cols, tuple(tuple(map(n.__rmod__, r)) for r in self.data))
+        return IntMat(self.rows, self.cols, None, tuple(
+            tuple([(j, y) for j, x in r if (y := x % n)]) for r in self.nz))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.nz)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in r) for r in self.data) + "]"
@@ -366,35 +414,26 @@ _EMPTY = IntMat(0, 0, ())  # the 0 x 0 matrix; IntMat.identity(0) returns it
 # Smith normal form
 
 
-def _dense(rows, nr: int, nc: int, n: int | None) -> IntMat:
+def _from_dicts(rows, nr: int, nc: int, n: int | None) -> IntMat:
     """The nr x nc matrix whose row i is the {column: nonzero} row rows[i],
     reduced mod n unless n is None."""
-    zero = (0,) * nc
-    out = []
-    for row in rows:
-        if not row:
-            out.append(zero)
-            continue
-        r = [0] * nc
-        if n is None:
-            for k, x in row.items():
-                r[k] = x
-        else:
-            for k, x in row.items():
-                r[k] = x % n
-        out.append(tuple(r))
-    return IntMat(nr, nc, tuple(out))
+    if n is None:
+        nz = tuple(tuple(sorted(row.items())) for row in rows)
+    else:
+        nz = tuple(tuple([(k, y) for k, x in sorted(row.items()) if (y := x % n)])
+                   for row in rows)
+    return IntMat(nr, nc, None, nz)
 
 
-def _dense_t(rows, nr: int, nc: int, n: int | None) -> IntMat:
+def _from_dicts_t(rows, nr: int, nc: int, n: int | None) -> IntMat:
     """The nr x nc matrix whose column i is the {row: nonzero} row rows[i],
     cut to its first nr entries and reduced mod n unless n is None."""
-    out = [[0] * nc for _ in range(nr)]
+    out = [[] for _ in range(nr)]
     for i, row in enumerate(rows):
         for k, x in row.items():
-            if k < nr:
-                out[k][i] = x if n is None else x % n
-    return IntMat(nr, nc, tuple(map(tuple, out)))
+            if k < nr and (n is None or (x := x % n)):
+                out[k].append((i, x))
+    return IntMat(nr, nc, None, tuple(map(tuple, out)))
 
 
 class SNFResult:
@@ -432,7 +471,7 @@ class SNFResult:
         m, k = a.rows, a.cols
         shape = ((m, m), (m, m), (m, k), (k, k), (k, k))[i]
         # Uinv and V are kept transposed
-        mat = self._mats[i] = (_dense_t if i in (1, 3) else _dense)(
+        mat = self._mats[i] = (_from_dicts_t if i in (1, 3) else _from_dicts)(
             rows[i], *shape, ring.modulus)
         return mat
 
@@ -467,20 +506,7 @@ class SNFResult:
         if self._diag is not None:
             return list(self._diag)
         k = min(self.S.rows, self.S.cols)
-        return [self.S.data[i][i] for i in range(k)]
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
-def _axpy(x: list[int], c: int, y: list[int]) -> None:
-    """x += c * y in place, touching only the nonzero entries of y."""
-    for k in compress(range(len(y)), y):
-        x[k] += c * y[k]
+        return [self.S.entry(i, i) for i in range(k)]
 
 
 def _add_row(x: dict, c: int, y: dict) -> None:
@@ -532,7 +558,7 @@ def _snf_integer(a: IntMat, u: bool = True, uinv: bool = True, v: bool = True,
     """
     m, n = a.rows, a.cols
     span = range(n)
-    S = [dict(zip(compress(span, r), filter(None, r))) for r in a.data]
+    S = [dict(r) for r in a.nz]
     cols = [set() for _ in span]  # rows of S with a nonzero in each column
     for i, row in enumerate(S):
         for j in row:
@@ -693,10 +719,10 @@ def _reduced(a: IntMat, ring: RingDesc) -> IntMat:
     """A mod n; A itself, with no copy, when its entries already lie in
     [0, n), and over Z."""
     n = ring.modulus
-    if n is None or not (a.rows and a.cols):
+    if n is None:
         return a
-    data = a.data
-    if min(map(min, data)) >= 0 and max(map(max, data)) < n:
+    entries = [x for r in a.nz for _, x in r]  # all nonzero
+    if not entries or (min(entries) > 0 and max(entries) < n):
         return a
     return a.mod(ring)
 
@@ -717,13 +743,16 @@ def _snf_rows(a: IntMat, ring: RingDesc, **track):
         if d == 1:  # a unit pivot is its own normal form
             diag.append(1)
             continue
-        g, u = _associate_unit(d, n)
-        if u != 1:
-            if U is not None:
-                uinv = pow(u, -1, n)
-                U[t] = {k: x * uinv for k, x in U[t].items()}
-            if UiT is not None:
-                UiT[t] = {k: x * u for k, x in UiT[t].items()}
+        if U is None and UiT is None:  # no transform reads the unit
+            g = gcd(d, n)
+        else:
+            g, u = _associate_unit(d, n)
+            if u != 1:
+                if U is not None:
+                    uinv = pow(u, -1, n)
+                    U[t] = {k: x * uinv for k, x in U[t].items()}
+                if UiT is not None:
+                    UiT[t] = {k: x * u for k, x in UiT[t].items()}
         g %= n
         S[t] = {t: g} if g else {}  # S is diagonal
         diag.append(g)
@@ -752,8 +781,8 @@ def _snf_u(a: IntMat, ring: RingDesc) -> tuple[IntMat, IntMat, list[int]]:
     U, UiT, _, _, _, diag = _snf_rows(a, ring, v=False, vinv=False)
     keep = [i for i in range(m) if i >= len(diag) or diag[i] != 1]
     divisors = [diag[i] if i < len(diag) else 0 for i in keep]
-    return (_dense([U[i] for i in keep], len(keep), m, n),
-            _dense_t([UiT[i] for i in keep], m, len(keep), n), divisors)
+    return (_from_dicts([U[i] for i in keep], len(keep), m, n),
+            _from_dicts_t([UiT[i] for i in keep], m, len(keep), n), divisors)
 
 
 @lru_cache(maxsize=4096)
@@ -762,44 +791,41 @@ def _snf_cached(a: IntMat, ring: RingDesc):
 
     The lift is A over Z and [A mod n | n*I] over Z/n, whose integer kernel
     and solutions carry those of A over Z/n in their first ``a.cols``
-    coordinates.  Returns (U, diagonal, width of the lift, the rows of V
-    over A's columns, the kernel basis).  The kernel is built here, once,
+    coordinates.  Returns (U, diagonal, V, the kernel basis), where V is
+    cut to what a solve reads: the rows over A's columns and the columns at
+    the nonzero diagonal, which lead it.  The kernel is built here, once,
     from V^T's rows: the columns of V past the nonzero diagonal, cut to A's
     coordinates and, over Z/n, reduced mod n with the zero columns dropped.
-    Nothing else of the SNF is read, so Uinv, S, Vinv and the rows of V
-    over the n*I columns are never built.
+    Nothing else of the SNF is read, so Uinv, S, Vinv and the rest of V are
+    never built.
     """
     n, m, k = ring.modulus, a.rows, a.cols
     # an empty lift, or n*I, is in normal form already
     if not m:  # every vector is in the kernel
-        ident = IntMat.identity(k)
-        return _EMPTY, (), k, ident, ident
+        return _EMPTY, (), IntMat.zeros(k, 0), IntMat.identity(k)
     if not k:
         diag = () if n is None else (n,) * m
-        return IntMat.identity(m), diag, len(diag), IntMat(0, len(diag), ()), _EMPTY
+        return IntMat.identity(m), diag, IntMat.zeros(0, len(diag)), _EMPTY
     lift = a
     if n is not None:
         reduced = _reduced(a, ring)
         if reduced is not a:  # one SNF per matrix over Z/n, whatever its lift
             return _snf_cached(reduced, ring)
         # [A | n*I] in one pass, with no n*I matrix of its own
-        lift = IntMat(m, k + m, tuple(r + (0,) * i + (n,) + (0,) * (m - 1 - i)
-                                      for i, r in enumerate(a.data)))
+        lift = IntMat(m, k + m, None, tuple(r + ((k + i, n),) for i, r in enumerate(a.nz)))
     res = snf(lift, ZZ)
     diag = tuple(res.diagonal())
+    rank = len(diag) - diag.count(0)  # the zeros close the diagonal
     vt = res._src[2][3]  # the rows of V^T
     kernel = []  # the columns of V past the nonzero diagonal
-    for j in range(lift.cols):
-        if j < len(diag) and diag[j]:
-            continue
-        col = vt[j]
+    for col in vt[rank:]:
         if n is not None:
             col = {r: y for r, x in col.items() if r < k and (y := x % n)}
             if not col:
                 continue
         kernel.append(col)
-    return (res.U, diag, lift.cols, _dense_t(vt, k, lift.cols, None),
-            _dense_t(kernel, k, len(kernel), None))
+    return (res.U, diag, _from_dicts_t(vt[:rank], k, rank, None),
+            _from_dicts_t(kernel, k, len(kernel), None))
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +840,7 @@ def kernel_basis(a: IntMat, ring: RingDesc) -> IntMat:
     zero columns dropped).  The basis is built once per (A, ring), when the
     SNF cache misses.
     """
-    return _snf_cached(a, ring)[4]
+    return _snf_cached(a, ring)[3]
 
 
 def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
@@ -826,25 +852,29 @@ def solve_matrix(a: IntMat, b: IntMat, ring: RingDesc) -> IntMat | None:
     """
     if a.rows != b.rows:
         raise DimensionMismatch(f"solve: {a.rows} rows vs rhs {b.rows}")
-    u, diag, width, v, _ = _snf_cached(a, ring)
+    u, diag, v, _ = _snf_cached(a, ring)
     if not (b.rows and b.cols):
         return IntMat.zeros(a.cols, b.cols)
     c = u @ b.mod(ring)
-    y = [(0,) * b.cols] * width
-    for i, row in enumerate(c.data):
-        d = diag[i] if i < len(diag) else 0
+    rank = v.cols  # U @ A @ V is zero past the nonzero diagonal
+    y = [()] * rank
+    for i, row in enumerate(c.nz):
+        if not row:
+            continue
+        if i >= rank:
+            return None
+        d = diag[i]
         if d == 1:
             y[i] = row
             continue
-        if not d:
-            if any(row):
+        q = []
+        for j, x in row:
+            x, r = divmod(x, d)
+            if r:
                 return None
-            continue
-        qr = [divmod(x, d) for x in row]
-        if any(r for _, r in qr):
-            return None
-        y[i] = tuple(q for q, _ in qr)
-    return (v @ IntMat(width, b.cols, tuple(y))).mod(ring)
+            q.append((j, x))
+        y[i] = tuple(q)
+    return (v @ IntMat(rank, b.cols, None, tuple(y))).mod(ring)
 
 
 def solve(a: IntMat, b, ring: RingDesc) -> IntMat | None:

@@ -87,12 +87,11 @@ functions, so every morphism they emit is checked for well-definedness.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import compress
 from math import gcd
 
 from .errors import DimensionMismatch, MembershipError, NotWellDefined
 from .exactlin import (
-    ZZ, IntMat, RingDesc, _axpy, _snf_u, invariant_divisors, kernel_basis,
+    ZZ, IntMat, RingDesc, _snf_u, invariant_divisors, kernel_basis,
     solve_matrix,
 )
 # not called here; bound because perfbench/test_smoke.py asserts that the
@@ -186,14 +185,16 @@ def in_span(a: IntMat, b: IntMat, ring: RingDesc) -> bool:
     if not (b.rows and b.cols):  # the zero matrix is in every span
         return True
     module, fwd, _ = present_with_iso(ring, a.rows, a)
-    rel, data = module.rel, b.data
+    rel, brows = module.rel, b.nz
     free = ring.modulus or 0
-    for i, row in enumerate(fwd.data):
-        acc = [0] * b.cols  # row i of fwd @ B
-        for k in compress(range(len(row)), row):
-            _axpy(acc, row[k], data[k])
-        d = rel.data[i][i] if i < rel.cols else free
-        if any(x % d for x in acc) if d else any(acc):
+    for i, row in enumerate(fwd.nz):
+        acc = {}  # row i of fwd @ B
+        get = acc.get
+        for k, c in row:
+            for j, x in brows[k]:
+                acc[j] = get(j, 0) + c * x
+        d = rel.nz[i][0][1] if i < rel.cols else free  # the torsion is nonzero
+        if any(x % d for x in acc.values()) if d else any(acc.values()):
             return False
     return True
 
@@ -408,7 +409,8 @@ class SubquotientRealization:
         sol = solve_matrix(self._span, v, ring)
         if sol is None:
             raise MembershipError("element lies outside the subquotient")
-        u = IntMat(self.subq.sub.cols, v.cols, sol.data[:self.subq.sub.cols])
+        k = self.subq.sub.cols
+        u = IntMat(k, v.cols, None, sol.nz[:k])
         return (self.fwd @ u).mod(ring)
 
 
@@ -471,7 +473,7 @@ def _preimage(x: IntMat, y: IntMat, ring: RingDesc) -> IntMat:
     """Generators of the v with X @ v in the column span of Y: the kernel of
     [X | -Y] cut to X's coordinates."""
     ker = kernel_basis(x.hstack(y.negate(ring)), ring)
-    return IntMat(x.cols, ker.cols, ker.data[:x.cols])
+    return IntMat(x.cols, ker.cols, None, ker.nz[:x.cols])
 
 
 def kernel_generators(f: Morphism) -> IntMat:
@@ -550,10 +552,9 @@ def direct_sum(summands) -> DirectSum:
     injections, projections = [], []
     offset = 0
     for m in summands:
-        rows = [[0] * m.gens for _ in range(gens)]
-        for i in range(m.gens):
-            rows[offset + i][i] = 1
-        block_in = IntMat(gens, m.gens, tuple(map(tuple, rows)))
+        block_in = IntMat(gens, m.gens, None, ((),) * offset
+                          + tuple(((i, 1),) for i in range(m.gens))
+                          + ((),) * (gens - offset - m.gens))
         block_out = block_in.transpose()
         injections.append(make_morphism(m, module, (fwd @ block_in).mod(ring)))
         projections.append(make_morphism(module, m, (block_out @ bwd).mod(ring)))
@@ -604,16 +605,22 @@ class HomRealization:
 
 
 def _vec(g: IntMat) -> IntMat:
-    cols = []
-    for j in range(g.cols):
-        cols.extend(g.col_list(j))
-    return IntMat.column(cols)
+    """The columns of G stacked into one column: G[i][j] is entry j*rows + i."""
+    out = [()] * (g.rows * g.cols)
+    for i, r in enumerate(g.nz):
+        for j, x in r:
+            out[j * g.rows + i] = ((0, x),)
+    return IntMat(len(out), 1, None, tuple(out))
 
 
 def _unvec(v: IntMat, rows: int, cols: int) -> IntMat:
-    data = [r[0] for r in v.data]
-    return IntMat(rows, cols, tuple(tuple(data[j * rows + i] for j in range(cols))
-                                    for i in range(rows)))
+    """The rows x cols matrix G with ``_vec(G) == v``."""
+    out = [[] for _ in range(rows)]
+    for p, r in enumerate(v.nz):
+        if r:
+            j, i = divmod(p, rows)
+            out[i].append((j, r[0][1]))
+    return IntMat(rows, cols, None, tuple(map(tuple, out)))
 
 
 @lru_cache(maxsize=4096)
@@ -669,7 +676,7 @@ def _solve(source: FPModule, target: FPModule, left: IntMat, right: IntMat,
                        _vec(rhs).vstack(IntMat.zeros(bottom.rows, 1)), ring)
     if sol is None:
         return None
-    h = _unvec(IntMat(gs * gt, 1, sol.data[:gs * gt]), gt, gs)
+    h = _unvec(IntMat(gs * gt, 1, None, sol.nz[:gs * gt]), gt, gs)
     return make_morphism(source, target, h)
 
 

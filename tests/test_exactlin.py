@@ -162,9 +162,12 @@ def test_kernel_spec_examples():
 
 
 def _kernel_basis_two_pass(a, ring):
-    """Reference: reduce every free column mod n, then keep the nonzero ones."""
-    _, diag, width, v, _ = exactlin._snf_cached(a, ring)
-    free = [j for j in range(width) if j >= len(diag) or diag[j] == 0]
+    """Reference: reduce every free column of V, cut to A's coordinates, mod
+    n, then keep the nonzero ones."""
+    res = _reference_lift(a, ring)
+    diag = res.diagonal()
+    free = [j for j in range(res.V.cols) if j >= len(diag) or diag[j] == 0]
+    v = res.V.take_rows(range(a.cols))
     n = ring.modulus
     if n is None:
         return v.take_cols(free)
@@ -447,15 +450,30 @@ def test_snf_transforms_pinned():
 # the cached-scan elimination against the rescanning one it replaced
 
 
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _axpy(x, c, y):
+    """x += c * y in place over dense lists, touching only the nonzero
+    entries of y."""
+    for k in itertools.compress(range(len(y)), y):
+        x[k] += c * y[k]
+
+
 def _rescanning_snf_integer(a):
     """The elimination before per-row caching, kept as the oracle: every
     pivot step rescans every row from column t, and every divisibility test
-    takes the gcd of each later row's tail.  Same return as _snf_integer."""
+    takes the gcd of each later row's tail.  It works on dense lists.  Same
+    return as _snf_integer, densified."""
     m, n = a.rows, a.cols
     S = [list(r) for r in a.data]
-    U, UiT = exactlin._identity_rows(m), exactlin._identity_rows(m)
-    VT, Vi = exactlin._identity_rows(n), exactlin._identity_rows(n)
-    axpy = exactlin._axpy
+    U, UiT = _identity_rows(m), _identity_rows(m)
+    VT, Vi = _identity_rows(n), _identity_rows(n)
+    axpy = _axpy
 
     def row_add(i, j, c):
         axpy(S[i], c, S[j])
@@ -730,8 +748,8 @@ def _cold_cells(fn):
     cells = [0]
     real = IntMat.__init__
 
-    def counting(self, rows, cols, data):
-        real(self, rows, cols, data)
+    def counting(self, rows, cols, *args, **kwargs):
+        real(self, rows, cols, *args, **kwargs)
         cells[0] += rows * cols
     with mock.patch.object(IntMat, "__init__", counting):
         fn()
@@ -810,19 +828,25 @@ def test_every_intmat_is_built_by_init(monkeypatch):
     seen = set()
     real = IntMat.__init__
 
-    def recording(self, *args):
-        real(self, *args)
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
         seen.add(id(self))
 
     monkeypatch.setattr(IntMat, "__init__", recording)
+    exactlin._snf_cached.cache_clear()
     a = IntMat.from_rows([[1, 2], [3, 4], [5, 6]])
     b = IntMat.from_rows([[7, 8, 9], [1, 0, 2]])
+    res = snf(a, Zmod(12))
     results = [
         IntMat.zeros(2, 3), IntMat.identity(3), IntMat.diag([2, 3]),
         IntMat.diag([2], rows=3, cols=2), IntMat.column([1, 2]), a @ b,
         a.transpose(), a.hstack(a), a.vstack(b.transpose()), a.take_rows([2, 0]),
         a.take_cols([1]), a.mod(Zmod(4)), a.kron(b), IntMat.block_diag([a, b]),
         a + a, a - a, a.scale(3), a.col(1), pickle.loads(pickle.dumps(a)),
+        a.negate(Zmod(4)), a.negate(ZZ), res.U, res.Uinv, res.S, res.V, res.Vinv,
+        kernel_basis(b, ZZ), kernel_basis(b, Zmod(4)),
+        solve_matrix(a, a @ IntMat.column([1, -1]), ZZ),
+        solve_matrix(a, IntMat.column([2, 0, 2]), Zmod(4)),
     ]
     assert all(id(r) in seen for r in results)
 
@@ -908,9 +932,10 @@ def test_lazy_inverses_equal_the_eager_ones(a, ring, vinv_first):
     assert len(calls) == 1
     U, UiT, S, VT, Vi, _ = exactlin._snf_rows(a, ring)
     m, k, n = a.rows, a.cols, ring.modulus
-    assert res.Uinv == exactlin._dense_t(UiT, m, m, n)
-    assert res.Vinv == exactlin._dense(Vi, k, k, n)
-    assert (res.U, res.V) == (exactlin._dense(U, m, m, n), exactlin._dense_t(VT, k, k, n))
+    assert res.Uinv == exactlin._from_dicts_t(UiT, m, m, n)
+    assert res.Vinv == exactlin._from_dicts(Vi, k, k, n)
+    assert (res.U, res.V) == (exactlin._from_dicts(U, m, m, n),
+                              exactlin._from_dicts_t(VT, k, k, n))
     assert (res.U @ res.Uinv).mod(ring) == IntMat.identity(m).mod(ring)
     assert (res.V @ res.Vinv).mod(ring) == IntMat.identity(k).mod(ring)
 
@@ -924,9 +949,9 @@ def test_warm_kernel_basis_builds_no_matrix(system):
     built = []
     real = IntMat.__init__
 
-    def counting(self, rows, cols, data):
+    def counting(self, rows, cols, *args, **kwargs):
         built.append((rows, cols))
-        real(self, rows, cols, data)
+        real(self, rows, cols, *args, **kwargs)
     with mock.patch.object(IntMat, "__init__", counting):
         warm = kernel_basis(a, ring)
     assert built == [] and warm is cold
