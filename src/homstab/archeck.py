@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import UnsupportedRing
 from .fpmod import (
-    FPModule, Morphism, cokernel_realization, free_module, hom_module,
+    FPModule, Morphism, cokernel_realization, dual, free_module, hom_module,
     hom_pull, hom_push, iso_test, transpose,
 )
 from .funcalc import (
@@ -26,7 +26,7 @@ def matlis_dual(m: FPModule) -> FPModule:
     """D(M) = Hom(M, Z/n); exact and involutive on finite Z/n-modules."""
     if not m.ring.quasi_frobenius:
         raise UnsupportedRing("character duality needs the self-injective Z/n")
-    return hom_module(m, free_module(m.ring, 1)).module
+    return dual(m)
 
 
 def matlis_dual_mor(f: Morphism) -> Morphism:

@@ -3,6 +3,12 @@ random-instance suites, and report emission.
 
 Exit codes: 0 all verdicts pass, 1 a mathematical verdict failed (the
 counterexample is in the report), 2 usage or input error.
+
+Each ``cmd_*`` handler takes the parsed arguments and returns its answer
+``(text, payload, ok)``; ``main`` writes that answer once, through
+``respond``: the payload to --json-out first, then the text to stdout.  A
+printed sequence report passes when it is exact and every ``*_iso`` and
+``split`` verdict in its metadata holds (``_report``).
 """
 
 from __future__ import annotations
@@ -100,114 +106,100 @@ def format_report(rep: SequenceReport) -> str:
     return "\n".join(lines)
 
 
-def respond(args, out, text: str, payload, ok: bool) -> int:
+def respond(args, text: str, payload, ok: bool) -> int:
     """Write ``payload`` to --json-out, then print ``text``; exit 0 iff
     ``ok``.  Writing first means a bad report path fails before any output."""
     if args.json_out:
         with open(args.json_out, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    print(text, file=out)
+    print(text)
     return 0 if ok else 1
 
 
+def _module(m: FPModule):
+    """The answer for a computed module: its invariants and its document."""
+    return format_invariants(m), serialize_module(m), True
+
+
+def _report(rep: SequenceReport, exact: bool | None = None):
+    """The answer for a sequence report.  It passes when the sequence is
+    exact (everywhere, unless the command gives its own ``exact`` verdict)
+    and every ``*_iso`` and ``split`` verdict in its metadata holds."""
+    if exact is None:
+        exact = rep.exact_everywhere()
+    ok = exact and all(v for k, v in rep.metadata.items()
+                       if k.endswith("_iso") or k == "split")
+    return format_report(rep), report_to_json(rep), ok
+
+
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers; argparse has checked the action, so a handler's last
+# branch is its default
 
 
-def cmd_module(args, out) -> int:
+def cmd_module(args):
     m = load_module(args.module)
     if args.action == "show":
-        return respond(args, out, f"{m} (gens {m.gens}, relations {m.rel.cols})",
-                       serialize_module(m), True)
+        return (f"{m} (gens {m.gens}, relations {m.rel.cols})",
+                serialize_module(m), True)
     if args.action == "invariants":
-        return respond(args, out, format_invariants(m),
-                       {"invariants": format_invariants(m)}, True)
+        return format_invariants(m), {"invariants": format_invariants(m)}, True
     if args.action == "dual":
-        result = dual(m)
-    elif args.action == "transpose":
-        result = transpose(m)
-    elif args.action == "hom":
-        result = hom_module(m, load_module(args.other)).module
-    elif args.action == "tensor":
-        result = tensor_module(m, load_module(args.other)).module
-    else:
-        raise SchemaError(f"unknown module action {args.action}")
-    return respond(args, out, format_invariants(result),
-                   serialize_module(result), True)
+        return _module(dual(m))
+    if args.action == "transpose":
+        return _module(transpose(m))
+    build = hom_module if args.action == "hom" else tensor_module
+    return _module(build(m, load_module(args.other)).module)
 
 
-def cmd_resolve(args, out) -> int:
+def cmd_resolve(args):
     if args.action in ("ext", "tor"):
-        a = load_module(args.A)
-        b = load_module(args.B)
         fn = resolve.ext if args.action == "ext" else resolve.tor
-        result = fn(a, b, args.i)
-        return respond(args, out, format_invariants(result),
-                       serialize_module(result), True)
+        return _module(fn(load_module(args.A), load_module(args.B), args.i))
     m = load_module(args.module)
-    if args.action == "proj":
-        res = resolve.proj_resolution(m, args.depth)
-        return respond(args, out, "\n".join(
-            f"P_{k}: {format_invariants(t)}" for k, t in enumerate(res.terms)),
-            {"terms": [serialize_module(t) for t in res.terms]}, True)
-    if args.action == "inj":
-        res = resolve.inj_resolution(m, args.depth)
-        return respond(args, out, "\n".join(
-            f"I^{k}: {format_invariants(t)}" for k, t in enumerate(res.terms)),
-            {"terms": [serialize_module(t) for t in res.terms]}, True)
+    if args.action in ("proj", "inj"):
+        build, name = ((resolve.proj_resolution, "P_") if args.action == "proj"
+                       else (resolve.inj_resolution, "I^"))
+        terms = build(m, args.depth).terms
+        return ("\n".join(f"{name}{k}: {format_invariants(t)}"
+                          for k, t in enumerate(terms)),
+                {"terms": [serialize_module(t) for t in terms]}, True)
     if args.action == "syzygy":
-        result = resolve.syzygy(m, args.k)
-    elif args.action == "cosyzygy":
-        result = resolve.cosyzygy(m, args.k)
-    else:
-        raise SchemaError(f"unknown resolve action {args.action}")
-    return respond(args, out, format_invariants(result),
-                   serialize_module(result), True)
+        return _module(resolve.syzygy(m, args.k))
+    return _module(resolve.cosyzygy(m, args.k))
 
 
-def cmd_functor(args, out) -> int:
+def cmd_functor(args):
     if args.action == "fourterm":
-        rep = funcalc.auslander_four_term(load_module(args.A),
-                                          load_module(args.X), args.which)
-        return respond(args, out, format_report(rep), report_to_json(rep),
-                       rep.exact_everywhere())
+        return _report(funcalc.auslander_four_term(
+            load_module(args.A), load_module(args.X), args.which))
     if args.action == "torsionradical":
-        rad, _ = funcalc.torsion_radical(load_module(args.A))
-        return respond(args, out, format_invariants(rad), serialize_module(rad),
-                       True)
+        return _module(funcalc.torsion_radical(load_module(args.A))[0])
     expr = parse_functor_spec(args.functor, half_exact=args.half_exact)
     if args.action == "defect":
-        result = funcalc.defect(expr)
-    elif args.action == "eval":
-        result = expr.eval_obj(load_module(args.at))
-    elif args.action == "substab":
-        result = funcalc.sub_stabilize(expr, load_module(args.at))[0]
-    elif args.action == "quotstab":
-        result = funcalc.quot_stabilize(expr, load_module(args.at))[0]
-    elif args.action == "satellite":
-        result = funcalc.satellite(expr, args.i, args.side, load_module(args.at))
-    elif args.action == "derived":
-        result = funcalc.derived_eval(expr, args.i, args.side,
-                                      load_module(args.at))
-    else:
-        raise SchemaError(f"unknown functor action {args.action}")
-    return respond(args, out, format_invariants(result),
-                   serialize_module(result), True)
+        return _module(funcalc.defect(expr))
+    if args.action in ("satellite", "derived"):
+        fn = (funcalc.satellite if args.action == "satellite"
+              else funcalc.derived_eval)
+        return _module(fn(expr, args.i, args.side, load_module(args.at)))
+    at = load_module(args.at)
+    if args.action == "eval":
+        return _module(expr.eval_obj(at))
+    stabilize = (funcalc.sub_stabilize if args.action == "substab"
+                 else funcalc.quot_stabilize)
+    return _module(stabilize(expr, at)[0])
 
 
-def cmd_seq(args, out) -> int:
+def cmd_seq(args):
     if args.action == "circular":
-        rep = fundseq.circular_sequence(parse_morphism(load_doc(args.f)),
-                                        parse_morphism(load_doc(args.g)))
-        return respond(args, out, format_report(rep), report_to_json(rep),
-                       rep.exact_everywhere())
+        return _report(fundseq.circular_sequence(
+            parse_morphism(load_doc(args.f)), parse_morphism(load_doc(args.g))))
     if args.action == "split":
-        i = parse_morphism(load_doc(args.f))
-        p = parse_morphism(load_doc(args.g))
-        rep = fundseq.short_exact(i, p)
+        rep = fundseq.short_exact(parse_morphism(load_doc(args.f)),
+                                  parse_morphism(load_doc(args.g)))
         ok, _ = fundseq.splitting_test(rep)
-        return respond(args, out, f"split: {ok}", {"split": ok}, ok)
+        return f"split: {ok}", {"split": ok}, ok
     if args.action == "hereditary":
         expr = parse_functor_spec(args.functor, half_exact=True)
         spec = InstanceSpec(args.seed, ZZ, args.gens, args.rels, args.entries,
@@ -218,75 +210,57 @@ def cmd_seq(args, out) -> int:
                             spec.max_entry) for _ in range(args.samples)]
         dec = fundseq.hereditary_decomposition(expr, xs)
         ok = dec.all_ok()
-        return respond(args, out,
-                       f"w(F): {format_invariants(dec.w)}; decomposition ok: {ok}",
-                       {"ok": ok, "w": serialize_module(dec.w)}, ok)
+        return (f"w(F): {format_invariants(dec.w)}; decomposition ok: {ok}",
+                {"ok": ok, "w": serialize_module(dec.w)}, ok)
     expr = parse_functor_spec(args.functor, half_exact=args.half_exact)
     b = load_module(args.b)
     if args.action == "right-cov":
         rep = fundseq.right_fund_cov(expr, b, args.depth)
     elif args.action == "left-cov":
         rep = fundseq.left_fund_cov(expr, b, args.depth)
-    elif args.action == "contra-right":
-        rep = fundseq.contra_fund(expr, b, args.depth, "right")
-    elif args.action == "contra-left":
-        rep = fundseq.contra_fund(expr, b, args.depth, "left")
     else:
-        raise SchemaError(f"unknown seq action {args.action}")
-    ok = (rep.exact_everywhere() if expr.half_exact
-          else rep.exact_away_from("derived"))
-    return respond(args, out, format_report(rep), report_to_json(rep), ok)
+        rep = fundseq.contra_fund(expr, b, args.depth,
+                                  args.action.removeprefix("contra-"))
+    return _report(rep, rep.exact_everywhere() if expr.half_exact
+                   else rep.exact_away_from("derived"))
 
 
-def cmd_uct(args, out) -> int:
+def cmd_uct(args):
     c = parse_complex(load_doc(args.C))
     b = load_module(args.B)
     if args.action == "classical":
-        rep = uct.uct_classical(c, b, args.n, args.which)
-        ok = rep.exact_everywhere() and rep.metadata.get("split", False)
-    elif args.action == "general":
+        return _report(uct.uct_classical(c, b, args.n, args.which))
+    if args.action == "general":
         rep = uct.uct_general(c, b, args.n, args.depth, args.which)
-        ok = rep.exact_away_from("derived")
-    elif args.action in ("projective", "flat"):
-        which = "cohomology" if args.action == "projective" else "homology"
-        rep = uct.uct_special(c, b, args.n, args.depth, which)
-        ok = rep.exact_everywhere() and all(
-            v for k, v in rep.metadata.items() if k.endswith("_iso"))
-    elif args.action == "delta-checks":
+        return _report(rep, rep.exact_away_from("derived"))
+    if args.action == "delta-checks":
         checks = uct.delta_functor_checks(c, b, args.n)
-        return respond(args, out,
-                       "\n".join(f"{k}: {v}" for k, v in sorted(checks.items())),
-                       checks, all(checks.values()))
-    else:
-        raise SchemaError(f"unknown uct action {args.action}")
-    return respond(args, out, format_report(rep), report_to_json(rep), ok)
+        return ("\n".join(f"{k}: {v}" for k, v in sorted(checks.items())),
+                checks, all(checks.values()))
+    which = "cohomology" if args.action == "projective" else "homology"
+    return _report(uct.uct_special(c, b, args.n, args.depth, which))
 
 
-def cmd_ar(args, out) -> int:
+def cmd_ar(args):
+    a = load_module(args.A)
+    if args.action == "bidual":
+        return _report(archeck.bidual_check(a))
     if args.action == "formula":
-        result = archeck.ar_formula_check(load_module(args.A),
-                                          load_module(args.B))
+        result = archeck.ar_formula_check(a, load_module(args.B))
         text = (f"lhs {format_invariants(result['lhs'])} "
                 f"rhs {format_invariants(result['rhs'])} "
                 f"verdict {result['verdict']}")
-    elif args.action == "adjunction":
-        result = archeck.stab_adjunction_check(load_module(args.A),
-                                               load_module(args.B), args.side)
-        text = f"verdict {result['verdict']}"
-    elif args.action == "bidual":
-        rep = archeck.bidual_check(load_module(args.A))
-        return respond(args, out, format_report(rep), report_to_json(rep),
-                       rep.exact_everywhere())
     else:
-        raise SchemaError(f"unknown ar action {args.action}")
-    return respond(args, out, text, {"verdict": result["verdict"]},
-                   result["verdict"])
+        result = archeck.stab_adjunction_check(a, load_module(args.B),
+                                               args.side)
+        text = f"verdict {result['verdict']}"
+    return text, {"verdict": result["verdict"]}, result["verdict"]
 
 
-def cmd_suite(args, out) -> int:
+def cmd_suite(args):
     if args.action == "list":
         names = sorted(SUITES)
-        return respond(args, out, "\n".join(names), {"suites": names}, True)
+        return "\n".join(names), {"suites": names}, True
     spec = InstanceSpec(seed=args.seed, ring=parse_ring_flag(args.ring),
                         max_gens=args.gens, max_rels=args.rels,
                         max_entry=args.entries, count=args.count)
@@ -295,7 +269,7 @@ def cmd_suite(args, out) -> int:
     lines += [f"  warning: {warning}" for warning in report.warnings]
     lines += [f"  counterexample at index {failure['index']}: {failure['node']}"
               for failure in report.failures[:3]]
-    return respond(args, out, "\n".join(lines), report.to_json(), report.ok)
+    return "\n".join(lines), report.to_json(), report.ok
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +395,11 @@ def main(argv=None) -> int:
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    out = sys.stdout
     handlers = {"module": cmd_module, "resolve": cmd_resolve,
                 "functor": cmd_functor, "seq": cmd_seq, "uct": cmd_uct,
                 "ar": cmd_ar, "suite": cmd_suite}
     try:
-        return handlers[args.group](args, out)
+        return respond(args, *handlers[args.group](args))
     except (HomstabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -161,11 +161,11 @@ def homology_tensor(c: Complex, b: FPModule, n: int):
 
 
 def _boundary_into_cycles(c: Complex, n: int):
-    """j : B_{n-1} -> Z_{n-1} with the ambient inclusions, plus realizations."""
+    """j : B_{n-1} -> Z_{n-1}, with C_n ->> B_{n-1} and the cycles Z_{n-1}."""
     e_cor, m_incl = epi_mono_factor(c.differential(n))
     cycles = kernel_realization(c.differential(n - 1))
     j = induced(Own(e_cor.target), cycles, m_incl.mat)
-    return e_cor, m_incl, cycles, j
+    return e_cor, cycles, j
 
 
 def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport:
@@ -186,13 +186,13 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
         raise HypothesisViolated("the classical UCT needs projective boundaries")
     hn = homology(c, n)
     hn_prev = homology(c, n - 1)
-    e_cor, _, cycles, j = _boundary_into_cycles(c, n)
+    e_cor, cycles, j = _boundary_into_cycles(c, n)
     if which == "cohomology":
-        homs, _, _ = _hom_cochain_maps(c, b, n)
+        homs, into, outof = _hom_cochain_maps(c, b, n)
         hom_bnd = hom_module(e_cor.target, b)
         hom_cyc = hom_module(cycles.module, b)
         ext1 = cokernel_realization(hom_pull(hom_cyc, hom_bnd, j))
-        hreal = Within(homs[n], cohomology(c, b, n))
+        hreal = Within(homs[n], homology_at(into, outof))
         hom_h = hom_module(hn.module, b)
         idb = IntMat.identity(b.gens)
         # lifted Ext^1 classes precomposed with C_n ->> B_{n-1}
@@ -204,7 +204,7 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
         rep.metadata["ext_end_iso"] = iso_test(ext1.module,
                                                ext(hn_prev.module, b, 1))
         rep.metadata["hom_end_iso"] = iso_test(hom_h.module,
-                                               hom_module(hn.module, b).module)
+                                               ext(hn.module, b, 0))
         if rep.exact_everywhere():
             ok, _ = splitting_test(rep)
             rep.metadata["split"] = ok

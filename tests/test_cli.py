@@ -314,6 +314,34 @@ def test_cli_split_verdict_failure_is_exit_one(tmp_path):
     assert main(["seq", "split", "--f", str(i), "--g", str(p)]) == 1
 
 
+# the complex Z^2 --(d, 0)--> Z, whose boundaries are projective
+@pytest.mark.parametrize("ring, d", [({"kind": "Z"}, "2"),
+                                     ({"kind": "ZmodN", "n": "4"}, "1")])
+def test_cli_uct_failed_iso_verdict_is_exit_one(tmp_path, monkeypatch, capsys,
+                                                ring, d):
+    # a printed *_iso verdict that is False fails the command, as a failed
+    # exactness or split verdict does
+    from homstab import uct
+    free = {"ring": ring, "gens": 1, "relations": []}
+    (tmp_path / "c.json").write_text(json.dumps({
+        "ring": ring, "support": [0, 1],
+        "terms": [free, {"ring": ring, "gens": 2, "relations": []}],
+        "differentials": [[[d, "0"]]]}))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"ring": ring, "gens": 1, "relations": [["2"]]}))
+    monkeypatch.chdir(tmp_path)
+    commands = [f"uct classical --C c.json --B b.json --n 1 --which {w}"
+                for w in ("cohomology", "homology")]
+    commands += [f"uct general --C c.json --B b.json --n 1 --which {w}"
+                 for w in ("cohomology", "homology")]
+    for line in commands:
+        assert main(line.split()) == 0, line
+    monkeypatch.setattr(uct, "iso_test", lambda a, b: False)
+    for line in commands:
+        assert main(line.split()) == 1, line
+        assert "_iso: False" in capsys.readouterr().out
+
+
 def test_cli_functor_commands(tmp_path):
     z2 = tmp_path / "z2.json"
     z2.write_text(json.dumps({"ring": {"kind": "ZmodN", "n": 4}, "gens": 1,
@@ -502,3 +530,109 @@ def test_cli_missing_input_is_usage_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# every (group, action) pair of the parser, the three aliases and some exit-2
+# inputs, run in-process on small fixed inputs: argv, exit code, stdout (the
+# `(N ms)` of a suite summary removed), the --json-out document (duration_ms
+# removed) and the first stderr line
+COMMAND_PIN_SHA256 = "3b3ac7605b8c3a9d3bab761bc9333a206ad3a822580c4e5adc21387c99cb594b"
+
+_ZZ = {"kind": "Z"}
+_Z4, _Z8 = {"kind": "ZmodN", "n": "4"}, {"kind": "ZmodN", "n": "8"}
+_FREE_Z = {"ring": _ZZ, "gens": 1, "relations": []}
+_PIN_INPUTS = {
+    "z2.json": {"ring": _ZZ, "gens": 1, "relations": [["2"]]},
+    "z4.json": {"ring": _ZZ, "gens": 1, "relations": [["4"]]},
+    "z.json": _FREE_Z,
+    "a4.json": {"ring": _Z4, "gens": 1, "relations": [["2"]]},
+    "r4.json": {"ring": _Z4, "gens": 1, "relations": []},
+    "m8.json": {"ring": _Z8, "gens": 2, "relations": [["2", "0"], ["0", "4"]]},
+    "i.json": {"source": _FREE_Z, "target": {"ring": _ZZ, "gens": 2,
+                                             "relations": []},
+               "matrix": [["1"], ["0"]]},
+    "p.json": {"source": {"ring": _ZZ, "gens": 2, "relations": []},
+               "target": _FREE_Z, "matrix": [["0", "1"]]},
+    "cz.json": {"ring": _ZZ, "support": [0, 1], "terms": [_FREE_Z, _FREE_Z],
+                "differentials": [[["2"]]]},
+    "c4.json": {"ring": _Z4, "support": [0, 1],
+                "terms": [{"ring": _Z4, "gens": 1, "relations": []}] * 2,
+                "differentials": [[["2"]]]},
+}
+_PIN_COMMANDS = [
+    *(f"module {a} m8.json" for a in ("show", "invariants", "dual",
+                                      "transpose")),
+    "module hom z2.json z4.json", "module tensor z2.json z4.json",
+    "resolve proj m8.json --depth 3", "resolve inj a4.json --depth 3",
+    "resolve syzygy m8.json --k 2", "resolve cosyzygy a4.json --k 2",
+    "resolve ext --A z2.json --B z4.json --i 1",
+    "resolve tor --A z2.json --B z4.json --i 1",
+    "ext --A m8.json --B m8.json --i 2", "tor --A z2.json --B z4.json --i 0",
+    "functor eval --functor hom:z2.json --at z4.json",
+    "functor substab --functor tensor:a4.json --at r4.json",
+    "functor substab --functor hom:a4.json --at a4.json",
+    "functor quotstab --functor hom:a4.json --at r4.json",
+    "functor satellite --functor hom:a4.json --i 1 --side left --at a4.json",
+    "functor satellite --functor hom:a4.json --i 1 --side right --at a4.json",
+    "functor derived --functor ext:a4.json:1 --i 2 --side right --at a4.json",
+    "functor defect --functor fp:p.json",
+    "functor fourterm --A a4.json --X r4.json --which hom",
+    "functor fourterm --A z2.json --X z4.json --which tensor",
+    "functor torsionradical --A m8.json",
+    "seq circular --f i.json --g p.json", "check circular --f i.json --g p.json",
+    "seq split --f i.json --g p.json",
+    "seq right-cov --functor hom:z2.json --b z4.json --depth 2",
+    "seq left-cov --functor tensor:z2.json --b z4.json --depth 2",
+    "seq contra-right --functor homcontra:a4.json --b a4.json --depth 2",
+    "seq contra-left --functor homcontra:a4.json --b a4.json --depth 2",
+    "seq right-cov --functor fp:p.json --b z2.json --depth 2",
+    "seq hereditary --functor hom:z2.json --samples 2 --seed 3",
+    *(f"uct classical --C cz.json --B {b} --n 1 --which {w}"
+      for b in ("z2.json", "z.json") for w in ("cohomology", "homology")),
+    *(f"uct general --C {c} --B {b} --n 1 --which {w} --depth 2"
+      for c, b in (("cz.json", "z4.json"), ("c4.json", "a4.json"))
+      for w in ("cohomology", "homology")),
+    "uct projective --C cz.json --B z2.json --n 1 --depth 2",
+    "uct flat --C cz.json --B z2.json --n 1 --depth 2",
+    "uct delta-checks --C cz.json --B z2.json --n 1",
+    "ar formula --A a4.json --B r4.json", "ar bidual --A a4.json",
+    "ar adjunction --A a4.json --B a4.json --side right",
+    "ar adjunction --A a4.json --B r4.json --side left",
+    "suite list", "suite run circular-exactness --ring Z/4 --count 3 --seed 5",
+    "suite run uct-classical --ring Z --count 3 --seed 5",
+    # input errors: a missing file, Hom across rings, an injective-side
+    # satellite over Z, a classical UCT on a non-projective boundary
+    "module invariants nope.json", "module hom z2.json a4.json",
+    "functor satellite --functor hom:z2.json --i 1 --side right --at z2.json",
+    "uct classical --C c4.json --B a4.json --n 1",
+]
+
+
+def test_every_command_pinned(tmp_path, monkeypatch, capsys):
+    import argparse
+    import re
+    from homstab.cli import build_parser
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _PIN_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    records = []
+    for line in _PIN_COMMANDS:
+        argv = line.split() + ["--json-out", "out.json"]
+        report = tmp_path / "out.json"
+        report.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        doc = json.loads(report.read_text()) if report.exists() else None
+        if isinstance(doc, dict):
+            doc.pop("duration_ms", None)
+        records.append([argv, code, re.sub(r" \(\d+ ms\)", "", captured.out),
+                        doc, captured.err.split("\n", 1)[0]])
+    # the pin reaches every action of every group
+    groups = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+    reached = {tuple(r[0][:2]) for r in records}
+    for group, sub in groups.items():
+        actions = next(a for a in sub._actions if a.dest == "action").choices
+        assert {(group, a) for a in actions} <= reached, group
+    payload = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == COMMAND_PIN_SHA256

@@ -125,6 +125,23 @@ def test_uct_classical_worked_instance():
     assert rep.metadata["split"]
 
 
+@pytest.mark.parametrize("ring", [ZZ, R4])
+def test_hom_end_iso_compares_against_hom_through_the_resolution(monkeypatch,
+                                                                   ring):
+    # Hom(H_n C, B) is checked against Ext^0(H_n C, B), computed through the
+    # projective resolution, so a wrong Ext^0 fails the verdict
+    import homstab.uct as uct_mod
+    real_ext = uct_mod.ext
+    one = free_module(ring, 1)
+    c = make_complex(ring, [one, one], [make_morphism(one, one, [[0]])])
+    b = cyclic(ring, 2)
+    assert uct_classical(c, b, 1, "cohomology").metadata["hom_end_iso"]
+    monkeypatch.setattr(uct_mod, "ext", lambda m, n, i: (
+        free_module(ring, 5) if i == 0 else real_ext(m, n, i)))
+    rep = uct_classical(c, b, 1, "cohomology")
+    assert rep.metadata["ext_end_iso"] and not rep.metadata["hom_end_iso"]
+
+
 def test_uct_classical_hypothesis_gate():
     zc = make_complex(ZZ, [Z2, Z2], [zero_morphism(Z2, Z2)])
     with pytest.raises(HypothesisViolated):
