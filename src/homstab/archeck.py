@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import UnsupportedRing
 from .fpmod import (
     FPModule, Morphism, cokernel_realization, dual, free_module, hom_module,
-    hom_pull, hom_push, iso_test, transpose,
+    hom_pull, hom_push, iso_test, tensor_module, transpose,
 )
 from .funcalc import (
     HomCov, TensorLeft, auslander_four_term, free_cover, quot_stabilize,
@@ -33,8 +33,7 @@ def matlis_dual_mor(f: Morphism) -> Morphism:
     """D on morphisms (contravariant)."""
     if not f.source.ring.quasi_frobenius:
         raise UnsupportedRing("character duality needs the self-injective Z/n")
-    r1 = free_module(f.source.ring, 1)
-    return hom_pull(hom_module(f.target, r1), hom_module(f.source, r1), f)
+    return hom_pull(f, free_module(f.source.ring, 1))
 
 
 def stable_hom(a: FPModule, b: FPModule, mod: str) -> FPModule:
@@ -42,17 +41,12 @@ def stable_hom(a: FPModule, b: FPModule, mod: str) -> FPModule:
     Hom(A, B) for a projective cover P ->> B) or modulo maps through
     injectives (cokernel of Hom(I, B) -> Hom(A, B) along A into I)."""
     if mod == "projectives":
-        cover = free_cover(b)
-        hom_ap = hom_module(a, cover.source)
-        hom_ab = hom_module(a, b)
-        return cokernel_realization(hom_push(hom_ap, hom_ab, cover)).module
+        return cokernel_realization(hom_push(a, free_cover(b))).module
     if mod == "injectives":
         if not a.ring.quasi_frobenius:
             raise UnsupportedRing("Hom modulo injectives needs containers")
-        emb = injective_container(a)
-        hom_ib = hom_module(emb.target, b)
-        hom_ab = hom_module(a, b)
-        return cokernel_realization(hom_pull(hom_ib, hom_ab, emb)).module
+        return cokernel_realization(
+            hom_pull(injective_container(a), b)).module
     raise ValueError("mod must be 'projectives' or 'injectives'")
 
 
@@ -84,7 +78,6 @@ def stab_adjunction_check(a: FPModule, b: FPModule, side: str,
         q = free_module(a.ring, q_rank)
         under, _ = quot_stabilize(HomCov(a), b)
         lhs = hom_module(q, under).module
-        from .fpmod import tensor_module
         rhs = stable_hom(tensor_module(q, a).module, b, "projectives")
         return {"verdict": iso_test(lhs, rhs), "lhs": lhs, "rhs": rhs}
     raise ValueError("side must be 'right' or 'left'")

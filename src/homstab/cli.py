@@ -23,7 +23,7 @@ from .exactlin import RingDesc, ZZ, Zmod
 from .fpmod import (
     FPModule, canonical_invariants, dual, hom_module, tensor_module, transpose,
 )
-from .instances import InstanceSpec
+from .instances import InstanceSpec, random_module
 from .seqreport import SequenceReport
 from .serialize import (
     parse_complex, parse_module, parse_morphism, serialize_module,
@@ -205,7 +205,6 @@ def cmd_seq(args):
         spec = InstanceSpec(args.seed, ZZ, args.gens, args.rels, args.entries,
                             args.samples)
         rng = spec.rng()
-        from .instances import random_module
         xs = [random_module(rng, ZZ, spec.max_gens, spec.max_rels,
                             spec.max_entry) for _ in range(args.samples)]
         dec = fundseq.hereditary_decomposition(expr, xs)

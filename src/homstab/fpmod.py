@@ -48,8 +48,14 @@ Every map between constructed modules is built one of two ways:
 
 * induced: ``induced(src, tgt, arrow)`` is ``tgt.encode(arrow @ src.decode)``
   for a matrix between the two ambients, checked for well-definedness like
-  any other morphism.  ``hom_push`` and ``hom_pull`` are induced by
-  R^T (x) L on vectorized generator matrices (vec(L G R) = (R^T (x) L) vec(G));
+  any other morphism.  On vectorized generator matrices
+  vec(L G R) = (R^T (x) L) vec(G), and two helpers write the two arrows
+  of a Hom map: ``push_arrow(A, M)`` is 1 (x) M (G |-> M G) and
+  ``pull_arrow(M, B)`` is M^T (x) 1 (G |-> G M).  ``hom_push(A, phi)`` is
+  Hom(A, phi) and ``hom_pull(phi, B)`` is Hom(phi, B); each looks up both
+  Hom modules itself, so they always agree with phi.  A map between
+  cokernels or homologies of Hom modules is induced along the same two
+  arrows, so the vec(G) convention is written only here;
 * solved: ``factor_through(g, m)`` finds h with m . h = g and
   ``extend_along(g, m)`` finds h with h . m = g; each returns None when there
   is no such h.  Both solve one linear system (the equation modulo the
@@ -643,19 +649,28 @@ def hom_module(m: FPModule, n: FPModule) -> HomRealization:
     return HomRealization(m, n, sq.module, sq)
 
 
-def hom_push(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Morphism:
+def push_arrow(a: FPModule, mat: IntMat) -> IntMat:
+    """1 (x) M: vec(G) -> vec(M G) for generator matrices G with A's
+    generators as columns."""
+    return IntMat.identity(a.gens).kron(mat)
+
+
+def pull_arrow(mat: IntMat, b: FPModule) -> IntMat:
+    """M^T (x) 1: vec(G) -> vec(G M) for generator matrices G with B's
+    generators as rows."""
+    return mat.transpose().kron(IntMat.identity(b.gens))
+
+
+def hom_push(a: FPModule, phi: Morphism) -> Morphism:
     """Hom(A, X) -> Hom(A, Y) induced by phi: X -> Y (postcomposition)."""
-    if phi.source != h_from.target:
-        raise DimensionMismatch("compose: middle objects differ")
-    return induced(h_from, h_to, IntMat.identity(h_from.source.gens).kron(phi.mat))
+    return induced(hom_module(a, phi.source), hom_module(a, phi.target),
+                   push_arrow(a, phi.mat))
 
 
-def hom_pull(h_from: HomRealization, h_to: HomRealization, phi: Morphism) -> Morphism:
+def hom_pull(phi: Morphism, b: FPModule) -> Morphism:
     """Hom(Y, B) -> Hom(X, B) induced by phi: X -> Y (precomposition)."""
-    if phi.target != h_from.source:
-        raise DimensionMismatch("compose: middle objects differ")
-    return induced(h_from, h_to,
-                   phi.mat.transpose().kron(IntMat.identity(h_from.target.gens)))
+    return induced(hom_module(phi.target, b), hom_module(phi.source, b),
+                   pull_arrow(phi.mat, b))
 
 
 def _solve(source: FPModule, target: FPModule, left: IntMat, right: IntMat,

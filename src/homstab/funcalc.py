@@ -42,8 +42,8 @@ from .fpmod import (
     Within, cokernel, cokernel_realization, epi_mono_factor, evaluation_map,
     extend_along, factor_through, free_module, hom_module, hom_pull,
     hom_push, identity_morphism, induced, is_identity, kernel,
-    kernel_realization, make_morphism, subquotient, tensor_module,
-    tensor_mor, zero_module, zero_morphism,
+    kernel_realization, make_morphism, pull_arrow, push_arrow, subquotient,
+    tensor_module, tensor_mor, zero_module, zero_morphism,
 )
 from .resolve import (
     _require_nonnegative, cosyzygy, ext as resolve_ext, homology_at,
@@ -95,8 +95,7 @@ class HomCov(FunctorExpr):
         return hom_module(self.a, x).module
 
     def eval_mor(self, phi):
-        return hom_push(hom_module(self.a, phi.source),
-                        hom_module(self.a, phi.target), phi)
+        return hom_push(self.a, phi)
 
     def fp_presentation(self):
         return zero_morphism(self.a, free_module(self.a.ring, 0))
@@ -118,8 +117,7 @@ class HomContra(FunctorExpr):
         return hom_module(x, self.b).module
 
     def eval_mor(self, phi):
-        return hom_pull(hom_module(phi.target, self.b),
-                        hom_module(phi.source, self.b), phi)
+        return hom_pull(phi, self.b)
 
     def __str__(self):
         return f"(-, {self.b})"
@@ -158,9 +156,7 @@ class FP(FunctorExpr):
         """F(X) as the cokernel of (f, X): Hom(B, X) -> Hom(A, X)."""
         got = self._cache.get(x)
         if got is None:
-            pres = hom_pull(hom_module(self.f.target, x),
-                            hom_module(self.f.source, x), self.f)
-            got = self._cache[x] = cokernel_realization(pres)
+            got = self._cache[x] = cokernel_realization(hom_pull(self.f, x))
         return got
 
     def eval_obj(self, x):
@@ -171,7 +167,7 @@ class FP(FunctorExpr):
         a = self.f.source
         return induced(Within(hom_module(a, phi.source), self._at(phi.source)),
                        Within(hom_module(a, phi.target), self._at(phi.target)),
-                       IntMat.identity(a.gens).kron(phi.mat))
+                       push_arrow(a, phi.mat))
 
     def fp_presentation(self):
         return self.f
@@ -416,11 +412,10 @@ def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     if pres is None:
         raise WrongShape("functor has no finitely presented shape")
     e, m = epi_mono_factor(pres)
-    hom_im = hom_module(e.target, x)
-    bar = cokernel_realization(hom_pull(hom_module(pres.target, x), hom_im, m))
-    k = induced(Within(hom_im, bar),
+    bar = cokernel_realization(hom_pull(m, x))
+    k = induced(Within(hom_module(e.target, x), bar),
                 Within(hom_module(pres.source, x), _fp_value(f, pres, x)),
-                e.mat.transpose().kron(IntMat.identity(x.gens)))
+                pull_arrow(e.mat, x))
     return bar.module, k
 
 
@@ -628,10 +623,8 @@ def rho(f: FunctorExpr, x: FPModule) -> Morphism:
     """F(X) -> R0 F(X), the zeroth right-derived comparison."""
     pres = _fp_right(f, x)
     if pres is not None:
-        w, include = kernel(pres)
-        hom_w = hom_module(w, x)
-        restrict = hom_pull(hom_module(pres.source, x), hom_w, include)
-        return induced(_fp_value(f, pres, x), Own(hom_w.module), restrict.mat)
+        restrict = hom_pull(kernel(pres)[1], x)
+        return induced(_fp_value(f, pres, x), Own(restrict.target), restrict.mat)
     t = _Thread(f, "right", x, 1, "rho of a covariant functor")
     return induced(Own(f.eval_obj(x)), t.der(0), t.applied("a", 0).mat)
 

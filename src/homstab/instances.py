@@ -16,6 +16,7 @@ from .exactlin import IntMat, RingDesc
 from .fpmod import (
     FPModule, Morphism, free_module, hom_module, kernel, make_module,
 )
+from .uct import make_complex
 
 
 class InstanceSpec:
@@ -93,8 +94,6 @@ def random_complex(rng: random.Random, ring: RingDesc, length=4, max_gens=3,
                    max_rels=3, max_entry=4, free=False, lo=0):
     """Chain complex with d.d = 0 by construction: each differential factors
     through the kernel of the previous one."""
-    from .uct import make_complex
-
     def pick():
         if free:
             return free_module(ring, rng.randint(0, max_gens))

@@ -247,10 +247,8 @@ def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
     _require_nonnegative(i, "Ext and Tor degrees")
     i = _repeat_degree(m, i)
     pr = proj_resolution(m, i + 1)
-    low = max(i - 1, 0)  # Hom(d_k, N) for k = low + 1 .. i + 1
-    homs = [hom_module(t, n) for t in pr.terms[low:]]
-    maps = [hom_pull(homs[k], homs[k + 1], pr.diffs[low + k])
-            for k in range(len(homs) - 1)]
+    # Hom(d_k, N) for k = max(i, 1) .. i + 1
+    maps = [hom_pull(d, n) for d in pr.diffs[max(i - 1, 0):]]
     if i == 0:
         return kernel_realization(maps[0]).module
     return homology_at(*maps).module

@@ -122,11 +122,16 @@ def parse_complex(doc, where="complex") -> Complex:
     terms_doc = doc.get("terms")
     if not isinstance(terms_doc, list) or not terms_doc:
         raise SchemaError(f"{where}.terms: expected a nonempty array")
+    hi = support[1]  # the last degree, fixed by lo and the terms
+    if hi is not None and (type(hi) is not int
+                           or hi != support[0] + len(terms_doc) - 1):
+        raise SchemaError(f"{where}.support: expected hi = lo + "
+                          f"{len(terms_doc) - 1} or null")
     terms = [parse_module(t, f"{where}.terms[{i}]")
              for i, t in enumerate(terms_doc)]
     diffs_doc = doc.get("differentials", [])
-    if len(diffs_doc) != len(terms) - 1:
-        raise SchemaError(f"{where}.differentials: expected "
+    if not isinstance(diffs_doc, list) or len(diffs_doc) != len(terms) - 1:
+        raise SchemaError(f"{where}.differentials: expected an array of "
                           f"{len(terms) - 1} matrices")
     diffs = []
     for i, d in enumerate(diffs_doc):

@@ -10,7 +10,8 @@ states each check as one ``_require``, ``_require_exact`` or
 ``(spec, index) -> {"ok", "node", "inputs"}`` function and is the only place
 that catches it.  Any other exception propagates unchanged.  The runner
 aggregates verdicts in index order, so reports are deterministic regardless
-of worker count, and every failure carries a replayable serialized input.
+of worker count, and every failure carries the serialized inputs drawn so
+far.
 """
 
 from __future__ import annotations
@@ -56,6 +57,27 @@ def _rng(spec: InstanceSpec, index: int) -> Random:
 def _mod(rng, spec, **kw):
     return random_module(rng, spec.ring, spec.max_gens, spec.max_rels,
                          spec.max_entry, **kw)
+
+
+def _modules(spec, index, inputs, *names):
+    """Draw one module per name from (spec, index) and record each under
+    its name; returns them in order."""
+    rng = _rng(spec, index)
+    mods = [_mod(rng, spec) for _ in names]
+    inputs.update(zip(names, map(serialize_module, mods)))
+    return mods
+
+
+def _complex_at(spec, index, inputs, free=False, inner=0):
+    """Draw a complex C of length 4, a module B and a degree n at least
+    ``inner`` inside C's support, and record all three as C, B and n."""
+    rng = _rng(spec, index)
+    c = random_complex(rng, spec.ring, length=4, max_gens=spec.max_gens,
+                       max_entry=spec.max_entry, free=free)
+    b = _mod(rng, spec)
+    n = rng.randint(c.lo + inner, c.hi - inner)
+    inputs.update(C=serialize_complex(c), B=serialize_module(b), n=n)
+    return c, b, n
 
 
 def _iso_mor(f) -> bool:
@@ -193,10 +215,7 @@ def suite_fp_identifications(spec, index, inputs, coeffs=5, depth=3):
 
 @_suite("four-term")
 def suite_four_term(spec, index, inputs):
-    rng = _rng(spec, index)
-    a = _mod(rng, spec)
-    x = _mod(rng, spec)
-    inputs.update(A=serialize_module(a), X=serialize_module(x))
+    a, x = _modules(spec, index, inputs, "A", "X")
     tra = transpose(a)
     for side in ("tensor", "hom"):
         _require_exact(auslander_four_term(a, x, side), f"{side}: ")
@@ -210,10 +229,7 @@ def suite_four_term(spec, index, inputs):
 
 @_suite("ext-tor-oracle")
 def suite_ext_tor_oracle(spec, index, inputs):
-    rng = _rng(spec, index)
-    m = _mod(rng, spec)
-    n = _mod(rng, spec)
-    inputs.update(M=serialize_module(m), N=serialize_module(n))
+    m, n = _modules(spec, index, inputs, "M", "N")
     for i in (0, 1):
         _require(iso_test(ext(m, n, i), ext_tor_oracle_Z(m, n, i, "ext")),
                  f"ext^{i} != oracle")
@@ -242,12 +258,7 @@ def suite_uct_classical(spec, index, inputs, length=5):
 
 @_suite("uct-general")
 def suite_uct_general(spec, index, inputs, depth=2):
-    rng = _rng(spec, index)
-    c = random_complex(rng, spec.ring, length=4, max_gens=spec.max_gens,
-                       max_entry=spec.max_entry)
-    b = _mod(rng, spec)
-    n = rng.randint(c.lo, c.hi)
-    inputs.update(C=serialize_complex(c), B=serialize_module(b), n=n)
+    c, b, n = _complex_at(spec, index, inputs)
     for which in ("cohomology", "homology"):
         rep = uct_general(c, b, n, depth, which)
         _require(rep.is_complex(), f"{which}: not a complex")
@@ -264,12 +275,7 @@ def suite_uct_general(spec, index, inputs, depth=2):
 
 @_suite("uct-special")
 def suite_uct_special(spec, index, inputs, depth=3):
-    rng = _rng(spec, index)
-    c = random_complex(rng, spec.ring, length=4, max_gens=spec.max_gens,
-                       max_entry=spec.max_entry, free=True)
-    b = _mod(rng, spec)
-    n = rng.randint(c.lo + 1, c.hi - 1)
-    inputs.update(C=serialize_complex(c), B=serialize_module(b), n=n)
+    c, b, n = _complex_at(spec, index, inputs, free=True, inner=1)
     for which in ("cohomology", "homology"):
         rep = uct_special(c, b, n, depth, which)
         _require_exact(rep, f"{which}: ")
@@ -280,12 +286,7 @@ def suite_uct_special(spec, index, inputs, depth=3):
 
 @_suite("uct-pinched")
 def suite_uct_pinched(spec, index, inputs):
-    rng = _rng(spec, index)
-    c = random_complex(rng, spec.ring, length=4, max_gens=spec.max_gens,
-                       max_entry=spec.max_entry, free=True)
-    b = _mod(rng, spec)
-    n = rng.randint(c.lo, c.hi)
-    inputs.update(C=serialize_complex(c), B=serialize_module(b), n=n)
+    c, b, n = _complex_at(spec, index, inputs, free=True)
     hn = homology(c, n).module
     cnb = chains_mod_boundaries(c, n).module
     _require(iso_test(ext(cnb, b, 1), ext(hn, b, 1)),
@@ -294,10 +295,7 @@ def suite_uct_pinched(spec, index, inputs):
 
 @_suite("contra-collapse")
 def suite_contra_collapse(spec, index, inputs, depth=2):
-    rng = _rng(spec, index)
-    cmod = _mod(rng, spec)
-    b = _mod(rng, spec)
-    inputs.update(C=serialize_module(cmod), B=serialize_module(b))
+    cmod, b = _modules(spec, index, inputs, "C", "B")
     expr = HomContra(cmod)
     rep = contra_fund(expr, b, depth, "right")
     _require_exact(rep)
@@ -317,19 +315,13 @@ def suite_contra_collapse(spec, index, inputs, depth=2):
 
 @_suite("ar-formula")
 def suite_ar_formula(spec, index, inputs):
-    rng = _rng(spec, index)
-    a = _mod(rng, spec)
-    b = _mod(rng, spec)
-    inputs.update(A=serialize_module(a), B=serialize_module(b))
+    a, b = _modules(spec, index, inputs, "A", "B")
     _require(ar_formula_check(a, b)["verdict"], "AR formula")
 
 
 @_suite("stab-adjunction")
 def suite_stab_adjunction(spec, index, inputs):
-    rng = _rng(spec, index)
-    a = _mod(rng, spec)
-    b = _mod(rng, spec)
-    inputs.update(A=serialize_module(a), B=serialize_module(b))
+    a, b = _modules(spec, index, inputs, "A", "B")
     if spec.ring.quasi_frobenius:
         _require(stab_adjunction_check(a, b, "right")["verdict"],
                  "right adjunction")
@@ -340,15 +332,13 @@ def suite_stab_adjunction(spec, index, inputs):
 
 @_suite("bidual")
 def suite_bidual(spec, index, inputs):
-    a = _mod(_rng(spec, index), spec)
-    inputs.update(A=serialize_module(a))
+    [a] = _modules(spec, index, inputs, "A")
     _require_exact(bidual_check(a))
 
 
 @_suite("torsion-radical")
 def suite_torsion_radical(spec, index, inputs):
-    a = _mod(_rng(spec, index), spec)
-    inputs.update(A=serialize_module(a))
+    [a] = _modules(spec, index, inputs, "A")
     rad, _ = torsion_radical(a)
     if spec.ring.hereditary:
         divisors, _free = canonical_invariants(a)
@@ -446,9 +436,7 @@ class SuiteReport:
 
 def _run_one(args):
     name, spec, index = args
-    out = SUITES[name](spec, index)
-    out["index"] = index
-    return out
+    return SUITES[name](spec, index)
 
 
 def run_suite(name: str, spec: InstanceSpec, workers: int = 1) -> SuiteReport:
@@ -467,12 +455,12 @@ def run_suite(name: str, spec: InstanceSpec, workers: int = 1) -> SuiteReport:
             results = list(pool.map(_run_one, jobs))
     else:
         results = [_run_one(j) for j in jobs]
-    results.sort(key=lambda r: r["index"])
+    # both paths keep job order, so a result's position is its index
     report = SuiteReport(name, spec.seed, spec.count,
                          passes=sum(1 for r in results if r["ok"]))
-    for r in results:
+    for index, r in enumerate(results):
         if not r["ok"]:
-            report.failures.append({"index": r["index"], "inputs": r["inputs"],
+            report.failures.append({"index": index, "inputs": r["inputs"],
                                     "verdict": False, "node": r["node"]})
     if spec.count == 0:
         report.warnings.append("vacuous pass: zero instances requested")

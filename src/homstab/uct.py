@@ -31,8 +31,8 @@ from .exactlin import IntMat, RingDesc
 from .fpmod import (
     FPModule, Morphism, Own, Within, cokernel, cokernel_realization,
     epi_mono_factor, free_module, hom_module, hom_pull, identity_morphism,
-    image, induced, is_projective_module, iso_test, kernel_realization,
-    tensor_module, tensor_mor, zero_morphism,
+    image, induced, is_free, is_projective_module, iso_test,
+    kernel_realization, pull_arrow, tensor_module, tensor_mor, zero_morphism,
 )
 from .funcalc import (
     FP, TC, FunctorExpr, defect, satellite, sub_stabilize, sub_stabilize_fp,
@@ -77,7 +77,6 @@ class Complex:
 
     def is_projective(self) -> bool:
         """Every term free (the artifact's projective-complex flag)."""
-        from .fpmod import is_free
         return all(is_free(t) for t in self.terms)
 
     def boundaries_projective(self) -> bool:
@@ -86,9 +85,12 @@ class Complex:
 
 
 def make_complex(ring: RingDesc, terms, diffs, lo: int = 0) -> Complex:
-    """Validate shapes and d.d = 0, then freeze the complex."""
+    """Validate rings, shapes and d.d = 0, then freeze the complex."""
     terms = tuple(terms)
     diffs = tuple(diffs)
+    for i, t in enumerate(terms):
+        if t.ring != ring:
+            raise NotAComplex(f"term {lo + i} is over {t.ring}, not {ring}")
     if len(diffs) != max(len(terms) - 1, 0):
         raise NotAComplex("need one differential per consecutive term pair")
     for i, d in enumerate(diffs):
@@ -133,18 +135,11 @@ def homology_tensor_functor(c: Complex, n: int) -> FunctorExpr:
     return TC(induced_boundary(c, n), half_exact=c.is_projective())
 
 
-def _hom_cochain_maps(c: Complex, b: FPModule, n: int):
-    """The two Homgr differentials around the degree-n node, with signs."""
-    homs = {i: hom_module(c.term(i), b) for i in (n - 1, n, n + 1)}
-    into = hom_pull(homs[n - 1], homs[n], c.differential(n)).scale((-1) ** n)
-    outof = hom_pull(homs[n], homs[n + 1],
-                     c.differential(n + 1)).scale((-1) ** (n + 1))
-    return homs, into, outof
-
-
 def cohomology(c: Complex, b: FPModule, n: int):
-    """H^n(C, B) as a subquotient realization of Hom(C_n, B)."""
-    _, into, outof = _hom_cochain_maps(c, b, n)
+    """H^n(C, B) as a subquotient realization of Hom(C_n, B): the homology
+    of the two Homgr differentials around the degree-n node, with signs."""
+    into = hom_pull(c.differential(n), b).scale((-1) ** n)
+    outof = hom_pull(c.differential(n + 1), b).scale((-1) ** (n + 1))
     return homology_at(into, outof)
 
 
@@ -161,11 +156,11 @@ def homology_tensor(c: Complex, b: FPModule, n: int):
 
 
 def _boundary_into_cycles(c: Complex, n: int):
-    """j : B_{n-1} -> Z_{n-1}, with C_n ->> B_{n-1} and the cycles Z_{n-1}."""
+    """j : B_{n-1} -> Z_{n-1} into the cycles, with C_n ->> B_{n-1}."""
     e_cor, m_incl = epi_mono_factor(c.differential(n))
-    cycles = kernel_realization(c.differential(n - 1))
-    j = induced(Own(e_cor.target), cycles, m_incl.mat)
-    return e_cor, cycles, j
+    j = induced(Own(e_cor.target),
+                kernel_realization(c.differential(n - 1)), m_incl.mat)
+    return e_cor, j
 
 
 def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport:
@@ -186,20 +181,16 @@ def uct_classical(c: Complex, b: FPModule, n: int, which: str) -> SequenceReport
         raise HypothesisViolated("the classical UCT needs projective boundaries")
     hn = homology(c, n)
     hn_prev = homology(c, n - 1)
-    e_cor, cycles, j = _boundary_into_cycles(c, n)
+    e_cor, j = _boundary_into_cycles(c, n)
     if which == "cohomology":
-        homs, into, outof = _hom_cochain_maps(c, b, n)
-        hom_bnd = hom_module(e_cor.target, b)
-        hom_cyc = hom_module(cycles.module, b)
-        ext1 = cokernel_realization(hom_pull(hom_cyc, hom_bnd, j))
-        hreal = Within(homs[n], homology_at(into, outof))
+        hreal = Within(hom_module(c.term(n), b), cohomology(c, b, n))
+        ext1 = cokernel_realization(hom_pull(j, b))
         hom_h = hom_module(hn.module, b)
-        idb = IntMat.identity(b.gens)
         # lifted Ext^1 classes precomposed with C_n ->> B_{n-1}
-        left = induced(Within(hom_bnd, ext1), hreal,
-                       e_cor.mat.transpose().kron(idb))
+        left = induced(Within(hom_module(e_cor.target, b), ext1), hreal,
+                       pull_arrow(e_cor.mat, b))
         # cohomology classes restricted along H_n into C_n
-        right = induced(hreal, hom_h, hn.decode.transpose().kron(idb))
+        right = induced(hreal, hom_h, pull_arrow(hn.decode, b))
         rep = short_exact(left, right, label="ucf-cohomology")
         rep.metadata["ext_end_iso"] = iso_test(ext1.module,
                                                ext(hn_prev.module, b, 1))

@@ -52,6 +52,21 @@ def test_parse_complex_rejects_non_complex():
            "differentials": [[["2"]], [["3"]]]}
     with pytest.raises(NotAComplex):
         parse_complex(doc)
+    # terms over Z/4 in a complex declared over Z
+    four = {"ring": {"kind": "ZmodN", "n": 4}, "gens": 1, "relations": []}
+    doc = {"ring": {"kind": "Z"}, "support": [0, 1], "terms": [four, four],
+           "differentials": [[["2"]]]}
+    with pytest.raises(NotAComplex, match="term 0 is over Z/4, not Z"):
+        parse_complex(doc)
+    # a support whose hi disagrees with the number of terms
+    doc = {"ring": {"kind": "Z"}, "terms": [one, one],
+           "differentials": [[["2"]]]}
+    for hi in (7, "x", True, 1.0):
+        with pytest.raises(SchemaError, match="support"):
+            parse_complex(dict(doc, support=[0, hi]))
+    for support in ([0, 1], [3, 4], [0, None]):
+        assert parse_complex(dict(doc, support=support)).lo == support[0]
+    assert parse_complex(doc).hi == 1
 
 
 def test_schema_errors_with_location():
@@ -84,12 +99,23 @@ def test_suite_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_suite_worker_independence():
+def test_suite_worker_independence(monkeypatch):
+    # as it stands, and with a check that fails on some instances only
+    # (forked workers inherit the patch): each failure keeps the index of
+    # its instance
+    from homstab import suites
+    real = suites.iso_test
     spec = InstanceSpec(seed=7, ring=ZZ, count=8)
-    serial = run_suite("ext-tor-oracle", spec, workers=1).to_json()
-    parallel = run_suite("ext-tor-oracle", spec, workers=2).to_json()
-    serial.pop("duration_ms"), parallel.pop("duration_ms")
-    assert serial == parallel
+    for check in (real, lambda a, b: real(a, b) and a.gens != 1):
+        monkeypatch.setattr(suites, "iso_test", check)
+        serial = run_suite("ext-tor-oracle", spec, workers=1).to_json()
+        parallel = run_suite("ext-tor-oracle", spec, workers=2).to_json()
+        serial.pop("duration_ms"), parallel.pop("duration_ms")
+        assert serial == parallel
+    assert 0 < len(serial["failures"]) < spec.count
+    for f in serial["failures"]:
+        assert suites.SUITES["ext-tor-oracle"](spec, f["index"]) == {
+            "ok": False, "node": f["node"], "inputs": f["inputs"]}
 
 
 # every suite's `suite run` JSON (duration_ms removed) at seed 11, count 2,
@@ -222,6 +248,7 @@ def test_cli_rejects_coercible_non_integers(tmp_path, capsys, doc):
 
 Z1 = {"ring": {"kind": "Z"}, "gens": 1, "relations": []}
 Z2 = {"ring": {"kind": "Z"}, "gens": 2, "relations": []}
+B4 = {"ring": {"kind": "ZmodN", "n": 4}, "gens": 1, "relations": []}
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -238,13 +265,28 @@ Z2 = {"ring": {"kind": "Z"}, "gens": 2, "relations": []}
     ("uct general --C {doc} --B {z1} --n 1",
      {"ring": {"kind": "Z"}, "support": [0, 1], "terms": [Z2, Z1],
       "differentials": [[["0"], ["0", "1"]]]}),
+    # a complex document that contradicts itself: its terms are over another
+    # ring, or its support does not match its terms
+    ("uct projective --C {doc} --B {b4} --n 1",
+     {"ring": {"kind": "Z"}, "support": [0, 1], "terms": [B4, B4],
+      "differentials": [[["2"]]]}),
+    ("uct general --C {doc} --B {z1} --n 1",
+     {"ring": {"kind": "Z"}, "support": [0, 7], "terms": [Z1, Z1],
+      "differentials": [[["2"]]]}),
+    ("uct general --C {doc} --B {z1} --n 1",
+     {"ring": {"kind": "Z"}, "support": [0, "x"], "terms": [Z1, Z1],
+      "differentials": [[["2"]]]}),
+    ("uct general --C {doc} --B {z1} --n 0",
+     {"ring": {"kind": "Z"}, "terms": [Z1], "differentials": 5}),
 ])
 def test_cli_rejects_bad_matrix_shapes(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     z1 = tmp_path / "z1.json"
     z1.write_text(json.dumps(Z1))
-    assert main(argv.format(doc=path, z1=z1).split()) == 2
+    b4 = tmp_path / "b4.json"
+    b4.write_text(json.dumps(B4))
+    assert main(argv.format(doc=path, z1=z1, b4=b4).split()) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 

@@ -415,12 +415,12 @@ def test_hom_push_pull_match_per_generator_composition():
             a, x, y = (random_module(rng, ring, 3, 3, 6) for _ in range(3))
             phi = random_morphism(rng, x, y)
             h_ax, h_ay = hom_module(a, x), hom_module(a, y)
-            push = hom_push(h_ax, h_ay, phi)
+            push = hom_push(a, phi)
             for k in range(h_ax.module.gens):
                 g = h_ax.morphism(basis(h_ax.module.gens, k))
                 assert push.mat.col(k) == h_ay.coords(phi.compose(g))
             h_ya, h_xa = hom_module(y, a), hom_module(x, a)
-            pull = hom_pull(h_ya, h_xa, phi)
+            pull = hom_pull(phi, a)
             for k in range(h_ya.module.gens):
                 g = h_ya.morphism(basis(h_ya.module.gens, k))
                 assert pull.mat.col(k) == h_xa.coords(g.compose(phi))
@@ -445,7 +445,7 @@ def test_realization_decode_encode_contract(seed, ring, d):
                             direct_sum([b, cyclic(ring, 3)]).module)
     # a cokernel inside Hom(a, b), realized in vec(G) coordinates
     within = Within(hom_module(a, b), cokernel_realization(
-        hom_push(hom_module(a, a), hom_module(a, b), f)))
+        hom_push(a, f)))
     for r in (kr, cr, homology, hom_module(a, b), tensor_module(a, b),
               trimmed, Own(a), within):
         assert is_identity(induced(r, r))

@@ -226,9 +226,7 @@ def test_verifiers_reject_a_differential_scaled_by_a_zero_divisor():
 def _ext_tor_from_the_full_complexes(m, n, i):
     # every Hom(d_k, N) and d_k (x) N up to k = i + 1, as the reference
     pr = proj_resolution(m, i + 1)
-    homs = [hom_module(t, n) for t in pr.terms]
-    pulls = [hom_pull(homs[k - 1], homs[k], pr.diffs[k - 1])
-             for k in range(1, len(pr.terms))]
+    pulls = [hom_pull(d, n) for d in pr.diffs]
     idn = identity_morphism(n)
     tens = [tensor_mor(d, idn) for d in pr.diffs]
     if i == 0:
