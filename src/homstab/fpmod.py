@@ -88,6 +88,10 @@ not cached: a ``den`` outside ``sub`` raises ``MembershipError`` on every
 call.  ``make_morphism`` and ``induced`` are not cached, and neither are
 the kernel, cokernel and image constructions that call the two cached
 functions, so every morphism they emit is checked for well-definedness.
+The rows ((i, d),) of trimmed presentations come from one table of at most
+4,096 rows that no cache clear empties, so the modules a caller keeps
+share them: a kept module costs 8 bytes a torsion row, not 112 for a row
+of its own.
 """
 
 from __future__ import annotations
@@ -173,9 +177,28 @@ def present_with_iso(ring: RingDesc, gens: int, rel: IntMat):
         return zero_module(ring), fwd, bwd
     # the kept divisors run nonunit, then 0 (free), so torsion leads
     torsion = [d for d in divisors if d]
-    module = FPModule(ring, len(divisors),
-                      IntMat.diag(torsion, rows=len(divisors), cols=len(torsion)))
+    module = FPModule(ring, len(divisors), _trimmed_rel(torsion, len(divisors)))
     return module, fwd, bwd
+
+
+# shared rows of trimmed presentations (see "Caching" above)
+_SHARED_ROWS: dict[tuple[int, int], tuple] = {}
+_SHARED_ROWS_MAX = 4096
+
+
+def _trimmed_rel(torsion: list[int], gens: int) -> IntMat:
+    """diag(torsion) with ``gens`` rows, its torsion rows from _SHARED_ROWS."""
+    shared = _SHARED_ROWS
+    nz = []
+    for pair in enumerate(torsion):
+        row = shared.get(pair)
+        if row is None:
+            row = (pair,)
+            if len(shared) < _SHARED_ROWS_MAX:
+                shared[pair] = row
+        nz.append(row)
+    nz += [()] * (gens - len(torsion))
+    return IntMat(gens, len(torsion), None, tuple(nz))
 
 
 def in_span(a: IntMat, b: IntMat, ring: RingDesc) -> bool:

@@ -27,17 +27,22 @@ Z/n it repeats early (p_3 = p_1 for Z/2 + Z/4 over Z/8), so a huge degree
 costs a few kernels.
 
 ``ext``, ``tor`` and ``syzygy`` read that chain, not a ``ProjResolution``.
-Hom(R^a, N) and R^a (x) N are both N^a, presented by I_a (x) P_N
+Hom(R^a, C) and R^a (x) C are both C^a, presented by I_a (x) P_C
 (``_power_module``), and a matrix d: R^a -> R^b acts on it as d (x) 1
-(``_power_map``): Hom(d, N) is ``_power_map(N, d^T)``, the arrow
-``fpmod.pull_arrow`` writes, and d (x) N is ``_power_map(N, d)``.  So Ext^i
-is the homology of N^{p_{i-1}.rows} -> N^{p_{i-1}.cols} -> N^{p_i.cols}
-along p_{i-1}^T and p_i^T, Tor_i that of N^{p_i.cols} -> N^{p_i.rows} ->
-N^{p_{i-1}.rows} along p_i and p_{i-1}, and Omega^i the image of p_{i-1}
-in R^{p_{i-1}.rows}; no Hom or tensor module of a free module is built.
-Each answer is a trimmed presentation, so it does not depend on how the
-complex was presented.  ``funcalc.auslander_four_term`` builds its
-complexes of powers of X with the same ``_power_map``.
+(``_power_map``): Hom(d, C) is ``_power_map(C, d^T)``, the arrow
+``fpmod.pull_arrow`` writes, and d (x) C is ``_power_map(C, d)``.
+Ext^i(M, -) and Tor_i(M, -) are additive, so they are taken one cyclic
+summand C of N at a time, with C read off ``canonical_invariants(N)``: a
+``cyclic`` module per torsion divisor and a free module of rank 1 per free
+generator.  For each C, Ext^i is the homology of C^{p_{i-1}.rows} ->
+C^{p_{i-1}.cols} -> C^{p_i.cols} along p_{i-1}^T and p_i^T, and Tor_i that
+of C^{p_i.cols} -> C^{p_i.rows} -> C^{p_{i-1}.rows} along p_i and p_{i-1};
+the answer is the direct sum of the parts.  C has one generator, so C^r has
+r generators where N^r has r * N.gens.  Omega^i is the image of p_{i-1} in
+R^{p_{i-1}.rows}; no Hom or tensor module of a free module is built.  Each
+answer is a trimmed presentation, so it does not depend on how the complex
+or N was presented.  ``funcalc.auslander_four_term`` builds its complexes
+of powers of X with the same ``_power_map``.
 
 The injective side repeats by the same rule.  Sigma^{k+1} is the cokernel
 of the container of Sigma^k, a trimmed module fixed by Sigma^k, so once
@@ -56,9 +61,9 @@ from .errors import DimensionMismatch, NotAComplex, UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
     FPModule, Morphism, Own, SubquotientRealization, canonical_invariants,
-    cokernel_realization, epi_mono_factor, free_module, hom_module, induced,
-    kernel_generators, kernel_realization, make_module, make_morphism,
-    subquotient, zero_module,
+    cokernel_realization, cyclic, epi_mono_factor, free_module, hom_module,
+    induced, kernel_generators, kernel_realization, make_module,
+    make_morphism, subquotient, zero_module,
 )
 
 
@@ -286,29 +291,48 @@ def _require_same_ring(m: FPModule, n: FPModule, what: str) -> None:
         raise DimensionMismatch(f"{what} across different rings")
 
 
+def _over_cyclic_summands(n: FPModule, mats: list[IntMat],
+                          answer) -> FPModule:
+    """The direct sum, over N's cyclic summands C, of ``answer`` applied to
+    the maps of powers of C along ``mats``: Ext^i(M, -) and Tor_i(M, -) are
+    additive.  Each part is a trimmed presentation, and so is the sum."""
+    divs, free = canonical_invariants(n)
+    ring = n.ring
+    summands = [cyclic(ring, d) for d in divs] + [free_module(ring, 1)] * free
+    parts = [answer([_power_map(c, mat) for mat in mats]) for c in summands]
+    if len(parts) < 2:
+        return parts[0] if parts else zero_module(ring)
+    return make_module(ring, IntMat.block_diag([p.rel for p in parts]))
+
+
 def ext(m: FPModule, n: FPModule, i: int) -> FPModule:
-    """Ext^i(M, N), homology of Hom(proj. resolution of M, N)."""
+    """Ext^i(M, N), summed over N's cyclic summands C: the homology of
+    Hom(proj. resolution of M, C)."""
     _require_nonnegative(i, "Ext and Tor degrees")
     _require_same_ring(m, n, "hom")
     i = _repeat_degree(m, i)
-    # Hom(d_k, N) for k = max(i, 1) .. i + 1
-    maps = [_power_map(n, p.transpose())
-            for p in _kernel_chain(m, i)[max(i - 1, 0):]]
+    # Hom(d_k, C) is d_k^T (x) 1, for k = max(i, 1) .. i + 1
+    mats = [p.transpose() for p in _kernel_chain(m, i)[max(i - 1, 0):]]
     if i == 0:
-        return kernel_realization(maps[0]).module
-    return homology_at(*maps).module
+        return _over_cyclic_summands(
+            n, mats, lambda maps: kernel_realization(maps[0]).module)
+    return _over_cyclic_summands(
+        n, mats, lambda maps: homology_at(*maps).module)
 
 
 def tor(m: FPModule, n: FPModule, i: int) -> FPModule:
-    """Tor_i(M, N), homology of (proj. resolution of M) tensor N."""
+    """Tor_i(M, N), summed over N's cyclic summands C: the homology of
+    (proj. resolution of M) tensor C."""
     _require_nonnegative(i, "Ext and Tor degrees")
     _require_same_ring(m, n, "tensor")
     i = _repeat_degree(m, i)
-    # d_k (x) N for k = max(i, 1) .. i + 1
-    maps = [_power_map(n, p) for p in _kernel_chain(m, i)[max(i - 1, 0):]]
+    # d_k (x) C for k = max(i, 1) .. i + 1
+    mats = _kernel_chain(m, i)[max(i - 1, 0):]
     if i == 0:
-        return cokernel_realization(maps[0]).module
-    return homology_at(maps[1], maps[0]).module
+        return _over_cyclic_summands(
+            n, mats, lambda maps: cokernel_realization(maps[0]).module)
+    return _over_cyclic_summands(
+        n, mats, lambda maps: homology_at(maps[1], maps[0]).module)
 
 
 def ext_tor_oracle_Z(m: FPModule, n: FPModule, i: int, which: str) -> FPModule:

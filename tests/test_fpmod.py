@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homstab
-from homstab import exactlin
+from homstab import exactlin, fpmod
 from homstab.errors import MembershipError, NotWellDefined
 from homstab.exactlin import IntMat, ZZ, Zmod, invariant_divisors
 from homstab.fpmod import (
@@ -533,3 +533,23 @@ def test_one_zero_module_per_ring():
         assert zero == homstab.FPModule(ring, 0, IntMat.zeros(0, 0))
     assert zero_module(ZZ) != zero_module(Zmod(4))
     assert callable(zero_module.cache_clear)  # cleared with the other caches
+
+
+def test_trimmed_presentations_share_their_rows(monkeypatch):
+    # the modules a caller keeps share the rows ((i, d),) of their trimmed
+    # presentations, across cache clears and rings; the relations are
+    # diag(torsion) as before, and the table stops growing at its bound
+    ring = Zmod(12)
+    scrambled = IntMat.from_rows([[2, 6, 0], [0, 4, 0], [1, 3, 0]])
+    first = make_module(ring, scrambled)
+    _clear_homstab_caches()
+    again = make_module(ring, scrambled)
+    assert again == first and again.rel is not first.rel
+    assert all(a is b for a, b in zip(again.rel.nz, first.rel.nz))
+    assert make_module(ZZ, IntMat.diag([4, 0])).rel.nz[0] is first.rel.nz[0]
+    assert first.rel == IntMat.diag([4], rows=2, cols=1)  # Z/4 + Z/12
+    monkeypatch.setattr(fpmod, "_SHARED_ROWS", {})
+    monkeypatch.setattr(fpmod, "_SHARED_ROWS_MAX", 3)
+    big = make_module(ZZ, IntMat.diag([2, 4, 8, 16, 32]))
+    assert big.rel == IntMat.diag([2, 4, 8, 16, 32])
+    assert len(fpmod._SHARED_ROWS) == 3

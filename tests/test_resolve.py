@@ -253,6 +253,42 @@ def large_module(rng, ring, g):
     return make_module(ring, IntMat.diag(orders))
 
 
+def _ext_tor_of_the_whole_power_complex(m, n, i):
+    # Ext^i and Tor_i as the homology of complexes of powers of all of N at
+    # once, not summed over N's cyclic summands: every N^r is presented by
+    # I_r (x) P_N, so its Kronecker systems hold one block per summand
+    i = resolve._repeat_degree(m, i)
+    chain = resolve._kernel_chain(m, i)[max(i - 1, 0):]
+    pulls = [resolve._power_map(n, p.transpose()) for p in chain]
+    tens = [resolve._power_map(n, p) for p in chain]
+    if i == 0:
+        return (kernel_realization(pulls[0]).module,
+                cokernel_realization(tens[0]).module)
+    return homology_at(*pulls).module, homology_at(tens[1], tens[0]).module
+
+
+def unimodular(rng, g):
+    # a lower times an upper unitriangular g x g matrix
+    lower = [[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(g)]
+             for i in range(g)]
+    upper = [[1 if i == j else rng.randint(-2, 2) if i < j else 0 for j in range(g)]
+             for i in range(g)]
+    return IntMat.from_rows(lower) @ IntMat.from_rows(upper)
+
+
+def scrambled_module(rng, ring, orders):
+    # the sum of cyclic modules of these orders (0 for free), presented by
+    # U diag(orders) V as it stands: its diagonal is not its invariants
+    g = len(orders)
+    rel = unimodular(rng, g) @ IntMat.diag(orders) @ unimodular(rng, g)
+    return FPModule(ring, g, rel)
+
+
+def past_the_repeat(m):
+    # the least degree above 4 that ext and tor answer at a lower degree
+    return next(d for d in range(5, 9) if resolve._repeat_degree(m, d) < d)
+
+
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(8), Zmod(12)])
 def test_ext_tor_equal_the_full_complex_formula(ring):
     rng = random.Random(f"ext-tor:{ring}")
@@ -262,9 +298,40 @@ def test_ext_tor_equal_the_full_complex_formula(ring):
     if ring.modulus in LARGE_TORSION:
         pairs += [(large_module(rng, ring, g), large_module(rng, ring, g))
                   for g in (6, 7, 8)]
+    # N with repeated summands, free ones among them, presented diagonally
+    # and scrambled; the zero N; a free N
+    torsion = [d for d in (2, 3, 4, 6) if ring.modulus is None
+               or (ring.modulus % d == 0 and d < ring.modulus)]
+    orders = [d for d in torsion for _ in range(2)] + [0, 0]
+    scrambled = scrambled_module(rng, ring, orders)
+    assert scrambled.rel != IntMat.diag(orders)
+    assert iso_test(scrambled, make_module(ring, IntMat.diag(orders)))
+    sums = [make_module(ring, IntMat.diag(orders)), scrambled, zero_module(ring),
+            free_module(ring, 2)]
+    firsts = [make_module(ring, IntMat.diag([2, 4])), untrimmed_module(rng, ring, 4),
+              scrambled_module(rng, ring, [torsion[-1], 0])]
+    pairs += [(m, n) for m in firsts for n in sums]
     for m, n in pairs:
-        for i in range(5):
-            assert (ext(m, n, i), tor(m, n, i)) == _ext_tor_from_the_full_complexes(m, n, i)
+        for i in (*range(5), past_the_repeat(m)):
+            got = ext(m, n, i), tor(m, n, i)
+            assert got == _ext_tor_from_the_full_complexes(m, n, i)
+            assert got == _ext_tor_of_the_whole_power_complex(m, n, i)
+
+
+def test_ext_and_tor_power_one_generator_at_a_time(monkeypatch):
+    # the complexes of powers are those of N's cyclic summands, not of N
+    powered = []
+    real = resolve._power_map
+    monkeypatch.setattr(resolve, "_power_map",
+                        lambda x, mat: powered.append(x.gens) or real(x, mat))
+    rng = random.Random("one-generator")
+    for ring in (ZZ, Zmod(12)):
+        m = make_module(ring, IntMat.diag([2, 4]))
+        n = scrambled_module(rng, ring, [2, 6, 6, 0])
+        for i in range(4):
+            ext(m, n, i)
+            tor(m, n, i)
+    assert powered and set(powered) == {1}
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(8), Zmod(12)])
