@@ -6,14 +6,15 @@ tensor and Hom through the transpose.
 Expressions evaluate on objects and on morphisms.  Every construction that
 resolves its argument (stabilizations, satellites, derived functors,
 rho/lambda/beta/alpha, and the fundamental sequences built on them) reads a
-thread: F applied once along the resolution that the threaded-resolution
-table ``_THREADED`` names for a (variance, side) pair.  Covariant-right and
-contravariant-left thread an injective resolution, which needs a
-quasi-Frobenius base ring; the other two thread a projective resolution over
-either ring.  A thread cuts stabilization, satellite and derived nodes out of
-the applied arrows, and every connecting map between two nodes is one
-``fpmod.induced``: F of a thread arrow, carried from the source node's
-coordinates into the target node's.  rho, lambda, beta and alpha are single
+thread: F applied once along one resolution of the argument, picked by one
+rule (``_injective_side``).  Covariant-right and contravariant-left thread an
+injective resolution, which needs a quasi-Frobenius base ring; the other two
+thread a projective resolution over either ring.  A resolution is stored as
+its arrows: the diffs and their epi-mono factors.  A thread cuts
+stabilization, satellite and derived nodes out of the applied arrows, and
+every connecting map between two nodes is one ``fpmod.induced``: F of a
+thread arrow, carried from the source node's coordinates into the target
+node's.  rho, lambda, beta and alpha are single
 induced maps.  Every other map is solved for by lifting: the (co)syzygy
 shifts of a morphism and the stabilizations of F(phi) factor through a mono
 (``fpmod.factor_through``) or extend along one into an injective
@@ -47,7 +48,8 @@ from .fpmod import (
 )
 from .resolve import (
     _power_map, _presented, _require_nonnegative, cosyzygy,
-    ext as resolve_ext, homology_at, inj_resolution, proj_resolution, syzygy,
+    ext as resolve_ext, homology_at, inj_resolution, injective_container,
+    proj_resolution, syzygy,
 )
 from .seqreport import SequenceReport, build_report
 
@@ -235,7 +237,8 @@ def omega_shift_mor(phi: Morphism, k: int) -> Morphism:
             phi = identity_morphism(syzygy(phi.source, 1))
             continue
         px, py = proj_resolution(phi.source, 1), proj_resolution(phi.target, 1)
-        h0 = make_morphism(px.terms[0], py.terms[0], phi.mat)
+        h0 = make_morphism(px.augmentation.source, py.augmentation.source,
+                           phi.mat)
         phi = factor_through(h0.compose(px.includes[0]), py.includes[0])
         if phi is None:
             raise WrongShape("map does not factor through the given mono")
@@ -250,14 +253,11 @@ def sigma_shift_mor(phi: Morphism, k: int) -> Morphism:
         if is_identity(phi):
             phi = identity_morphism(cosyzygy(phi.source, 1))
             continue
-        cx = inj_resolution(phi.source, 1)
-        cy = inj_resolution(phi.target, 1)
-        h = extend_along(cy.augmentation.compose(phi), cx.augmentation)
+        ex, ey = injective_container(phi.source), injective_container(phi.target)
+        h = extend_along(ey.compose(phi), ex)
         if h is None:
             raise WrongShape("map does not extend along the given mono")
-        mat = (cy.projs[0].compose(h)).mat @ cx.sections[0]
-        phi = make_morphism(cx.cosyzygies[1], cy.cosyzygies[1],
-                            mat.mod(phi.source.ring))
+        phi = induced(cokernel_realization(ex), cokernel_realization(ey), h.mat)
     return phi
 
 
@@ -291,26 +291,15 @@ class ShiftSigma(_Shift):
 
 
 # ---------------------------------------------------------------------------
-# the threaded-resolution table and the thread
-
-# (variance, side) -> (injective resolution threaded?, A arrows, C arrows).
-# A_k joins the k-th (co)syzygy of the argument with the k-th term, C_k joins
-# the k-th term with the (k+1)-th (co)syzygy.  Stabilizations are F at A_k,
-# satellites F at C_k-1, derived functors the (co)homology of F applied to
-# the diffs.  The resolution functions are looked up at call time, so a
-# wrapper installed over them (the benchmark's tracer) is seen here too.
-_THREADED = {
-    (COVARIANT, "right"): (True, "embeds", "projs"),
-    (CONTRAVARIANT, "right"): (False, "covers", "includes"),
-    (COVARIANT, "left"): (False, "covers", "includes"),
-    (CONTRAVARIANT, "left"): (True, "embeds", "projs"),
-}
+# the thread
 
 
 def _injective_side(f: FunctorExpr, side: str) -> bool:
-    if (f.variance, side) not in _THREADED:
+    """Whether F threads an injective resolution on ``side``: covariant-right
+    and contravariant-left do, the other two thread a projective one."""
+    if side not in ("right", "left"):
         raise WrongShape("side must be 'right' or 'left'")
-    return _THREADED[f.variance, side][0]
+    return (f.variance == COVARIANT) == (side == "right")
 
 
 def _fp_right(f: FunctorExpr, x: FPModule) -> Morphism | None:
@@ -329,22 +318,31 @@ def _ends(f: FunctorExpr, phi: Morphism, at) -> tuple:
 
 
 class _Thread:
-    """F applied along the resolution of x that the (variance, side) row of
-    ``_THREADED`` names, to the given depth; each F(d_k), F(A_k), F(C_k) is
-    computed once.  Its nodes are realizations inside the applied terms.  On
-    the right side stabilizations and degree-0 derived nodes are kernels and
-    satellites cokernels; the left side swaps them."""
+    """F applied along the resolution of x that ``_injective_side`` picks,
+    to the given depth; each F(d_k), F(A_k), F(C_k) is computed once.
+
+    A_k joins the k-th (co)syzygy of x with the k-th term (an embed or a
+    cover), C_k joins the k-th term with the (k+1)-th (co)syzygy (a proj or
+    an include).  Stabilizations are F at A_k, satellites F at C_{k-1},
+    derived functors the (co)homology of F applied to the diffs.  Its nodes
+    are realizations inside the applied terms.  On the right side
+    stabilizations and degree-0 derived nodes are kernels and satellites
+    cokernels; the left side swaps them.  The resolution functions are
+    looked up at call time, so a wrapper installed over them (the
+    benchmark's tracer) is seen here too."""
 
     def __init__(self, f: FunctorExpr, side: str, x: FPModule, depth: int,
                  what: str):
         self.injective = _injective_side(f, side)
         if self.injective:
             _require_qf(x.ring, what)
-        _, a, c = _THREADED[f.variance, side]
-        res = (inj_resolution if self.injective else proj_resolution)(x, depth)
+            res = inj_resolution(x, depth)
+            a, c = res.embeds, res.projs
+        else:
+            res = proj_resolution(x, depth)
+            a, c = res.covers, res.includes
         self.f, self.right = f, side == "right"
-        self._arrows = {"a": getattr(res, a), "c": getattr(res, c),
-                        "d": res.diffs}
+        self._arrows = {"a": a, "c": c, "d": res.diffs}
         self._applied: dict[tuple[str, int], Morphism] = {}
         self._sub, self._quot = \
             (kernel_realization, cokernel_realization) if self.right \
@@ -545,7 +543,8 @@ def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
         if hs[0] is None:
             raise WrongShape("map does not extend along the given mono")
     else:
-        hs = [make_morphism(rx.terms[0], ry.terms[0], phi.mat)]
+        hs = [make_morphism(rx.augmentation.source, ry.augmentation.source,
+                            phi.mat)]
     for dx, dy in zip(rx.diffs[:depth - 1], ry.diffs):
         if injective:  # h_k . dx = dy . h_k-1
             hs.append(extend_along(dy.compose(hs[-1]), dx))

@@ -77,21 +77,18 @@ def _require_nonnegative(n: int, what: str) -> None:
 
 
 class ProjResolution:
-    """... -> F_2 -> F_1 -> F_0 ->> base with stored epi-mono factorizations.
+    """... -> F_2 -> F_1 -> F_0 ->> M, stored as its arrows.
 
-    diffs[k-1] : F_k -> F_{k-1} factors as includes[k-1] . covers[k],
-    covers[0] is the augmentation F_0 ->> base, syzygies[k] = Omega^k(base).
+    diffs[k-1] : F_k -> F_{k-1} factors as includes[k-1] . covers[k], and
+    covers[0] is the augmentation F_0 ->> M.  covers[k] ends at Omega^k(M),
+    so covers[0].target is M, and covers[k].source is F_k.
     """
 
-    __slots__ = ("base", "terms", "diffs", "syzygies", "covers", "includes")
+    __slots__ = ("diffs", "covers", "includes")
 
-    def __init__(self, base: FPModule, terms: tuple[FPModule, ...],
-                 diffs: tuple[Morphism, ...], syzygies: tuple[FPModule, ...],
+    def __init__(self, diffs: tuple[Morphism, ...],
                  covers: tuple[Morphism, ...], includes: tuple[Morphism, ...]):
-        self.base = base
-        self.terms = terms
         self.diffs = diffs
-        self.syzygies = syzygies
         self.covers = covers
         self.includes = includes
 
@@ -99,29 +96,26 @@ class ProjResolution:
     def augmentation(self) -> Morphism:
         return self.covers[0]
 
+    @property
+    def terms(self) -> tuple[FPModule, ...]:
+        return tuple(c.source for c in self.covers)
+
 
 @lru_cache(maxsize=2048)
 def proj_resolution(m: FPModule, depth: int) -> ProjResolution:
     _require_nonnegative(depth, "resolution depths")
     ring = m.ring
-    f0 = free_module(ring, m.gens)
-    terms = [f0]
-    covers = [make_morphism(f0, m, IntMat.identity(m.gens).mod(ring))]
-    syzygies = [m]
+    covers = [make_morphism(free_module(ring, m.gens), m,
+                            IntMat.identity(m.gens).mod(ring))]
     includes: list[Morphism] = []
     diffs: list[Morphism] = []
-    p = m.rel
-    for _ in range(depth):
-        d = make_morphism(free_module(ring, p.cols), terms[-1], p)
+    for p in _kernel_chain(m, depth - 1)[:depth]:
+        d = make_morphism(free_module(ring, p.cols), covers[-1].source, p)
         cover, include = epi_mono_factor(d)
-        terms.append(d.source)
         diffs.append(d)
-        syzygies.append(cover.target)
         covers.append(cover)
         includes.append(include)
-        p = kernel_basis(p, ring)
-    return ProjResolution(m, tuple(terms), tuple(diffs), tuple(syzygies),
-                          tuple(covers), tuple(includes))
+    return ProjResolution(tuple(diffs), tuple(covers), tuple(includes))
 
 
 def _first_equal(x, step, i: int) -> int:
@@ -187,54 +181,44 @@ def injective_container(m: FPModule) -> Morphism:
 
 
 class InjResolution:
-    """base ↪ I^0 -> I^1 -> ... with stored epi-mono factorizations.
+    """M ↪ I^0 -> I^1 -> ..., stored as its arrows.
 
-    diffs[k] : I^k -> I^{k+1} factors as embeds[k+1] . projs[k],
-    embeds[0] is the augmentation base ↪ I^0, cosyzygies[k] = Sigma^k(base).
+    diffs[k] : I^k -> I^{k+1} factors as embeds[k+1] . projs[k], and
+    embeds[0] is the augmentation M ↪ I^0.  embeds[k] starts at Sigma^k(M),
+    so embeds[0].source is M, and embeds[k].target is I^k.
     """
 
-    __slots__ = ("base", "terms", "diffs", "cosyzygies", "embeds", "projs",
-                 "sections")
+    __slots__ = ("diffs", "embeds", "projs")
 
-    def __init__(self, base: FPModule, terms: tuple[FPModule, ...],
-                 diffs: tuple[Morphism, ...], cosyzygies: tuple[FPModule, ...],
-                 embeds: tuple[Morphism, ...], projs: tuple[Morphism, ...],
-                 sections: tuple[IntMat, ...]):
-        self.base = base
-        self.terms = terms
+    def __init__(self, diffs: tuple[Morphism, ...],
+                 embeds: tuple[Morphism, ...], projs: tuple[Morphism, ...]):
         self.diffs = diffs
-        self.cosyzygies = cosyzygies
         self.embeds = embeds
         self.projs = projs
-        self.sections = sections  # coordinate sections of the projs
 
     @property
     def augmentation(self) -> Morphism:
         return self.embeds[0]
 
+    @property
+    def terms(self) -> tuple[FPModule, ...]:
+        return tuple(e.target for e in self.embeds)
+
 
 @lru_cache(maxsize=2048)
 def inj_resolution(m: FPModule, depth: int) -> InjResolution:
     _require_nonnegative(depth, "resolution depths")
-    emb = injective_container(m)
-    terms = [emb.target]
-    embeds = [emb]
-    cosyzygies = [m]
+    embeds = [injective_container(m)]
     projs: list[Morphism] = []
-    sections: list[IntMat] = []
     diffs: list[Morphism] = []
     for _ in range(depth):
         c = cokernel_realization(embeds[-1])
         proj = induced(Own(embeds[-1].target), c)
-        projs.append(proj)
-        sections.append(c.decode)
-        cosyzygies.append(c.module)
         nxt = injective_container(c.module)
+        projs.append(proj)
         embeds.append(nxt)
-        terms.append(nxt.target)
         diffs.append(nxt.compose(proj))
-    return InjResolution(m, tuple(terms), tuple(diffs), tuple(cosyzygies),
-                         tuple(embeds), tuple(projs), tuple(sections))
+    return InjResolution(tuple(diffs), tuple(embeds), tuple(projs))
 
 
 def _next_cosyzygy(m: FPModule) -> FPModule:
@@ -244,10 +228,9 @@ def _next_cosyzygy(m: FPModule) -> FPModule:
 def cosyzygy(m: FPModule, k: int) -> FPModule:
     """Sigma^k via iterated cokernel-of-container; Sigma^0 is the module."""
     _require_nonnegative(k, "cosyzygy orders")
-    if k == 0:
-        return m
-    k = _first_equal(m, _next_cosyzygy, k)
-    return inj_resolution(m, k).cosyzygies[k]
+    for _ in range(_first_equal(m, _next_cosyzygy, k)):
+        m = _next_cosyzygy(m)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
     canonical_invariants, cyclic, free_module, hom_module, identity_morphism,
     iso_test, make_module, make_morphism, morphisms_equal, transpose,
-    zero_module, zero_morphism, cokernel,
+    zero_module, zero_morphism, cokernel, extend_along,
 )
 from homstab.funcalc import (
     FP, TC, Derived, ExtFixedFirst, HomContra, HomCov, Satellite, ShiftOmega,
@@ -321,6 +321,26 @@ def test_shift_evaluation():
                            identity_morphism(syzygy(Z2m4, 1)))
     assert morphisms_equal(sigma_shift_mor(identity_morphism(Z2m4), 1),
                            identity_morphism(cosyzygy(Z2m4, 1)))
+    # the defining squares: Sigma(phi) is the map that the extension h of
+    # e_y . phi along e_x induces on the cokernels of the containers e, and
+    # Omega(phi) the map that the free lift h0 of phi restricts to on the
+    # syzygies.  2 = -2 only mod 2, so phi = 2 . id tells a shift from its
+    # negative.
+    for n, d in ((9, 3), (25, 5), (27, 9)):
+        x = cyclic(Zmod(n), d)
+        phi = identity_morphism(x).scale(2)
+        e = resolve.injective_container(x)
+        h = extend_along(e.compose(phi), e)
+        pi = cokernel(e)[1]
+        assert morphisms_equal(pi.compose(h),
+                               sigma_shift_mor(phi, 1).compose(pi)), n
+        px = resolve.proj_resolution(x, 1)
+        incl = px.includes[0]
+        h0 = make_morphism(px.augmentation.source, px.augmentation.source,
+                           phi.mat)
+        assert morphisms_equal(incl.compose(omega_shift_mor(phi, 1)),
+                               h0.compose(incl)), n
+        assert not pi.compose(h).is_zero() and not h0.compose(incl).is_zero()
 
 
 def test_naturality_samples():
@@ -401,6 +421,29 @@ def test_four_term_random_exactness():
                 rep = auslander_four_term(a, x, side)
                 assert rep.exact_everywhere(), (str(a), str(x), side,
                                                 rep.failures())
+
+
+def test_derived_functors_and_satellites_are_additive():
+    # R^iF, L_iF, S^iF and S_iF are additive functors, so each sends c . id
+    # to c . id; c = 2 is not -2 over Z/9, so a negated map fails
+    r9 = Zmod(9)
+    z3 = cyclic(r9, 3)
+    x = make_module(r9, [[3, 0], [0, 0]])  # Z/3 + Z/9
+    two = make_morphism(z3, z3, [[2]])
+    c = 2
+    phi = identity_morphism(x).scale(c)
+    exprs = [HomCov(z3), TensorLeft(z3), HomContra(z3), FP(two), TC(two)]
+    nonzero = 0
+    for f in exprs:
+        for side in ("right", "left"):
+            shifted = [Derived(f, i, side) for i in range(3)]
+            shifted += [Satellite(f, i, side) for i in (1, 2)]
+            for g in shifted:
+                gx = g.eval_obj(x)
+                want = identity_morphism(gx).scale(c)
+                assert morphisms_equal(g.eval_mor(phi), want), (str(g), side)
+                nonzero += not gx.is_zero()
+    assert nonzero >= 24
 
 
 def test_threads_survive_wrapped_resolution_functions(monkeypatch):

@@ -53,12 +53,8 @@ def _fields(cls):
                     ("projections", (MOR,))],
         HomRealization: [("source", M), ("target", M), ("module", M),
                          ("_sq", SQR)],
-        ProjResolution: [("base", M), ("terms", (F,)), ("diffs", ()),
-                         ("syzygies", (M,)), ("covers", (MOR,)),
-                         ("includes", ())],
-        InjResolution: [("base", M), ("terms", (F,)), ("diffs", ()),
-                        ("cosyzygies", (M,)), ("embeds", (MOR,)),
-                        ("projs", ()), ("sections", ())],
+        ProjResolution: [("diffs", ()), ("covers", (MOR,)), ("includes", ())],
+        InjResolution: [("diffs", ()), ("embeds", (MOR,)), ("projs", ())],
         NatTransSample: [("name", "rho"), ("components", [(M, MOR)]),
                          ("naturality", [(MOR, True)])],
         HereditaryDecomposition: [("w", M), ("samples", [])],

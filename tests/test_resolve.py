@@ -96,7 +96,7 @@ def test_syzygy_examples():
 def test_inj_resolution_periodic():
     res = inj_resolution(cyclic(R4, 2), 2)
     assert all(invs(t) == ((), 1) for t in res.terms)  # each term is Z/4
-    assert all(invs(c) == ((2,), 0) for c in res.cosyzygies)
+    assert all(invs(e.source) == ((2,), 0) for e in res.embeds)
     assert verify_injective(res)
 
 
@@ -219,13 +219,13 @@ def test_verifiers_reject_a_differential_scaled_by_a_zero_divisor():
     m = cyclic(R4, 2)
     pr = proj_resolution(m, 3)
     assert verify_projective(pr)
-    bad = ProjResolution(pr.base, pr.terms, (pr.diffs[0].scale(2),) + pr.diffs[1:],
-                         pr.syzygies, pr.covers, pr.includes)
+    bad = ProjResolution((pr.diffs[0].scale(2),) + pr.diffs[1:], pr.covers,
+                         pr.includes)
     assert not verify_projective(bad)
     ir = inj_resolution(m, 3)
     assert verify_injective(ir)
-    bad = InjResolution(ir.base, ir.terms, (ir.diffs[0].scale(2),) + ir.diffs[1:],
-                        ir.cosyzygies, ir.embeds, ir.projs, ir.sections)
+    bad = InjResolution((ir.diffs[0].scale(2),) + ir.diffs[1:], ir.embeds,
+                        ir.projs)
     assert not verify_injective(bad)
 
 
@@ -343,7 +343,7 @@ def test_syzygy_equals_the_resolution_syzygy(ring):
     modules += [untrimmed_module(rng, ring, 4) for _ in range(3)]
     for m in modules:
         for k in range(5):
-            assert syzygy(m, k) == proj_resolution(m, k).syzygies[k]
+            assert syzygy(m, k) == proj_resolution(m, k).covers[k].target
 
 
 @pytest.mark.parametrize("rings", [(ZZ, Zmod(8)), (Zmod(4), Zmod(8))])
