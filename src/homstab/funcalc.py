@@ -14,9 +14,13 @@ its arrows: the diffs and their epi-mono factors.  A thread cuts
 stabilization, satellite and derived nodes out of the applied arrows, and
 every connecting map between two nodes is one ``fpmod.induced``: F of a
 thread arrow, carried from the source node's coordinates into the target
-node's.  rho, lambda, beta and alpha are single
-induced maps.  Every other map is solved for by lifting: the (co)syzygy
-shifts of a morphism and the stabilizations of F(phi) factor through a mono
+node's.  rho, lambda, beta and alpha are single induced maps.
+``SubStab``, ``QuotStab``, ``Satellite`` and ``Derived``, with the
+stabilization at the first (co)syzygy that is beta's target and alpha's
+source, are one family (``_Indexed``): each reads its node off the thread
+(``_node``), and on a morphism phi it is one induced map too, F of phi lifted
+to the threads of phi's ends.  Those lifts are the only maps solved for: the
+(co)syzygy shifts of a morphism factor through a mono
 (``fpmod.factor_through``) or extend along one into an injective
 (``fpmod.extend_along``), and the comparison theorem lifts a map to
 resolutions one square at a time with the same two forms.
@@ -30,6 +34,9 @@ ring:
 * the quot-stabilization of a tensor-copresented F = ker(A(x)- -> B(x)-)
   has the tensor copresentation 0 -> F-under -> (Im f)(x)- -> B(x)-.
 
+``Derived`` and ``SubStab`` take the first two over a ring that is not
+quasi-Frobenius, where a covariant F has no right thread.
+
 ``half_exact`` is constructor metadata, never inferred (Hom, tensor,
 Ext^i(A,-), Tor_i(A,-) are half-exact; FP/TC only if the caller says so).
 """
@@ -37,10 +44,10 @@ Ext^i(A,-), Tor_i(A,-) are half-exact; FP/TC only if the caller says so).
 from __future__ import annotations
 
 from .errors import UnsupportedRing, WrongShape
-from .exactlin import IntMat, kernel_basis
+from .exactlin import kernel_basis
 from .fpmod import (
     CokernelRealization, FPModule, Morphism, Own, SubquotientRealization,
-    Within, cokernel, cokernel_realization, epi_mono_factor, evaluation_map,
+    Within, cokernel_realization, epi_mono_factor, evaluation_map,
     extend_along, factor_through, free_module, hom_module, hom_pull,
     hom_push, identity_morphism, induced, is_identity, kernel,
     kernel_realization, make_morphism, pull_arrow, push_arrow, subquotient,
@@ -369,11 +376,29 @@ class _Thread:
 
 
 # ---------------------------------------------------------------------------
-# stabilizations
+# stabilizations, satellites and derived functors: the thread's nodes
 
 
 def free_cover(x: FPModule) -> Morphism:
     return proj_resolution(x, 0).augmentation
+
+
+def _node(f: FunctorExpr, kind: str, i: int, side: str, x: FPModule):
+    """The thread's "stab", "sat" or "der" node at index i of F at x on
+    ``side``: a stabilization or satellite inside F at the i-th (co)syzygy
+    of x, or a derived node inside F at the i-th term."""
+    if kind == "sat":
+        if i < 1:
+            raise WrongShape("satellites are indexed from 1")
+        what = f"{side} satellites on the injective side"
+    elif kind == "der":
+        what = "derived functors on the injective side"
+    elif side == "right":
+        what = "sub-stabilization of a covariant functor"
+    else:
+        what = "quot-stabilization of a contravariant functor"
+    t = _Thread(f, side, x, i + 1 if kind == "der" else i, what)
+    return getattr(t, kind)(i)
 
 
 def sub_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
@@ -384,8 +409,8 @@ def sub_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     """
     if _fp_right(f, x) is not None:
         return sub_stabilize_fp(f, x)
-    t = _Thread(f, "right", x, 0, "sub-stabilization of a covariant functor")
-    return kernel(t.applied("a", 0))
+    node = _node(f, "stab", 0, "right", x)
+    return node.module, induced(node, Own(f.eval_obj(x)))
 
 
 def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
@@ -393,9 +418,8 @@ def quot_stabilize(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     of the left thread (a free cover of X when covariant; an injective
     container, quasi-Frobenius only, when contravariant).
     """
-    t = _Thread(f, "left", x, 0,
-                "quot-stabilization of a contravariant functor")
-    return cokernel(t.applied("a", 0))
+    node = _node(f, "stab", 0, "left", x)
+    return node.module, induced(Own(f.eval_obj(x)), node)
 
 
 def _fp_value(f: FunctorExpr, pres: Morphism, x: FPModule) -> CokernelRealization:
@@ -410,7 +434,7 @@ def sub_stabilize_fp(f: FunctorExpr, x: FPModule) -> tuple[FPModule, Morphism]:
     if pres is None:
         raise WrongShape("functor has no finitely presented shape")
     e, m = epi_mono_factor(pres)
-    bar = cokernel_realization(hom_pull(m, x))
+    bar = FP(m)._at(x)
     k = induced(Within(hom_module(e.target, x), bar),
                 Within(hom_module(pres.source, x), _fp_value(f, pres, x)),
                 pull_arrow(e.mat, x))
@@ -428,107 +452,123 @@ def tc_quot_stabilize(f: FunctorExpr, x: FPModule) -> SubquotientRealization:
     return kernel_realization(tensor_mor(m, identity_morphism(x)))
 
 
-class _Stabilization(FunctorExpr):
-    """A stabilization of ``inner``, cached per object; ``_stabilize``
-    returns the (module, map) pair at an object."""
-
-    def __init__(self, inner: FunctorExpr):
-        self.inner = inner
-        self.variance = inner.variance
-        self._cache: dict[FPModule, tuple[FPModule, Morphism]] = {}
-
-    def _at(self, x):
-        got = self._cache.get(x)
-        if got is None:
-            got = self._stabilize(self.inner, x)
-            self._cache[x] = got
-        return got
-
-    def eval_obj(self, x):
-        return self._at(x)[0]
-
-
-class SubStab(_Stabilization):
-    _stabilize = staticmethod(sub_stabilize)
-
-    def eval_mor(self, phi):
-        inner_phi = self.inner.eval_mor(phi)
-        (_, src_incl), (_, tgt_incl) = _ends(self, phi, self._at)
-        h = factor_through(inner_phi.compose(src_incl), tgt_incl)
-        if h is None:
-            raise WrongShape("morphism does not respect the sub-stabilization")
-        return h
-
-    def __str__(self):
-        return f"bar({self.inner})"
-
-
-class QuotStab(_Stabilization):
-    _stabilize = staticmethod(quot_stabilize)
-
-    def eval_mor(self, phi):
-        inner_phi = self.inner.eval_mor(phi)
-        (_, src_proj), (_, tgt_proj) = _ends(self, phi, self._at)
-        h = extend_along(tgt_proj.compose(inner_phi), src_proj)
-        if h is None:
-            raise WrongShape("morphism does not respect the quot-stabilization")
-        return h
-
-    def __str__(self):
-        return f"under({self.inner})"
-
-
-# ---------------------------------------------------------------------------
-# derived functors
-
-
-def _derived_node(f: FunctorExpr, i: int, side: str, x: FPModule):
-    return _Thread(f, side, x, i + 1,
-                   "derived functors on the injective side").der(i)
-
-
-def derived_eval(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
-    _require_nonnegative(i, "derived functor degrees")
-    pres = _fp_right(f, x) if side == "right" else None
-    if pres is not None:
-        return resolve_ext(kernel_realization(pres).module, x, i)
-    return _derived_node(f, i, side, x).module
-
-
-def derived_mor(f: FunctorExpr, i: int, side: str, phi: Morphism) -> Morphism:
-    _require_nonnegative(i, "derived functor degrees")
-    pres = _fp_right(f, phi.source) if side == "right" else None
-    if pres is not None:
-        return ExtFixedFirst(kernel_realization(pres).module, i).eval_mor(phi)
-    src, tgt = _ends(f, phi, lambda y: _derived_node(f, i, side, y))
-    lift = _chain_map(phi, i + 1, _injective_side(f, side))[i]
-    return induced(src, tgt, f.eval_mor(lift).mat)
-
-
 class _Indexed(FunctorExpr):
-    """The i-th derived functor or satellite of ``inner`` on one side."""
+    """The thread's ``_kind`` node at index i on one side of ``inner``, as a
+    functor.  On phi it is F of phi lifted to the threads of phi's ends
+    (the i-th square of the comparison theorem at a derived node, the i-th
+    (co)syzygy shift elsewhere), carried between the two nodes."""
 
     def __init__(self, inner: FunctorExpr, i: int, side: str):
         self.inner, self.i, self.side = inner, i, side
         self.variance = inner.variance
+
+    def eval_obj(self, x):
+        return _node(self.inner, self._kind, self.i, self.side, x).module
+
+    def eval_mor(self, phi):
+        f, kind, i, side = self.inner, self._kind, self.i, self.side
+        src, tgt = _ends(f, phi, lambda y: _node(f, kind, i, side, y))
+        injective = _injective_side(f, side)
+        if kind == "der":
+            lift = _chain_map(phi, i + 1, injective)[i]
+        else:
+            lift = (sigma_shift_mor if injective else omega_shift_mor)(phi, i)
+        return induced(src, tgt, f.eval_mor(lift).mat)
 
     def __str__(self):
         tag = self._tags[self.side != "right"]
         return f"{tag}{self.i}({self.inner})"
 
 
-class Derived(_Indexed):
-    _tags = ("R", "L")
+class _Stab(_Indexed):
+    """F-bar (right side) or F-under (left side) at the i-th (co)syzygy of
+    the side's thread: beta's target and alpha's source at i = 1."""
+
+    _kind, _tags = "stab", ("bar", "under")
+
+    def __str__(self):
+        if self.i:
+            return super().__str__()
+        return f"{self._tags[self.side != 'right']}({self.inner})"
+
+
+class SubStab(_Stab):
+    """F-bar.  Over a ring that is not quasi-Frobenius a finitely presented
+    covariant F = coker((B,-) -> (A,-)) has F-bar = coker((B,-) -> (Im f,-)),
+    that is FP(m) for m the mono part of f."""
+
+    def __init__(self, inner: FunctorExpr):
+        super().__init__(inner, 0, "right")
+
+    def _fp(self, x: FPModule) -> FunctorExpr | None:
+        pres = _fp_right(self.inner, x)
+        return None if pres is None else FP(epi_mono_factor(pres)[1])
 
     def eval_obj(self, x):
-        return derived_eval(self.inner, self.i, self.side, x)
+        fp = self._fp(x)
+        return super().eval_obj(x) if fp is None else fp.eval_obj(x)
 
     def eval_mor(self, phi):
-        return derived_mor(self.inner, self.i, self.side, phi)
+        fp = self._fp(phi.source)
+        return super().eval_mor(phi) if fp is None else fp.eval_mor(phi)
+
+
+class QuotStab(_Stab):
+    """F-under."""
+
+    def __init__(self, inner: FunctorExpr):
+        super().__init__(inner, 0, "left")
+
+
+class Derived(_Indexed):
+    """The i-th derived functor.  Over a ring that is not quasi-Frobenius the
+    right-derived functors of a finitely presented covariant F are
+    Ext^i(w(F), -), w(F) the defect."""
+
+    _kind, _tags = "der", ("R", "L")
+
+    def _defect(self, x: FPModule) -> FPModule | None:
+        _require_nonnegative(self.i, "derived functor degrees")
+        pres = _fp_right(self.inner, x) if self.side == "right" else None
+        return None if pres is None else kernel_realization(pres).module
+
+    def eval_obj(self, x):
+        w = self._defect(x)
+        return super().eval_obj(x) if w is None else resolve_ext(w, x, self.i)
+
+    def eval_mor(self, phi):
+        w = self._defect(phi.source)
+        if w is None:
+            return super().eval_mor(phi)
+        return ExtFixedFirst(w, self.i).eval_mor(phi)
+
+
+class Satellite(_Indexed):
+    _kind, _tags = "sat", ("S^", "S_")
+
+
+def derived_eval(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
+    return Derived(f, i, side).eval_obj(x)
+
+
+def derived_mor(f: FunctorExpr, i: int, side: str, phi: Morphism) -> Morphism:
+    return Derived(f, i, side).eval_mor(phi)
 
 
 def derived(f: FunctorExpr, i: int, side: str) -> FunctorExpr:
     return Derived(f, i, side)
+
+
+def satellite(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
+    """i-th satellite at X; higher satellites by dimension shift through one
+    threaded resolution.
+
+    Covariant: S^i = coker F(I^{i-1} ->> Sigma^i X) (QF ring),
+               S_i = ker F(Omega^i X into P_{i-1}) (any ring).
+    Contravariant: S^i via the syzygy inclusion (any ring),
+                   S_i via the cosyzygy projection (QF ring).
+    """
+    return Satellite(f, i, side).eval_obj(x)
 
 
 def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
@@ -551,42 +591,6 @@ def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
         else:          # dy . h_k = h_k-1 . dx
             hs.append(factor_through(hs[-1].compose(dx), dy))
     return hs
-
-
-# ---------------------------------------------------------------------------
-# satellites
-
-
-def satellite(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
-    """i-th satellite at X; higher satellites by dimension shift through one
-    threaded resolution.
-
-    Covariant: S^i = coker F(I^{i-1} ->> Sigma^i X) (QF ring),
-               S_i = ker F(Omega^i X into P_{i-1}) (any ring).
-    Contravariant: S^i via the syzygy inclusion (any ring),
-                   S_i via the cosyzygy projection (QF ring).
-    """
-    return _satellite_node(f, i, side, x).module
-
-
-def _satellite_node(f: FunctorExpr, i: int, side: str, x: FPModule):
-    if i < 1:
-        raise WrongShape("satellites are indexed from 1")
-    return _Thread(f, side, x, i,
-                   f"{side} satellites on the injective side").sat(i)
-
-
-class Satellite(_Indexed):
-    _tags = ("S^", "S_")
-
-    def eval_obj(self, x):
-        return satellite(self.inner, self.i, self.side, x)
-
-    def eval_mor(self, phi):
-        i, f = self.i, self.inner
-        src, tgt = _ends(f, phi, lambda y: _satellite_node(f, i, self.side, y))
-        shift = sigma_shift_mor if _injective_side(f, self.side) else omega_shift_mor
-        return induced(src, tgt, f.eval_mor(shift(phi, i)).mat)
 
 
 # ---------------------------------------------------------------------------
@@ -660,18 +664,12 @@ class NatTransSample:
         self.naturality = naturality
 
 
-def _shifted(stab, f: FunctorExpr, side: str) -> FunctorExpr:
-    """stab(F) composed with the first shift along the side's thread."""
-    shift = ShiftSigma if _injective_side(f, side) else ShiftOmega
-    return shift(stab(f), 1)
-
-
 _CANONICAL = {
     "rho": (rho, lambda f: f, lambda f: Derived(f, 0, "right")),
     "lambda": (lam, lambda f: Derived(f, 0, "left"), lambda f: f),
     "beta": (beta, lambda f: Derived(f, 0, "right"),
-             lambda f: _shifted(SubStab, f, "right")),
-    "alpha": (alpha, lambda f: _shifted(QuotStab, f, "left"),
+             lambda f: _Stab(f, 1, "right")),
+    "alpha": (alpha, lambda f: _Stab(f, 1, "left"),
               lambda f: Derived(f, 0, "left")),
 }
 

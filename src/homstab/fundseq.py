@@ -10,7 +10,7 @@ complexes everywhere, exact away from the derived-functor nodes, and exact
 everywhere when the functor is half-exact.
 
 There is one row builder for both sides.  It reads funcalc's thread (F
-applied along the resolution the threaded-resolution table names for the
+applied along the resolution that ``funcalc._injective_side`` picks for the
 functor's variance and the side) and joins its nodes with ``fpmod.induced``.
 """
 

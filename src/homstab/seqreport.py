@@ -81,6 +81,8 @@ def build_report(nodes, maps, metadata=None) -> SequenceReport:
 
     ``nodes`` are (label, module[, kind]) tuples or SequenceNodes; endpoints
     get exactness verdict None (no two-sided test is possible there).
+    ``maps[k]`` must run from node k's module to node k+1's: a wrong count
+    or a map between other modules raises NotAComplex.
     """
     seq = []
     for n in nodes:
@@ -92,6 +94,9 @@ def build_report(nodes, maps, metadata=None) -> SequenceReport:
             seq.append(SequenceNode(label, module, kind))
     if len(maps) != len(seq) - 1:
         raise NotAComplex("need one map per consecutive node pair")
+    for k, m in enumerate(maps):
+        if m.source != seq[k].module or m.target != seq[k + 1].module:
+            raise NotAComplex(f"map {k} does not run from node {k} to node {k + 1}")
     composite = []
     for g, f in zip(maps[1:], maps):
         composite.append(g.compose(f).is_zero())

@@ -8,21 +8,22 @@ import pytest
 
 from homstab.archeck import bidual_check
 from homstab.errors import NotAComplex, UnsupportedRing, WrongShape
-from homstab.exactlin import ZZ, Zmod
+from homstab.exactlin import IntMat, ZZ, Zmod
 from homstab.fpmod import (
     Own, SubquotientRealization, canonical_invariants, cyclic, direct_sum,
-    free_module, identity_morphism, induced, is_projective_module, iso_test,
-    make_morphism, morphisms_equal, zero_morphism,
+    extend_along, factor_through, free_module, identity_morphism, induced,
+    is_projective_module, iso_test, make_module, make_morphism,
+    morphisms_equal, zero_morphism,
 )
 from homstab.funcalc import (
-    COVARIANT, FP, Derived, ExtFixedFirst, HomContra, HomCov, QuotStab, Satellite,
-    SubStab, TensorLeft, alpha, auslander_four_term, beta,
+    COVARIANT, FP, TC, Derived, ExtFixedFirst, HomContra, HomCov, QuotStab,
+    Satellite, SubStab, TensorLeft, alpha, auslander_four_term, beta,
     derived_eval, lam, nat_trans_sample, quot_stabilize, rho, satellite,
     sub_stabilize, sub_stabilize_fp, tc_quot_stabilize,
 )
 from homstab.fundseq import (
-    circular_sequence, contra_fund, hereditary_decomposition, is_exact_at,
-    left_fund_cov, right_fund_cov, short_exact, splitting_test,
+    build_report, circular_sequence, contra_fund, hereditary_decomposition,
+    is_exact_at, left_fund_cov, right_fund_cov, short_exact, splitting_test,
 )
 from homstab.instances import (
     random_composable_pair, random_module, random_morphism,
@@ -460,3 +461,109 @@ def test_canonical_maps_are_row_arrows(ring):
     else:
         assert len(checked) == 7
         assert nonzero == {"rho", "lambda"}
+
+
+def test_build_report_rejects_a_map_between_other_modules():
+    z4 = cyclic(ZZ, 4)
+    two = make_morphism(Z, Z, [[2]])
+    proj = make_morphism(Z, z4, [[1]])
+    # each map must run from its node's module to the next node's
+    with pytest.raises(NotAComplex):
+        build_report([("Z", Z), ("Z/2", Z2)], [proj])
+    with pytest.raises(NotAComplex):
+        build_report([("Z", Z), ("Z", Z), ("Z/4", z4)], [proj, two])
+    rep = build_report([("Z", Z), ("Z", Z), ("Z/4", z4)], [two, proj])
+    assert rep.maps == [two, proj]
+
+
+# ---------------------------------------------------------------------------
+# beta's target and alpha's source are thread nodes: the stabilization at
+# the first (co)syzygy of the same thread beta and alpha read, carried along
+# the (co)syzygy shift of phi, so their naturality squares close
+
+
+def _sum_of_cyclics(rng, ring, most=4):
+    """A sum of at most ``most`` cyclic modules Z/d, d a proper divisor of n
+    (of 72 over Z)."""
+    n = ring.modulus or 72
+    divisors = [d for d in range(2, n) if n % d == 0]
+    orders = [rng.choice(divisors) for _ in range(rng.randint(1, most))]
+    return make_module(ring, IntMat.diag(orders))
+
+
+@pytest.mark.parametrize("proj", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+def test_alpha_is_natural_on_a_summand_projection(proj):
+    # Omega(Z/2 + Z/4) over Z/16 is Z/4 + Z/8, which the left thread covers
+    # by [[1, 1], [3, 2]] and a free cover of its own by the identity: two
+    # projections onto one F-under(Omega X) that differ
+    r16 = Zmod(16)
+    x = make_module(r16, IntMat.diag([2, 4]))
+    f = HomCov(cyclic(r16, 4))
+    sample = nat_trans_sample("alpha", f, [x], [make_morphism(x, x, proj)])
+    assert not sample.components[0][1].is_zero()
+    assert [ok for _, ok in sample.naturality] == [True]
+
+
+@pytest.mark.parametrize("n", [8, 16, 36])
+def test_canonical_transformations_are_natural(n):
+    ring = Zmod(n)
+    rng = random.Random(n)
+    nonzero = set()
+    for _ in range(4):
+        a, b, x, y = (_sum_of_cyclics(rng, ring) for _ in range(4))
+        f = random_morphism(rng, a, b)
+        phis = [random_morphism(rng, x, y), random_morphism(rng, x, x)]
+        for func in (HomCov(a), TensorLeft(a), FP(f), TC(f), HomContra(a)):
+            for name in ("rho", "lambda", "beta", "alpha"):
+                sample = nat_trans_sample(name, func, [x, y], phis)
+                assert all(ok for _, ok in sample.naturality), (str(func), name)
+                if any(not c.is_zero() for _, c in sample.components):
+                    nonzero.add(name)
+    assert nonzero == {"rho", "lambda", "beta", "alpha"}
+
+
+# ---------------------------------------------------------------------------
+# SubStab and QuotStab on maps equal the maps solved for along the
+# stabilization inclusions and projections
+
+
+def _solved_stab_mor(stabilize, f, phi):
+    """F-bar(phi) as the h with k . h = F(phi) . k, or F-under(phi) as the h
+    with h . q = q . F(phi), k and q the maps ``stabilize`` returns."""
+    ends = (phi.source, phi.target) if f.variance == COVARIANT \
+        else (phi.target, phi.source)
+    (_, src), (_, tgt) = (stabilize(f, y) for y in ends)
+    f_phi = f.eval_mor(phi)
+    if stabilize is sub_stabilize:
+        return factor_through(f_phi.compose(src), tgt)
+    return extend_along(tgt.compose(f_phi), src)
+
+
+@pytest.mark.parametrize(
+    "ring", [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(12), Zmod(16), Zmod(36)],
+    ids=str)
+def test_stabilization_maps_equal_the_solved_ones(ring):
+    rng = random.Random(20261020)
+    nonzero = set()
+    for _ in range(5):
+        a, b, x, y = (_sum_of_cyclics(rng, ring, 3) for _ in range(4))
+        f = random_morphism(rng, a, b)
+        phi = random_morphism(rng, x, y)
+        for func in (HomCov(a), TensorLeft(a), HomContra(a), FP(f), TC(f),
+                     ExtFixedFirst(b, 1)):
+            for cls, stabilize in ((SubStab, sub_stabilize),
+                                   (QuotStab, quot_stabilize)):
+                try:
+                    got = cls(func).eval_mor(phi)
+                except UnsupportedRing:
+                    continue
+                assert morphisms_equal(got, _solved_stab_mor(stabilize, func, phi))
+                if not got.is_zero():
+                    nonzero.add((cls.__name__, func.variance))
+
+    # over Z a covariant F-bar is the finitely presented shortcut and a
+    # contravariant F-under needs injective containers; F-bar of (-, A) is 0
+    want = {("SubStab", COVARIANT), ("QuotStab", COVARIANT)}
+    if ring.quasi_frobenius:
+        want.add(("QuotStab", -COVARIANT))
+    assert nonzero == want
