@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .errors import UnsupportedRing
 from .fpmod import (
-    FPModule, Morphism, cokernel_realization, dual, free_module, hom_module,
-    hom_pull, hom_push, iso_test, tensor_module, transpose,
+    FPModule, Morphism, cokernel_realization, dual, dual_mor, free_module,
+    hom_module, hom_pull, hom_push, iso_test, tensor_module, transpose,
 )
 from .funcalc import (
     HomCov, TensorLeft, auslander_four_term, free_cover, quot_stabilize,
@@ -33,7 +33,7 @@ def matlis_dual_mor(f: Morphism) -> Morphism:
     """D on morphisms (contravariant)."""
     if not f.source.ring.quasi_frobenius:
         raise UnsupportedRing("character duality needs the self-injective Z/n")
-    return hom_pull(f, free_module(f.source.ring, 1))
+    return dual_mor(f)
 
 
 def stable_hom(a: FPModule, b: FPModule, mod: str) -> FPModule:

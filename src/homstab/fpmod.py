@@ -757,6 +757,11 @@ def dual(m: FPModule) -> FPModule:
     return hom_module(m, free_module(m.ring, 1)).module
 
 
+def dual_mor(f: Morphism) -> Morphism:
+    """Hom(f, R): D(target) -> D(source), the dual on arrows."""
+    return hom_pull(f, free_module(f.source.ring, 1))
+
+
 def evaluation_map(m: FPModule) -> Morphism:
     """The canonical map M -> M** sending a generator to evaluation at it."""
     r1 = free_module(m.ring, 1)

@@ -9,7 +9,9 @@ rho/lambda/beta/alpha, and the fundamental sequences built on them) reads a
 thread: F applied once along one resolution of the argument, picked by one
 rule (``_injective_side``).  Covariant-right and contravariant-left thread an
 injective resolution, which needs a quasi-Frobenius base ring; the other two
-thread a projective resolution over either ring.  A resolution is stored as
+thread a projective resolution over either ring.  The injective resolution
+of X is D = Hom(-, Z/n) applied to the projective resolution of DX, so both
+sides read one kernel chain.  A resolution is stored as
 its arrows: the diffs and their epi-mono factors.  A thread cuts
 stabilization, satellite and derived nodes out of the applied arrows, and
 every connecting map between two nodes is one ``fpmod.induced``: F of a
@@ -19,11 +21,12 @@ node's.  rho, lambda, beta and alpha are single induced maps.
 stabilization at the first (co)syzygy that is beta's target and alpha's
 source, are one family (``_Indexed``): each reads its node off the thread
 (``_node``), and on a morphism phi it is one induced map too, F of phi lifted
-to the threads of phi's ends.  Those lifts are the only maps solved for: the
-(co)syzygy shifts of a morphism factor through a mono
-(``fpmod.factor_through``) or extend along one into an injective
-(``fpmod.extend_along``), and the comparison theorem lifts a map to
-resolutions one square at a time with the same two forms.
+to the threads of phi's ends.  Those lifts are the only maps solved for, all
+on the projective side: the syzygy shift of a morphism factors through a
+mono (``fpmod.factor_through``), and the comparison theorem lifts a map to
+resolutions one square at a time the same way.  On the injective side each
+lift is D of the projective lift of D(phi): the cosyzygy shift is
+``dual_mor(omega_shift_mor(dual_mor(phi), k))``.
 Finitely presented shapes provide projective-side shortcuts valid over any
 ring:
 
@@ -47,16 +50,15 @@ from .errors import UnsupportedRing, WrongShape
 from .exactlin import kernel_basis
 from .fpmod import (
     CokernelRealization, FPModule, Morphism, Own, SubquotientRealization,
-    Within, cokernel_realization, epi_mono_factor, evaluation_map,
-    extend_along, factor_through, free_module, hom_module, hom_pull,
-    hom_push, identity_morphism, induced, is_identity, kernel,
-    kernel_realization, make_morphism, pull_arrow, push_arrow, subquotient,
-    tensor_module, tensor_mor, zero_morphism,
+    Within, cokernel_realization, dual_mor, epi_mono_factor, evaluation_map,
+    factor_through, free_module, hom_module, hom_pull, hom_push,
+    identity_morphism, induced, is_identity, kernel, kernel_realization,
+    make_morphism, pull_arrow, push_arrow, subquotient, tensor_module,
+    tensor_mor, zero_morphism,
 )
 from .resolve import (
     _power_map, _presented, _require_nonnegative, cosyzygy,
-    ext as resolve_ext, homology_at, inj_resolution, injective_container,
-    proj_resolution, syzygy,
+    ext as resolve_ext, homology_at, inj_resolution, proj_resolution, syzygy,
 )
 from .seqreport import SequenceReport, build_report
 
@@ -253,19 +255,12 @@ def omega_shift_mor(phi: Morphism, k: int) -> Morphism:
 
 
 def sigma_shift_mor(phi: Morphism, k: int) -> Morphism:
-    """Sigma^k on morphisms; well-defined modulo maps through injectives."""
-    if k:
-        _require_qf(phi.source.ring, "a cosyzygy shift")
-    for _ in range(k):
-        if is_identity(phi):
-            phi = identity_morphism(cosyzygy(phi.source, 1))
-            continue
-        ex, ey = injective_container(phi.source), injective_container(phi.target)
-        h = extend_along(ey.compose(phi), ex)
-        if h is None:
-            raise WrongShape("map does not extend along the given mono")
-        phi = induced(cokernel_realization(ex), cokernel_realization(ey), h.mat)
-    return phi
+    """Sigma^k on morphisms, D Omega^k D as the injective side is D of the
+    projective side of D(-); well-defined modulo maps through injectives."""
+    if not k:
+        return phi
+    _require_qf(phi.source.ring, "a cosyzygy shift")
+    return dual_mor(omega_shift_mor(dual_mor(phi), k))
 
 
 class _Shift(FunctorExpr):
@@ -572,24 +567,19 @@ def satellite(f: FunctorExpr, i: int, side: str, x: FPModule) -> FPModule:
 
 
 def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
-    """h_0 .. h_{depth-1}: phi lifted to the projective or injective
-    resolutions of its ends (comparison theorem).  The resolutions are the
-    depth-``depth`` ones the derived nodes thread, and no square past
-    h_{depth-1} is solved."""
-    resolve = inj_resolution if injective else proj_resolution
-    rx, ry = resolve(phi.source, depth), resolve(phi.target, depth)
+    """h_0 .. h_{depth-1}: phi lifted to the projective resolutions of its
+    ends (comparison theorem), or to the injective ones as D of the lift of
+    D(phi), since the injective resolution is D of the projective one of
+    D(-).  The resolutions are the depth-``depth`` ones the derived nodes
+    thread, and no square past h_{depth-1} is solved."""
     if injective:
-        hs = [extend_along(ry.augmentation.compose(phi), rx.augmentation)]
-        if hs[0] is None:
-            raise WrongShape("map does not extend along the given mono")
-    else:
-        hs = [make_morphism(rx.augmentation.source, ry.augmentation.source,
-                            phi.mat)]
-    for dx, dy in zip(rx.diffs[:depth - 1], ry.diffs):
-        if injective:  # h_k . dx = dy . h_k-1
-            hs.append(extend_along(dy.compose(hs[-1]), dx))
-        else:          # dy . h_k = h_k-1 . dx
-            hs.append(factor_through(hs[-1].compose(dx), dy))
+        return [dual_mor(h) for h in _chain_map(dual_mor(phi), depth, False)]
+    rx = proj_resolution(phi.source, depth)
+    ry = proj_resolution(phi.target, depth)
+    hs = [make_morphism(rx.augmentation.source, ry.augmentation.source,
+                        phi.mat)]
+    for dx, dy in zip(rx.diffs[:depth - 1], ry.diffs):  # dy . h_k = h_k-1 . dx
+        hs.append(factor_through(hs[-1].compose(dx), dy))
     return hs
 
 
@@ -681,14 +671,22 @@ def nat_trans_sample(name: str, f: FunctorExpr, objects, morphisms) -> NatTransS
         raise WrongShape(f"no canonical transformation named {name}")
     comp_fn, src_fn, tgt_fn = _CANONICAL[name]
     src_expr, tgt_expr = src_fn(f), tgt_fn(f)
-    components = [(x, comp_fn(f, x)) for x in objects]
+    held: dict[FPModule, Morphism] = {}
+
+    def component(x: FPModule) -> Morphism:
+        got = held.get(x)
+        if got is None:
+            got = held[x] = comp_fn(f, x)
+        return got
+
+    components = [(x, component(x)) for x in objects]
     verdicts = []
     for phi in morphisms:
         from_obj, to_obj = _ends(f, phi, lambda y: y)
         src_phi = src_expr.eval_mor(phi)
         tgt_phi = tgt_expr.eval_mor(phi)
-        lhs = comp_fn(f, to_obj).compose(src_phi)
-        rhs = tgt_phi.compose(comp_fn(f, from_obj))
+        lhs = component(to_obj).compose(src_phi)
+        rhs = tgt_phi.compose(component(from_obj))
         verdicts.append((phi, (lhs - rhs).is_zero()))
     return NatTransSample(name, components, verdicts)
 

@@ -6,10 +6,12 @@ presentations the differential matrices are just the iterated ring kernels of
 the presentation, so over Z every resolution has length <= 1.
 
 Injective resolutions exist over Z/n only (the ring is quasi-Frobenius, so
-finite free modules are injective); the container of M is the double-dual
-embedding M = M** into the dual of a free cover of M*.  Over Z the injective
-hull of a finitely generated module is not finitely presented, so
-injective-side constructions raise UnsupportedRing.
+finite free modules are injective).  There D = Hom(-, Z/n) is exact and
+DD = 1, so the injective resolution of M is D applied to the projective
+resolution of DM, its augmentation preceded by the evaluation M -> DDM:
+Sigma^k(M) = D Omega^k(DM), and the terms are duals of free modules, hence
+free.  Over Z the injective hull of a finitely generated module is not
+finitely presented, so injective-side constructions raise UnsupportedRing.
 
 Ext and Tor always resolve their first argument projectively.  An independent
 classification-based oracle over Z cross-checks them in the test suite.
@@ -44,12 +46,12 @@ answer is a trimmed presentation, so it does not depend on how the complex
 or N was presented.  ``funcalc.auslander_four_term`` builds its complexes
 of powers of X with the same ``_power_map``.
 
-The injective side repeats by the same rule.  Sigma^{k+1} is the cokernel
-of the container of Sigma^k, a trimmed module fixed by Sigma^k, so once
-Sigma^k equals an earlier Sigma^j the cosyzygies have period k - j from
-index j on, and ``cosyzygy`` at a degree past the first repeat answers at
-the equal lower degree (Z/2 over Z/8 gives Z/2, Z/4, Z/2, ...).  One walk,
-``_first_equal``, finds the first repeat of either chain.
+The injective side repeats by the same rule, since it is read off the
+kernel chain of DM: ``cosyzygy(m, k)`` is ``dual(syzygy(dual(m), k))``,
+and ``syzygy`` answers past the first repeat of that chain at the equal
+lower degree (Z/2 over Z/8 gives Z/2, Z/4, Z/2, ...).  So one rule,
+``_repeat_degree`` (of M on the projective side, of DM on the injective
+side), finds where either side repeats.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ from math import gcd
 from .errors import DimensionMismatch, NotAComplex, UnsupportedRing, WrongShape
 from .exactlin import IntMat, kernel_basis
 from .fpmod import (
-    FPModule, Morphism, Own, SubquotientRealization, canonical_invariants,
-    cokernel_realization, cyclic, epi_mono_factor, free_module, hom_module,
-    induced, kernel_generators, kernel_realization, make_module,
-    make_morphism, subquotient, zero_module,
+    FPModule, Morphism, SubquotientRealization, canonical_invariants,
+    cokernel_realization, cyclic, dual, dual_mor, epi_mono_factor,
+    evaluation_map, free_module, kernel_generators, kernel_realization,
+    make_module, make_morphism, subquotient, zero_module,
 )
 
 
@@ -159,25 +161,13 @@ def syzygy(m: FPModule, k: int) -> FPModule:
 
 
 # ---------------------------------------------------------------------------
-# injective containers and resolutions (quasi-Frobenius side)
+# injective resolutions (quasi-Frobenius side): D of the projective side of DM
 
 
-@lru_cache(maxsize=4096)
-def injective_container(m: FPModule) -> Morphism:
-    """Deterministic embedding of M into a free (= injective) Z/n-module,
-    via M = M** into the dual of a free cover of M*."""
-    if not m.ring.quasi_frobenius:
+def _require_containers(ring) -> None:
+    if not ring.quasi_frobenius:
         raise UnsupportedRing(
             "injective containers of f.g. Z-modules are not finitely presented")
-    star = hom_module(m, free_module(m.ring, 1))
-    container = free_module(m.ring, star.module.gens)
-    # row k is the k-th generator functional of M*
-    emb = make_morphism(m, container, star.decode.transpose())
-    # the double-dual embedding is injective precisely because Z/n is
-    # self-injective; verify rather than trust
-    if not kernel_realization(emb).module.is_zero():
-        raise UnsupportedRing("double-dual embedding failed to be injective")
-    return emb
 
 
 class InjResolution:
@@ -207,30 +197,35 @@ class InjResolution:
 
 @lru_cache(maxsize=2048)
 def inj_resolution(m: FPModule, depth: int) -> InjResolution:
+    """D of ``proj_resolution(dual(m), depth)``: embeds[k] is D(covers[k]),
+    projs[k] is D(includes[k]) and diffs[k] is D(diffs[k]), with embeds[0]
+    preceded by the evaluation M -> DDM."""
     _require_nonnegative(depth, "resolution depths")
-    embeds = [injective_container(m)]
-    projs: list[Morphism] = []
-    diffs: list[Morphism] = []
-    for _ in range(depth):
-        c = cokernel_realization(embeds[-1])
-        proj = induced(Own(embeds[-1].target), c)
-        nxt = injective_container(c.module)
-        projs.append(proj)
-        embeds.append(nxt)
-        diffs.append(nxt.compose(proj))
-    return InjResolution(tuple(diffs), tuple(embeds), tuple(projs))
+    _require_containers(m.ring)
+    pr = proj_resolution(dual(m), depth)
+    embeds = [dual_mor(c) for c in pr.covers]
+    embeds[0] = embeds[0].compose(evaluation_map(m))
+    # the evaluation is injective precisely because Z/n is self-injective;
+    # verify rather than trust
+    if not kernel_realization(embeds[0]).module.is_zero():
+        raise UnsupportedRing("double-dual embedding failed to be injective")
+    return InjResolution(tuple(map(dual_mor, pr.diffs)), tuple(embeds),
+                         tuple(map(dual_mor, pr.includes)))
 
 
-def _next_cosyzygy(m: FPModule) -> FPModule:
-    return cokernel_realization(injective_container(m)).module
+def injective_container(m: FPModule) -> Morphism:
+    """Deterministic embedding of M into a free (= injective) Z/n-module:
+    the augmentation of its injective resolution."""
+    return inj_resolution(m, 0).augmentation
 
 
 def cosyzygy(m: FPModule, k: int) -> FPModule:
-    """Sigma^k via iterated cokernel-of-container; Sigma^0 is the module."""
+    """Sigma^k = D Omega^k D; Sigma^0 is the module."""
     _require_nonnegative(k, "cosyzygy orders")
-    for _ in range(_first_equal(m, _next_cosyzygy, k)):
-        m = _next_cosyzygy(m)
-    return m
+    if k == 0:
+        return m
+    _require_containers(m.ring)
+    return dual(syzygy(dual(m), k))
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def _pin_payload():
     return json.dumps(out, sort_keys=True)
 
 
-PIN_SHA256 = "86fa0323d3943c6075b532293f366172af7c2bdbf2cfeb388eea2fa608f20218"
+PIN_SHA256 = "75603fd726f8ac00db811e3ad4a7db6caac6ac0f4c39da9adcb4566e7f09ef2a"
 
 
 def test_builders_and_canonical_maps_pinned():
@@ -384,7 +384,7 @@ def _second_pin_payload():
     return json.dumps(out, sort_keys=True)
 
 
-SECOND_PIN_SHA256 = "984bf731970bffca9bb52d8e10379fd18e86f4b5c0202e91777cd21c8cf40446"
+SECOND_PIN_SHA256 = "e49e7e0c35a55286cf1e3b694277ad313d3ffe0c16f0389e4c8905a14239a44e"
 
 
 def test_stabilizations_derived_and_four_term_pinned():

@@ -9,8 +9,8 @@ from homstab.errors import DimensionMismatch, NotAComplex, UnsupportedRing
 from homstab.exactlin import IntMat, ZZ, Zmod
 from homstab.fpmod import (
     FPModule, canonical_invariants, cokernel_realization, cyclic, direct_sum,
-    free_module, hom_module, hom_pull, identity_morphism, iso_test, kernel,
-    kernel_realization, make_module, make_morphism, stably_iso_test,
+    dual, free_module, hom_module, hom_pull, identity_morphism, iso_test,
+    kernel, kernel_realization, make_module, make_morphism, stably_iso_test,
     tensor_module, tensor_mor, zero_module, zero_morphism,
 )
 from homstab.resolve import (
@@ -364,12 +364,11 @@ def test_ext_and_tor_reject_modules_over_different_rings(rings):
     (Zmod(4), [2]), (Zmod(8), [2]), (Zmod(8), [2, 4]), (Zmod(12), [2, 3, 4, 6])])
 def test_cosyzygies_past_the_first_repeat_answer_at_the_equal_lower_degree(
         monkeypatch, ring, orders):
-    # Sigma^{k+1} is the cokernel of the container of Sigma^k, so once the
-    # cosyzygies repeat, every later one repeats with them
+    # Sigma^k = D Omega^k D, so the cosyzygies repeat with the kernel chain
+    # of DM
     m = make_module(ring, IntMat.diag(orders))
     degrees = range(1, 9)
-    assert any(resolve._first_equal(m, resolve._next_cosyzygy, k) < k
-               for k in degrees)
+    assert any(resolve._repeat_degree(dual(m), k) < k for k in degrees)
     reduced = [cosyzygy(m, k) for k in degrees]
     monkeypatch.setattr(resolve, "_first_equal", lambda x, step, i: i)
     direct = [cosyzygy(m, k) for k in degrees]
