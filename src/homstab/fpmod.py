@@ -44,24 +44,20 @@ A realization carries no maps.  An inclusion or projection is induced where
 it is read: ``kernel(f)`` returns ``induced(k, Own(f.source))`` and
 ``cokernel(f)`` returns ``induced(Own(f.target), c)``.
 
-Every map between constructed modules is built one of two ways:
-
-* induced: ``induced(src, tgt, arrow)`` is ``tgt.encode(arrow @ src.decode)``
-  for a matrix between the two ambients, checked for well-definedness like
-  any other morphism.  On vectorized generator matrices
-  vec(L G R) = (R^T (x) L) vec(G), and two helpers write the two arrows
-  of a Hom map: ``push_arrow(A, M)`` is 1 (x) M (G |-> M G) and
-  ``pull_arrow(M, B)`` is M^T (x) 1 (G |-> G M).  ``hom_push(A, phi)`` is
-  Hom(A, phi) and ``hom_pull(phi, B)`` is Hom(phi, B); each looks up both
-  Hom modules itself, so they always agree with phi.  A map between
-  cokernels or homologies of Hom modules is induced along the same two
-  arrows, so the vec(G) convention is written only here;
-* solved: ``factor_through(g, m)`` finds h with m . h = g and
-  ``extend_along(g, m)`` finds h with h . m = g; each returns None when there
-  is no such h.  Both solve one linear system (the equation modulo the
-  target's relations, plus the well-definedness of h), which serves
-  factoring through monos, extending into injectives, the comparison theorem
-  and retraction search.
+Every map between constructed modules is induced: ``induced(src, tgt,
+arrow)`` is ``tgt.encode(arrow @ src.decode)`` for a matrix between the two
+ambients, checked for well-definedness like any other morphism.  On
+vectorized generator matrices vec(L G R) = (R^T (x) L) vec(G), and two
+helpers write the two arrows of a Hom map: ``push_arrow(A, M)`` is 1 (x) M
+(G |-> M G) and ``pull_arrow(M, B)`` is M^T (x) 1 (G |-> G M).
+``hom_push(A, phi)`` is Hom(A, phi) and ``hom_pull(phi, B)`` is
+Hom(phi, B); each looks up both Hom modules itself, so they always agree
+with phi.  A map between cokernels or homologies of Hom modules is induced
+along the same two arrows, so the vec(G) convention is written only here.
+No map is solved for here: a map through a mono is induced on the mono's
+image (a syzygy shift), a square between free modules is one
+``solve_matrix`` (a comparison-theorem lift), and a retraction is an element
+of a Hom module (``fundseq.splitting_test``).
 
 Membership.  Every verdict (a map is well defined, a composite is zero, a
 sequence is exact at a node) asks whether the columns of B lie in the
@@ -694,40 +690,6 @@ def hom_pull(phi: Morphism, b: FPModule) -> Morphism:
     """Hom(Y, B) -> Hom(X, B) induced by phi: X -> Y (precomposition)."""
     return induced(hom_module(phi.target, b), hom_module(phi.source, b),
                    pull_arrow(phi.mat, b))
-
-
-def _solve(source: FPModule, target: FPModule, left: IntMat, right: IntMat,
-           rhs: IntMat, amb: IntMat) -> Morphism | None:
-    """H: source -> target with left @ H @ right = rhs modulo the column span
-    of ``amb``, or None.  Well-definedness of H (H @ P_source = P_target @ Y)
-    is the second block row of the system."""
-    ring = source.ring
-    gs, gt = source.gens, target.gens
-    srel, trel = source.rel, target.rel
-    top = right.transpose().kron(left)
-    top = top.hstack(IntMat.identity(right.cols).kron(amb)).hstack(
-        IntMat.zeros(top.rows, srel.cols * trel.cols))
-    bottom = srel.transpose().kron(IntMat.identity(gt))
-    bottom = bottom.hstack(IntMat.zeros(bottom.rows, right.cols * amb.cols)).hstack(
-        IntMat.identity(srel.cols).kron(trel))
-    sol = solve_matrix(top.vstack(bottom),
-                       _vec(rhs).vstack(IntMat.zeros(bottom.rows, 1)), ring)
-    if sol is None:
-        return None
-    h = _unvec(IntMat(gs * gt, 1, None, sol.nz[:gs * gt]), gt, gs)
-    return make_morphism(source, target, h)
-
-
-def factor_through(g: Morphism, m: Morphism) -> Morphism | None:
-    """h with m . h = g (g: X -> N through m: M -> N), or None."""
-    return _solve(g.source, m.source, m.mat, IntMat.identity(g.source.gens),
-                  g.mat, g.target.rel)
-
-
-def extend_along(g: Morphism, m: Morphism) -> Morphism | None:
-    """h with h . m = g (g: M -> Y along m: M -> N), or None."""
-    return _solve(m.target, g.target, IntMat.identity(g.target.gens), m.mat,
-                  g.mat, g.target.rel)
 
 
 @lru_cache(maxsize=4096)

@@ -21,12 +21,12 @@ node's.  rho, lambda, beta and alpha are single induced maps.
 stabilization at the first (co)syzygy that is beta's target and alpha's
 source, are one family (``_Indexed``): each reads its node off the thread
 (``_node``), and on a morphism phi it is one induced map too, F of phi lifted
-to the threads of phi's ends.  Those lifts are the only maps solved for, all
-on the projective side: the syzygy shift of a morphism factors through a
-mono (``fpmod.factor_through``), and the comparison theorem lifts a map to
-resolutions one square at a time the same way.  On the injective side each
-lift is D of the projective lift of D(phi): the cosyzygy shift is
-``dual_mor(omega_shift_mor(dual_mor(phi), k))``.
+to the threads of phi's ends.  Those lifts are induced too: the syzygy
+shift of a morphism is the map phi induces on the images of the two
+presentations, and the comparison theorem lifts a map to resolutions one
+square at a time, each square between free modules one ``solve_matrix``.
+On the injective side each lift is D of the projective lift of D(phi): the
+cosyzygy shift is ``dual_mor(omega_shift_mor(dual_mor(phi), k))``.
 Finitely presented shapes provide projective-side shortcuts valid over any
 ring:
 
@@ -47,11 +47,11 @@ Ext^i(A,-), Tor_i(A,-) are half-exact; FP/TC only if the caller says so).
 from __future__ import annotations
 
 from .errors import UnsupportedRing, WrongShape
-from .exactlin import kernel_basis
+from .exactlin import kernel_basis, solve_matrix
 from .fpmod import (
     CokernelRealization, FPModule, Morphism, Own, SubquotientRealization,
     Within, cokernel_realization, dual_mor, epi_mono_factor, evaluation_map,
-    factor_through, free_module, hom_module, hom_pull, hom_push,
+    free_module, hom_module, hom_pull, hom_push,
     identity_morphism, induced, is_identity, kernel, kernel_realization,
     make_morphism, pull_arrow, push_arrow, subquotient, tensor_module,
     tensor_mor, zero_morphism,
@@ -240,17 +240,22 @@ def TorFixedFirst(a: FPModule, i: int) -> FunctorExpr:
 
 
 def omega_shift_mor(phi: Morphism, k: int) -> Morphism:
-    """Omega^k on morphisms; well-defined modulo maps through projectives."""
+    """Omega^k on morphisms; well-defined modulo maps through projectives.
+
+    Each step is the map that the free lift of phi (its own generator
+    matrix) induces between Omega X and Omega Y, each the image of its
+    module's presentation in the free module on its generators (the
+    realization ``syzygy`` and the resolutions read).  The mono into the
+    free cover is that image's decode, so the factorization is unique.  An
+    identity shifts to the identity itself: another generator matrix of it
+    would shift to the identity plus a map through the free cover."""
     for _ in range(k):
         if is_identity(phi):
             phi = identity_morphism(syzygy(phi.source, 1))
             continue
-        px, py = proj_resolution(phi.source, 1), proj_resolution(phi.target, 1)
-        h0 = make_morphism(px.augmentation.source, py.augmentation.source,
-                           phi.mat)
-        phi = factor_through(h0.compose(px.includes[0]), py.includes[0])
-        if phi is None:
-            raise WrongShape("map does not factor through the given mono")
+        src, tgt = (subquotient(free_module(m.ring, m.gens), m.rel)
+                    for m in (phi.source, phi.target))
+        phi = induced(src, tgt, phi.mat)
     return phi
 
 
@@ -571,15 +576,23 @@ def _chain_map(phi: Morphism, depth: int, injective: bool) -> list[Morphism]:
     ends (comparison theorem), or to the injective ones as D of the lift of
     D(phi), since the injective resolution is D of the projective one of
     D(-).  The resolutions are the depth-``depth`` ones the derived nodes
-    thread, and no square past h_{depth-1} is solved."""
+    thread, and no square past h_{depth-1} is solved.
+
+    Both ends of every projective square are free, so h_{k+1} is one
+    ``solve_matrix`` of dy . h_{k+1} = h_k . dx against dy's matrix, a
+    matrix of the kernel chain, which has eliminated it already.  Exactness
+    of the target resolution makes every square solvable."""
     if injective:
         return [dual_mor(h) for h in _chain_map(dual_mor(phi), depth, False)]
+    ring = phi.source.ring
     rx = proj_resolution(phi.source, depth)
     ry = proj_resolution(phi.target, depth)
     hs = [make_morphism(rx.augmentation.source, ry.augmentation.source,
                         phi.mat)]
     for dx, dy in zip(rx.diffs[:depth - 1], ry.diffs):  # dy . h_k = h_k-1 . dx
-        hs.append(factor_through(hs[-1].compose(dx), dy))
+        rhs = (hs[-1].mat @ dx.mat).mod(ring)
+        hs.append(make_morphism(dx.source, dy.source,
+                                solve_matrix(dy.mat, rhs, ring)))
     return hs
 
 

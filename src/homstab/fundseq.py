@@ -17,9 +17,10 @@ functor's variance and the side) and joins its nodes with ``fpmod.induced``.
 from __future__ import annotations
 
 from .errors import NotExact, UnsupportedRing
+from .exactlin import IntMat, solve_matrix
 from .fpmod import (
-    FPModule, Morphism, Own, cokernel_realization, direct_sum, extend_along,
-    free_module, hom_module, identity_morphism, induced, iso_test,
+    FPModule, Morphism, Own, cokernel_realization, direct_sum, free_module,
+    hom_module, hom_pull, identity_morphism, induced, iso_test,
     kernel_realization, zero_morphism,
 )
 from .funcalc import (
@@ -182,14 +183,26 @@ def contra_fund(f: FunctorExpr, b: FPModule, depth: int, side: str) -> SequenceR
 
 def splitting_test(report: SequenceReport) -> tuple[bool, Morphism | None]:
     """Decide whether a verified short exact sequence 0 -> A -> B -> C -> 0
-    splits, by solving for a retraction r with r . i = id_A."""
+    splits, and return a retraction r with r . i = id_A when it does.
+
+    r exists iff [id_A] lies in the image of Hom(i, A): Hom(B, A) ->
+    Hom(A, A), so one ``solve_matrix`` against that map's matrix and the
+    relations of Hom(A, A) decides it, and its solution's first coordinates
+    are r as an element of Hom(B, A)."""
     interior = [n for n in report.nodes if n.kind != "zero"]
     if len(interior) != 3 or not report.exact_everywhere():
         raise NotExact("splitting_test needs a verified short exact sequence")
     start = next(i for i, n in enumerate(report.nodes) if n.kind != "zero")
     include = report.maps[start]
-    r = extend_along(identity_morphism(include.source), include)
-    return (r is not None), r
+    a, b = include.source, include.target
+    ends = hom_module(a, a)
+    pull = hom_pull(include, a)
+    sol = solve_matrix(pull.mat.hstack(ends.module.rel),
+                       ends.coords(identity_morphism(a)), a.ring)
+    if sol is None:
+        return False, None
+    k = pull.source.gens
+    return True, hom_module(b, a).morphism(IntMat(k, 1, None, sol.nz[:k]))
 
 
 def short_exact(a_to_b: Morphism, b_to_c: Morphism, label="ses") -> SequenceReport:

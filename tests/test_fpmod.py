@@ -16,7 +16,7 @@ from homstab.exactlin import IntMat, ZZ, Zmod, invariant_divisors
 from homstab.fpmod import (
     Own, Within, canonical_invariants, cokernel, cokernel_realization, cyclic,
     direct_sum, direct_sum_morphism, dual, epi_mono_factor, evaluation_map,
-    extend_along, factor_through, free_module, hom_module, hom_push,
+    free_module, hom_module, hom_push,
     identity_morphism, image, in_span, induced, is_identity, iso_test, kernel,
     kernel_generators, make_module, make_morphism, morphisms_equal,
     stably_iso_test, tensor_module, tensor_mor, transpose, zero_module,
@@ -25,6 +25,8 @@ from homstab.fpmod import (
 )
 from homstab.instances import random_module, random_morphism
 from homstab.resolve import homology_at
+
+from solved_maps import extend_along, factor_through
 
 RINGS = [ZZ, Zmod(2), Zmod(4), Zmod(5), Zmod(6), Zmod(8), Zmod(9), Zmod(12)]
 Z2 = cyclic(ZZ, 2)

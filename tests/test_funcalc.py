@@ -11,7 +11,7 @@ from homstab.exactlin import ZZ, Zmod
 from homstab.fpmod import (
     canonical_invariants, cyclic, free_module, hom_module, identity_morphism,
     iso_test, make_module, make_morphism, morphisms_equal, transpose,
-    zero_module, zero_morphism, cokernel, extend_along,
+    zero_module, zero_morphism, cokernel,
 )
 from homstab.funcalc import (
     FP, TC, Derived, ExtFixedFirst, HomContra, HomCov, Satellite, ShiftOmega,
@@ -23,6 +23,8 @@ from homstab.funcalc import (
 from homstab.fundseq import right_fund_cov
 from homstab.instances import random_module, random_morphism
 from homstab.resolve import cosyzygy, ext, syzygy, tor
+
+from solved_maps import extend_along
 
 R4 = Zmod(4)
 Z = free_module(ZZ, 1)

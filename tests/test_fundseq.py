@@ -6,14 +6,14 @@ import random
 
 import pytest
 
+from homstab import funcalc
 from homstab.archeck import bidual_check
 from homstab.errors import NotAComplex, UnsupportedRing, WrongShape
 from homstab.exactlin import IntMat, ZZ, Zmod
 from homstab.fpmod import (
     Own, SubquotientRealization, canonical_invariants, cyclic, direct_sum,
-    extend_along, factor_through, free_module, identity_morphism, induced,
-    is_projective_module, iso_test, make_module, make_morphism,
-    morphisms_equal, zero_morphism,
+    free_module, identity_morphism, induced, is_projective_module, iso_test,
+    make_module, make_morphism, morphisms_equal, zero_morphism,
 )
 from homstab.funcalc import (
     COVARIANT, FP, TC, Derived, ExtFixedFirst, HomContra, HomCov, QuotStab,
@@ -28,7 +28,11 @@ from homstab.fundseq import (
 from homstab.instances import (
     random_composable_pair, random_module, random_morphism,
 )
-from homstab.resolve import cosyzygy, ext, tor
+from homstab.resolve import (
+    cosyzygy, ext, inj_resolution, proj_resolution, tor,
+)
+
+from solved_maps import extend_along, factor_through
 
 R4 = Zmod(4)
 Z = free_module(ZZ, 1)
@@ -206,19 +210,28 @@ def make_module_direct():
 
 
 def test_splitting_examples():
+    # a split sequence comes back with a retraction r, r . i = id_A
     inj = direct_sum([Z, Z2])
-    rep = short_exact(inj.injections[0], inj.projections[1])
-    ok, retraction = splitting_test(rep)
-    assert ok and retraction is not None
-    two = make_morphism(Z, Z, [[2]])
-    proj = make_morphism(Z, Z2, [[1]])
-    ok, _ = splitting_test(short_exact(two, proj))
-    assert not ok
-    z4 = cyclic(ZZ, 4)
-    i = make_morphism(Z2, z4, [[2]])
-    p = make_morphism(z4, Z2, [[1]])
-    ok, _ = splitting_test(short_exact(i, p))
-    assert not ok
+    z8 = Zmod(8)
+    a8, b8 = cyclic(z8, 2), cyclic(z8, 4)
+    # (1, 2): Z/2 -> Z/2 + Z/4 and (a, b) |-> b - 2a over Z/8: i and p are
+    # not the summand inclusion and projection
+    a_b8 = direct_sum([a8, b8]).module
+    split = [(inj.injections[0], inj.projections[1]),
+             (make_morphism(a8, a_b8, [[1], [2]]),
+              make_morphism(a_b8, b8, [[-2, 1]]))]
+    for i, p in split:
+        ok, r = splitting_test(short_exact(i, p))
+        assert ok
+        assert morphisms_equal(r.compose(i), identity_morphism(i.source))
+    # a sequence that does not split has no retraction
+    non_split = [(make_morphism(Z, Z, [[2]]), make_morphism(Z, Z2, [[1]]))]
+    for ring in (ZZ, Zmod(4), z8):
+        z2, z4 = cyclic(ring, 2), cyclic(ring, 4)
+        non_split.append((make_morphism(z2, z4, [[2]]),
+                          make_morphism(z4, z2, [[1]])))
+    for i, p in non_split:
+        assert splitting_test(short_exact(i, p)) == (False, None)
 
 
 def test_hereditary_decomposition():
@@ -567,3 +580,87 @@ def test_stabilization_maps_equal_the_solved_ones(ring):
     if ring.quasi_frobenius:
         want.add(("QuotStab", -COVARIANT))
     assert nonzero == want
+
+
+# ---------------------------------------------------------------------------
+# the comparison theorem: phi lifted to resolutions closes every square
+
+
+def _lift_squares(phi, depth, injective):
+    """The two sides of each square that ``funcalc._chain_map`` closes:
+    cover_y . h_0 = phi . cover_x and dy . h_k+1 = h_k . dx on the
+    projective side, h_0 . e_x = e_y . phi and h_k+1 . dx = dy . h_k on the
+    injective side."""
+    hs = funcalc._chain_map(phi, depth, injective)
+    resolution = inj_resolution if injective else proj_resolution
+    rx, ry = (resolution(m, depth) for m in (phi.source, phi.target))
+    ex, ey = rx.augmentation, ry.augmentation
+    if injective:
+        yield hs[0].compose(ex), ey.compose(phi)
+    else:
+        yield ey.compose(hs[0]), phi.compose(ex)
+    for h, h_next, dx, dy in zip(hs, hs[1:], rx.diffs, ry.diffs):
+        if injective:
+            yield h_next.compose(dx), dy.compose(h)
+        else:
+            yield dy.compose(h_next), h.compose(dx)
+
+
+@pytest.mark.parametrize(
+    "ring", [ZZ, Zmod(4), Zmod(8), Zmod(16), Zmod(36)], ids=str)
+def test_chain_map_closes_the_comparison_squares(ring):
+    rng = random.Random(20261022)
+    sides = (False, True) if ring.quasi_frobenius else (False,)
+    squares = nonzero = 0
+    for k in range(6):
+        # sums of cyclic modules reach the changes of coordinates that
+        # random presentations rarely do; over Z every other pair is a pair
+        # of random presentations
+        if ring.quasi_frobenius or k % 2 == 0:
+            x, y = (_sum_of_cyclics(rng, ring, 3) for _ in range(2))
+        else:
+            x, y = (random_module(rng, ring, 3, 3, 6) for _ in range(2))
+        phi = random_morphism(rng, x, y)
+        for injective in sides:
+            for left, right in _lift_squares(phi, 4, injective):
+                assert morphisms_equal(left, right), (str(ring), injective)
+                squares += 1
+                nonzero += not left.is_zero()
+    assert squares == 6 * 4 * len(sides)
+    assert 4 * nonzero >= squares, nonzero
+
+
+# ---------------------------------------------------------------------------
+# derived nodes against their closed forms: an additive F is fixed on free
+# modules by F(R), so F along a free resolution of b is the complex of
+# powers of F(R) that ``tor`` and ``ext`` build, and on the projective side
+# L_iF(b) = Tor_i(b, F(R)) for covariant F and R^iF(b) = Ext^i(b, F(R)) for
+# contravariant F
+
+
+@pytest.mark.parametrize(
+    "ring", [ZZ, Zmod(4), Zmod(8), Zmod(9), Zmod(12)], ids=str)
+def test_projective_derived_nodes_are_tor_and_ext_of_the_value_on_R(ring):
+    rng = random.Random(20261023)
+    r1 = free_module(ring, 1)
+    nodes = nonzero = 0
+    degrees = set()  # the degrees with a nonzero node
+    for _ in range(8):
+        a, c, b = (_sum_of_cyclics(rng, ring, 3) for _ in range(3))
+        f = random_morphism(rng, a, c)
+        for func, side, closed in ((HomCov(a), "left", tor),
+                                   (TensorLeft(a), "left", tor),
+                                   (FP(f), "left", tor), (TC(f), "left", tor),
+                                   (HomContra(c), "right", ext)):
+            value = func.eval_obj(r1)
+            for i in range(4):
+                got = derived_eval(func, i, side, b)
+                assert iso_test(got, closed(b, value, i)), (str(func), i)
+                nodes += 1
+                if not got.is_zero():
+                    nonzero += 1
+                    degrees.add(i)
+    assert nodes == 8 * 5 * 4
+    assert 4 * nonzero >= nodes, nonzero
+    # over Z every derived node past degree 1 is 0
+    assert degrees == ({0, 1, 2, 3} if ring.quasi_frobenius else {0, 1})

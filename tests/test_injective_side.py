@@ -10,7 +10,7 @@ from homstab import funcalc
 from homstab.errors import UnsupportedRing, WrongShape
 from homstab.exactlin import IntMat, Zmod
 from homstab.fpmod import (
-    Own, cokernel_realization, extend_along, free_module, hom_module,
+    Own, cokernel_realization, free_module, hom_module,
     identity_morphism, induced, is_identity, kernel_realization, make_module,
     make_morphism, morphisms_equal,
 )
@@ -22,6 +22,8 @@ from homstab.instances import random_module, random_morphism
 from homstab.resolve import (
     InjResolution, cosyzygy, inj_resolution, injective_container,
 )
+
+from solved_maps import extend_along
 
 RINGS = [Zmod(n) for n in (4, 8, 9, 12, 16, 36)]
 
